@@ -264,43 +264,71 @@ DEFAULT_LEXICONS: dict[EmotionLabel, tuple[str, ...]] = {
 
 def load_lexicons(path) -> dict[EmotionLabel, tuple[str, ...]]:
     """Read keyword lexicons from a JSON file mapping label names to word
-    lists. Labels not mentioned keep their defaults."""
+    lists. Labels not mentioned keep their defaults. Every problem with the
+    file is a ValueError."""
     import json
 
-    with open(path, encoding="utf-8") as handle:
-        raw = json.load(handle)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            raw = json.load(handle)
+    except OSError as exc:
+        raise ValueError(f"cannot read lexicon file: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError("lexicon file must hold a JSON object")
     lexicons = dict(DEFAULT_LEXICONS)
     for name, words in raw.items():
         label = EmotionLabel.parse(name)
-        lexicons[label] = tuple(str(w) for w in words)
+        if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+            raise ValueError(f"lexicon for {name!r} must be a list of strings")
+        lexicons[label] = tuple(words)
     return lexicons
+
+
+_TOKEN_RE = re.compile(r"\w+")
 
 
 class MockEmotionClassifier:
     """Deterministic keyword-count classifier.
 
-    Each emotion's raw score is 1 plus the number of occurrences of its
-    lexicon words in the text; raw scores are normalized to sum to 1. Empty
-    text therefore scores uniform 1/6.
+    Each emotion's raw score is 1 plus the number of whole-word,
+    case-insensitive occurrences of its lexicon words in the text (a word
+    listed twice, or under two labels, counts each time); raw scores are
+    normalized to sum to 1. Empty text therefore scores uniform 1/6.
+
+    Words made only of word characters are counted in one pass: such a word
+    matches as a whole word exactly where a maximal run of word characters
+    equals it, so the text is tokenized once and each token looked up. Any
+    other entry (several words, hyphens, apostrophes, empty) keeps its own
+    whole-word regex.
     """
 
     def __init__(self, lexicons: dict[EmotionLabel, tuple[str, ...]] | None = None):
         self.lexicons = dict(lexicons) if lexicons is not None else dict(DEFAULT_LEXICONS)
         for label in EmotionLabel:
             self.lexicons.setdefault(label, ())
-        self._patterns = {
-            label: [re.compile(r"\b" + re.escape(word.lower()) + r"\b") for word in words]
-            for label, words in self.lexicons.items()
-        }
+        self._token_labels: dict[str, list[EmotionLabel]] = {}
+        self._phrase_patterns: list[tuple[EmotionLabel, re.Pattern]] = []
+        for label, words in self.lexicons.items():
+            for word in words:
+                lowered = word.lower()
+                if _TOKEN_RE.fullmatch(lowered):
+                    self._token_labels.setdefault(lowered, []).append(label)
+                else:
+                    pattern = re.compile(r"\b" + re.escape(lowered) + r"\b")
+                    self._phrase_patterns.append((label, pattern))
 
     def classify_emotions(
         self, text: GeneratedText, policy: BackendPolicy | None = None
     ) -> EmotionScores:
         lowered = truncate_to_token_budget(text.text).lower()
-        raw = {}
-        for label in EmotionLabel:
-            count = sum(len(pattern.findall(lowered)) for pattern in self._patterns[label])
-            raw[label] = 1.0 + count
+        counts = dict.fromkeys(EmotionLabel, 0)
+        lookup = self._token_labels.get
+        for token in _TOKEN_RE.findall(lowered):
+            for label in lookup(token, ()):
+                counts[label] += 1
+        for label, pattern in self._phrase_patterns:
+            counts[label] += len(pattern.findall(lowered))
+        raw = {label: 1.0 + counts[label] for label in EmotionLabel}
         total = sum(raw.values())
         return EmotionScores({label: raw[label] / total for label in EmotionLabel})
 

@@ -34,6 +34,8 @@ class ConfigError(ValueError):
 
 def _take(section: dict, known: dict, where: str) -> dict:
     """Pull known keys out of a config section, rejecting everything else."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} section must be a JSON object")
     unknown = set(section) - set(known)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {', '.join(sorted(unknown))}")
@@ -126,6 +128,10 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         if "selector" in config_kwargs:
             config_kwargs["selector"] = _normalize_selector(config_kwargs["selector"])
         if seed_prompts is not None:
+            if not isinstance(seed_prompts, list) or not all(
+                isinstance(p, str) for p in seed_prompts
+            ):
+                raise ConfigError("seed_prompts must be a list of strings")
             config_kwargs["seed_prompts"] = tuple(Prompt(p) for p in seed_prompts)
         return RunConfig(
             pair=pair,

@@ -117,6 +117,8 @@ class RunConfig:
             raise ValueError("mu must be >= 1")
         if self.lam < 0:
             raise ValueError("lambda must be >= 0")
+        if self.lam > 0 and self.mu < 2:
+            raise ValueError("mu must be >= 2 when lambda > 0 (crossover needs two parents)")
         if self.generations < 1:
             raise ValueError("generations must be >= 1")
         if self.repetitions < 1:
@@ -257,13 +259,15 @@ def produce_offspring(
     offspring index), picks two distinct parents uniformly, and runs the
     crossover, mutation, generation, scoring pipeline. A scoring failure
     downgrades the offspring to fitness (0, 0) instead of aborting. The
-    pipelines are independent, so they run on a small thread pool sized by
-    the backend policy; results keep offspring-index order either way.
+    pipelines are independent: live backends run them on a thread pool
+    sized by the backend policy to overlap network waits, while the mocks,
+    pure Python under the GIL, run them in order. Results keep
+    offspring-index order either way.
     """
-    if len(parents) < 2:
-        raise ValueError("offspring production needs at least two parents")
     if count <= 0:
         return []
+    if len(parents) < 2:
+        raise ValueError("offspring production needs at least two parents")
     suite = suite or _load_suite(config)
     parent_list = list(parents)
 
@@ -298,8 +302,8 @@ def produce_offspring(
             operator_trace=tuple(trace),
         )
 
-    workers = min(count, max(1, config.backend.policy.max_concurrent_requests))
-    if workers == 1:
+    workers = min(count, config.backend.policy.max_concurrent_requests)
+    if config.backend.kind != "live" or workers == 1:
         return [make(i) for i in range(count)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(make, range(count)))

@@ -2,13 +2,17 @@
 
 Everything here favors obviousness over speed: the hypervolume oracle sums
 grid cells after coordinate compression, the sorting oracle peels fronts
-off a full dominance matrix, and subset selection enumerates every
-combination. None of it shares code with the package under test.
+off a full dominance matrix, subset selection enumerates every
+combination, and the classifier oracle runs one regex per lexicon word.
+None of it shares code with the package under test beyond the value types
+and the classifier's truncation rule.
 """
 
+import re
 from itertools import combinations
 
-from moprompt.domain import FitnessPoint
+from moprompt.backends import truncate_to_token_budget
+from moprompt.domain import EmotionLabel, EmotionScores, FitnessPoint
 
 
 def dominates_oracle(a: FitnessPoint, b: FitnessPoint) -> bool:
@@ -91,3 +95,18 @@ def crowding_oracle(points: list[FitnessPoint]) -> list[float]:
             if result[i] != float("inf"):
                 result[i] += (values[order[pos + 1]] - values[order[pos - 1]]) / (hi - lo)
     return result
+
+
+def classify_oracle(text: str, lexicons: dict) -> EmotionScores:
+    """Keyword-count emotion scores with one whole-word regex per lexicon
+    entry: raw score 1 + matches per label, normalized to sum to 1."""
+    lowered = truncate_to_token_budget(text).lower()
+    raw = {}
+    for label in EmotionLabel:
+        count = sum(
+            len(re.findall(r"\b" + re.escape(word.lower()) + r"\b", lowered))
+            for word in lexicons.get(label, ())
+        )
+        raw[label] = 1.0 + count
+    total = sum(raw.values())
+    return EmotionScores({label: raw[label] / total for label in EmotionLabel})

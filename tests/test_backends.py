@@ -7,6 +7,8 @@ import time
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moprompt.backends as backends
 from moprompt.backends import (
@@ -25,6 +27,7 @@ from moprompt.backends import (
     truncate_to_token_budget,
 )
 from moprompt.domain import EmotionLabel, GeneratedText
+from oracles import classify_oracle
 
 
 class StubServer:
@@ -187,6 +190,60 @@ def test_mock_classifier_truncates_before_counting():
     assert scores[EmotionLabel.JOY] == pytest.approx(1 / 6)
 
 
+# words shared by texts and lexicons so the property tests hit often:
+# mixed case, digits, underscores, non-ASCII letters, apostrophes, hyphens,
+# several words, and the empty entry
+VOCABULARY = (
+    "love", "Love", "LOVE", "loves", "rage", "joy", "joy_ful", "_", "x2", "42",
+    "café", "CAFÉ", "straße", "ΑΓΑΠΗ", "любовь", "İstanbul", "naïve",
+    "don't", "o'clock", "ice-cold", "well-", "broken heart", "tears of joy", "",
+)
+SEPARATORS = ("", " ", "  ", ", ", ". ", "-", "'", "!", "\n", "\t", "_", "é")
+PUNCTUATED = st.text(alphabet="abcdeÉéß_'-.,!? 0123456789\nLOVEjoy", max_size=60)
+
+
+@st.composite
+def classifier_texts(draw):
+    if draw(st.booleans()):
+        return draw(PUNCTUATED)
+    extra = ("story", "Tears", "dread", "sudden")
+    words = draw(st.lists(st.sampled_from(VOCABULARY + extra), max_size=25))
+    separator = draw(st.sampled_from(SEPARATORS))
+    # repeating the words pushes some texts past the 512-token budget
+    return separator.join(words * draw(st.sampled_from((1, 2, 40))))
+
+
+LEXICONS = st.one_of(
+    st.just(DEFAULT_LEXICONS),
+    st.dictionaries(
+        st.sampled_from(list(EmotionLabel)),
+        st.lists(st.sampled_from(VOCABULARY), max_size=8).map(tuple),
+    ),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(text=classifier_texts(), lexicons=LEXICONS)
+def test_mock_classifier_matches_regex_oracle(text, lexicons):
+    clf = MockEmotionClassifier(lexicons)
+    assert clf.classify_emotions(GeneratedText(text)) == classify_oracle(text, lexicons)
+
+
+def test_mock_classifier_counts_duplicates_and_phrases():
+    lexicons = {
+        EmotionLabel.JOY: ("joy", "Joy", "tears of joy"),
+        EmotionLabel.SADNESS: ("tears", "tears of joy", "ice-cold", ""),
+    }
+    text = "Tears of JOY, ice-cold tears"
+    got = MockEmotionClassifier(lexicons).classify_emotions(GeneratedText(text))
+    assert got == classify_oracle(text, lexicons)
+    # joy counts "joy" once per listing plus the phrase: 1 + 3; sadness
+    # counts "tears" twice, the phrase, "ice-cold" and the empty entry's 12
+    # word boundaries: 1 + 16; four other labels at 1 each
+    assert got.scores[EmotionLabel.JOY] == 4 / 25
+    assert got.scores[EmotionLabel.SADNESS] == 17 / 25
+
+
 def test_load_lexicons_merges_over_defaults(tmp_path):
     path = tmp_path / "lex.json"
     path.write_text(json.dumps({"joy": ["glee"], "FEAR": ["qualm"]}))
@@ -194,6 +251,21 @@ def test_load_lexicons_merges_over_defaults(tmp_path):
     assert lexicons[EmotionLabel.JOY] == ("glee",)
     assert lexicons[EmotionLabel.FEAR] == ("qualm",)
     assert lexicons[EmotionLabel.SADNESS] == DEFAULT_LEXICONS[EmotionLabel.SADNESS]
+
+
+@pytest.mark.parametrize(
+    "payload", [{"joy": "delight"}, {"joy": ["delight", 3]}, {"joy": None}, ["joy"]]
+)
+def test_load_lexicons_rejects_bad_word_lists(tmp_path, payload):
+    path = tmp_path / "lex.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError):
+        load_lexicons(path)
+
+
+def test_load_lexicons_missing_file_is_value_error(tmp_path):
+    with pytest.raises(ValueError, match="cannot read lexicon file"):
+        load_lexicons(tmp_path / "absent.json")
 
 
 def test_load_lexicons_rejects_unknown_label(tmp_path):

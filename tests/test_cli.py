@@ -131,6 +131,43 @@ def test_run_rejects_malformed_config(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize("section", ["llm", "classifier", "policy"])
+def test_run_rejects_non_object_sections(tmp_path, capsys, section):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"pair": "joy:fear", section: 5}))
+    code, _, err = run_cli(capsys, "run", "--config", str(path))
+    assert code == 2
+    assert f"{section} section must be a JSON object" in err
+
+
+@pytest.mark.parametrize("seed_prompts", ["abcdefghijk", ["write a story", 7]])
+def test_run_rejects_seed_prompts_that_are_not_a_string_list(tmp_path, capsys, seed_prompts):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"pair": "joy:fear", "seed_prompts": seed_prompts}))
+    code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path))
+    assert code == 2
+    assert "seed_prompts must be a list of strings" in err
+
+
+def test_run_rejects_single_parent_with_offspring(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"pair": "joy:fear", "mu": 1}))
+    code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert "mu must be >= 2" in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_run_rejects_bad_lexicon_file(tmp_path, capsys):
+    lexicon = tmp_path / "lex.json"
+    lexicon.write_text(json.dumps({"joy": "delight"}))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"pair": "joy:fear", "lexicon_file": str(lexicon)}))
+    code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert "must be a list of strings" in err
+
+
 def test_run_live_backend_without_urls(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("EMO_LLM_URL", raising=False)
     monkeypatch.delenv("EMO_CLF_URL", raising=False)

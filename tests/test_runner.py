@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import moprompt.runner as runner
 from moprompt.backends import BackendError, BackendPolicy, Backends, MockTextGenerator
 from moprompt.domain import (
     EmotionLabel,
@@ -95,6 +96,8 @@ def test_run_config_validation():
         small_config(hv_mode="approximate")
     with pytest.raises(ValueError, match="seed prompts"):
         small_config(mu=11)  # only ten defaults to found from
+    with pytest.raises(ValueError, match="mu must be >= 2"):
+        small_config(mu=1)  # crossover needs two parents
     with pytest.raises(ValueError):
         small_config(backend=BackendConfig(kind="imaginary"))
 
@@ -185,21 +188,48 @@ def test_produce_offspring_ids_and_lineage():
         assert [r.kind for r in child.operator_trace] == ["crossover", "mutation", "generation"]
 
 
-def test_produce_offspring_identical_across_worker_counts():
+def test_produce_offspring_identical_across_worker_counts(monkeypatch):
     serial_config = small_config(
         backend=BackendConfig(policy=BackendPolicy(max_concurrent_requests=1))
     )
+    # only live backends get the pool; the mock pair stands in for the
+    # clients so the pooled path runs offline
     pooled_config = small_config(
+        backend=BackendConfig(kind="live", policy=BackendPolicy(max_concurrent_requests=4))
+    )
+    pools = []
+
+    class RecordingPool(runner.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(runner, "ThreadPoolExecutor", RecordingPool)
+    backends = build_backends(serial_config)
+    population = initialize(serial_config, backends)
+    serial = produce_offspring(
+        population, 6, backends, 5, serial_config, generation=2, id_start=10
+    )
+    assert pools == []
+    pooled = produce_offspring(
+        population, 6, backends, 5, pooled_config, generation=2, id_start=10
+    )
+    assert pools == [4]
+    assert serial == pooled
+
+
+def test_produce_offspring_never_pools_mock_backends(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("mock backends must not start a thread pool")
+
+    monkeypatch.setattr(runner, "ThreadPoolExecutor", no_pool)
+    config = small_config(
         backend=BackendConfig(policy=BackendPolicy(max_concurrent_requests=4))
     )
-    population = initialize(serial_config, build_backends(serial_config))
-    serial = produce_offspring(
-        population, 6, build_backends(serial_config), 5, serial_config, generation=2, id_start=10
-    )
-    pooled = produce_offspring(
-        population, 6, build_backends(pooled_config), 5, pooled_config, generation=2, id_start=10
-    )
-    assert serial == pooled
+    backends = build_backends(config)
+    population = initialize(config, backends)
+    offspring = produce_offspring(population, 6, backends, 0, config, id_start=4)
+    assert [o.id for o in offspring] == [4, 5, 6, 7, 8, 9]
 
 
 def test_produce_offspring_downgrades_scoring_failure():
@@ -282,6 +312,14 @@ def test_step_with_zero_lambda_reselects_parents():
     survivors, record = step(parents, config, backends, 0, generation=1)
     assert sorted(ind.id for ind in survivors) == [0, 1, 2, 3]
     assert record.fallback_count == 0
+
+
+def test_step_with_one_parent_and_no_offspring():
+    config = small_config(mu=1, lam=0)
+    backends = build_backends(config)
+    population = initialize(config, backends)
+    survivors, _ = step(population, config, backends, 0, generation=1)
+    assert [ind.id for ind in survivors] == [0]
 
 
 # serialization round-trip
