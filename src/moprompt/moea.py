@@ -4,6 +4,11 @@ Pure functions over lists of FitnessPoint. Everything is deterministic:
 every tie anywhere is broken toward the lowest candidate index, so a
 selector called twice on the same input returns the same output.
 
+Non-dominated sorting and domination counting are exact O(n log n) sweeps
+over the points in descending f1 order, so survivor selection scales as
+O(n log n) in the candidate count up to the subset selection that runs
+when the Pareto front alone overflows.
+
 The hypervolume routines are exact 2-D algorithms. With both objectives
 maximized and a reference point at or below every point, the hypervolume of
 a set is the area of the union of the axis-aligned rectangles spanned by the
@@ -12,7 +17,10 @@ reference point and each point.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
 
 from .domain import FitnessPoint
 
@@ -52,42 +60,63 @@ def dominates(a: FitnessPoint, b: FitnessPoint) -> bool:
 
 
 def nondominated_sort(points: list[FitnessPoint]) -> list[Front]:
-    """Partition points into fronts by repeated non-dominated peeling.
+    """Partition points into fronts by non-dominated rank in O(n log n).
 
-    Standard fast non-dominated sort: count dominators and track dominated
-    sets, then peel layer by layer. Indices within a front stay in ascending
-    input order. Empty input gives an empty partition.
+    Sort-and-sweep for two objectives (Jensen 2003): points are visited by
+    descending f1, then descending f2, so every point that can dominate the
+    current one has been visited, and among visited points q dominates p
+    exactly when (q.f2, q.f1) > (p.f2, p.f1) lexicographically. Each front
+    keeps the largest such key it holds; the keys strictly decrease with
+    rank, so a binary search finds the first front holding no dominator,
+    which is the point's front. Exact duplicates do not dominate each other
+    and share a front. Indices within a front stay in ascending input
+    order. Empty input gives an empty partition.
     """
-    n = len(points)
-    if n == 0:
-        return []
-    coords = [(p.f1, p.f2) for p in points]
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    domination_count = [0] * n
-    for i in range(n):
-        ai, bi = coords[i]
-        for j in range(i + 1, n):
-            aj, bj = coords[j]
-            if ai >= aj and bi >= bj and (ai > aj or bi > bj):
-                dominated_by[i].append(j)
-                domination_count[j] += 1
-            elif aj >= ai and bj >= bi and (aj > ai or bj > bi):
-                dominated_by[j].append(i)
-                domination_count[i] += 1
-    fronts: list[Front] = []
-    current = [i for i in range(n) if domination_count[i] == 0]
-    rank = 0
-    while current:
-        fronts.append(Front(rank=rank, indices=tuple(current)))
-        upcoming: list[int] = []
-        for i in current:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    upcoming.append(j)
-        current = sorted(upcoming)
-        rank += 1
-    return fronts
+    order = sorted(range(len(points)), key=lambda i: (-points[i].f1, -points[i].f2))
+    # front r's largest (f2, f1) key, negated so that the list ascends
+    front_keys: list[tuple[float, float]] = []
+    members: list[list[int]] = []
+    for i in order:
+        key = (-points[i].f2, -points[i].f1)
+        rank = bisect_left(front_keys, key)
+        if rank == len(front_keys):
+            front_keys.append(key)
+            members.append([i])
+        else:
+            front_keys[rank] = key
+            members[rank].append(i)
+    return [Front(rank=rank, indices=tuple(sorted(m))) for rank, m in enumerate(members)]
+
+
+def _domination_counts(points: list[FitnessPoint]) -> list[int]:
+    """How many points dominate each point, in O(n log n).
+
+    Sweeps groups of equal f1 in descending order over a Fenwick tree of f2
+    ranks (rank 1 is the largest f2). A group is inserted before it is
+    queried, so a point's count is the number of points inserted so far
+    with f2 at least its own, minus the copies of its exact coordinate
+    (itself included), which do not dominate it.
+    """
+    f2_rank = {v: r for r, v in enumerate(sorted({p.f2 for p in points}, reverse=True), 1)}
+    tree = [0] * (len(f2_rank) + 1)
+    copies = Counter((p.f1, p.f2) for p in points)
+    counts = [0] * len(points)
+    by_f1 = sorted(range(len(points)), key=lambda i: -points[i].f1)
+    for _, group in groupby(by_f1, key=lambda i: points[i].f1):
+        group = list(group)
+        for i in group:
+            r = f2_rank[points[i].f2]
+            while r < len(tree):
+                tree[r] += 1
+                r += r & -r
+        for i in group:
+            r = f2_rank[points[i].f2]
+            at_least = 0
+            while r > 0:
+                at_least += tree[r]
+                r -= r & -r
+            counts[i] = at_least - copies[(points[i].f1, points[i].f2)]
+    return counts
 
 
 def crowding_distance(points: list[FitnessPoint]) -> list[float]:
@@ -313,7 +342,9 @@ def sms_emoa_select(
     hypervolume-maximizing subset of that front (greedy or exact per mode).
     Otherwise whole fronts are taken in rank order and the overflowing front
     is ordered by domination count ascending, then exclusive hypervolume
-    contribution descending, then lower index.
+    contribution descending, then lower index. The sort, the per-front
+    contributions and the domination counts are sweeps, O(n log n) in the
+    candidate count; the subset selection costs what its mode costs.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -334,11 +365,7 @@ def sms_emoa_select(
         )
         selected = [front0.indices[t] for t in local_pick]
         return SelectionOutcome(tuple(selected), tuple(ranks), tuple(contribution))
-    domination_count = [0] * len(candidates)
-    for i, a in enumerate(candidates):
-        for j, b in enumerate(candidates):
-            if i != j and dominates(b, a):
-                domination_count[i] += 1
+    domination_count = _domination_counts(candidates)
     selected = []
     for front in fronts:
         if len(selected) + len(front) <= mu:

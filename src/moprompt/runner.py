@@ -113,6 +113,12 @@ class RunConfig:
     operators_file: str | None = None
 
     def __post_init__(self) -> None:
+        for name, value in (
+            ("mu", self.mu), ("lambda", self.lam), ("generations", self.generations),
+            ("repetitions", self.repetitions), ("seed", self.seed),
+        ):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.mu < 1:
             raise ValueError("mu must be >= 1")
         if self.lam < 0:
@@ -444,8 +450,10 @@ def run_experiment(
 ) -> RunSummary:
     """Run every repetition and write the output tree.
 
-    Repetition r runs with seed config.seed + r. A failed repetition is
-    recorded and excluded from the statistics without stopping the others.
+    Repetition r runs with seed config.seed + r. A repetition that fails
+    with a backend or file-system error is recorded and excluded from the
+    statistics without stopping the others; any other exception is a bug
+    and propagates.
     progress, when given, is called as progress(repetition, record) after
     every recorded generation. The summary reports the final-generation
     hypervolume statistics and, separately, statistics over each
@@ -468,7 +476,7 @@ def run_experiment(
                     max_hypervolume=max(series),
                 )
             )
-        except Exception as exc:
+        except (BackendError, OSError) as exc:
             logger.warning("repetition %d failed: %s", rep, exc)
             results.append(RepetitionResult(repetition=rep, status="failed", error=str(exc)))
     finals = [r.final_hypervolume for r in results if r.status == "ok"]

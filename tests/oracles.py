@@ -2,8 +2,9 @@
 
 Everything here favors obviousness over speed: the hypervolume oracle sums
 grid cells after coordinate compression, the sorting oracle peels fronts
-off a full dominance matrix, subset selection enumerates every
-combination, and the classifier oracle runs one regex per lexicon word.
+off a full dominance matrix, domination counts test every ordered pair,
+subset selection enumerates every combination, and the classifier oracle
+runs one regex per lexicon word.
 None of it shares code with the package under test beyond the value types
 and the classifier's truncation rule.
 """
@@ -34,6 +35,11 @@ def sort_oracle(points: list[FitnessPoint]) -> list[list[int]]:
         fronts.append(front)
         alive -= set(front)
     return fronts
+
+
+def domination_count_oracle(points: list[FitnessPoint]) -> list[int]:
+    """How many points dominate each point, by testing every pair."""
+    return [sum(dominates_oracle(q, p) for q in points) for p in points]
 
 
 def hypervolume_oracle(points: list[FitnessPoint], ref: tuple[float, float]) -> float:

@@ -158,6 +158,20 @@ def test_run_rejects_single_parent_with_offspring(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", "abc"), ("mu", "ten"), ("mu", 2.5), ("lambda", True), ("generations", 3.0),
+     ("repetitions", "2")],
+)
+def test_run_rejects_non_integer_fields(tmp_path, capsys, field, value):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"pair": "joy:fear", field: value}))
+    code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert f"{field} must be an integer, got {value!r}" in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_run_rejects_bad_lexicon_file(tmp_path, capsys):
     lexicon = tmp_path / "lex.json"
     lexicon.write_text(json.dumps({"joy": "delight"}))

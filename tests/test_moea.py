@@ -2,11 +2,12 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moprompt.domain import FitnessPoint
 from moprompt.moea import (
+    _domination_counts,
     crowding_distance,
     dominates,
     hv_contributions,
@@ -20,6 +21,7 @@ from oracles import (
     best_subset_oracle,
     contributions_oracle,
     crowding_oracle,
+    domination_count_oracle,
     dominates_oracle,
     hypervolume_oracle,
     sort_oracle,
@@ -47,6 +49,26 @@ point_strategy = st.builds(
     st.floats(0.0, 1.0, allow_nan=False),
     st.floats(0.0, 1.0, allow_nan=False),
 )
+
+
+@st.composite
+def tied_points(draw, max_size=60):
+    """Points on a dyadic grid (so every area is exact in floating point),
+    with exact duplicates and runs sharing f1 or f2 mixed in, shuffled."""
+    grid = draw(st.sampled_from([1, 2, 4, 8, 16]))
+    coord = st.integers(0, grid)
+    cells = draw(st.lists(st.tuples(coord, coord), max_size=max_size))
+    for shared_axis, shared, others in draw(
+        st.lists(st.tuples(st.sampled_from((0, 1)), coord, st.lists(coord, max_size=8)),
+                 max_size=3)
+    ):
+        for other in others:
+            cells.append((shared, other) if shared_axis == 0 else (other, shared))
+    for _ in range(draw(st.integers(0, 3))):
+        if cells:
+            cells.append(cells[draw(st.integers(0, len(cells) - 1))])
+    cells = draw(st.permutations(cells[:max_size]))
+    return [FitnessPoint(a / grid, b / grid) for a, b in cells]
 
 
 # dominance
@@ -104,6 +126,18 @@ def test_sort_matches_oracle_on_random_sets():
         pts = random_points(rng, rng.randrange(1, 60), grid=8 if trial % 2 else None)
         fronts = [list(f.indices) for f in nondominated_sort(pts)]
         assert fronts == sort_oracle(pts)
+
+
+@settings(deadline=None)
+@given(tied_points())
+def test_sort_matches_oracle_with_ties_and_duplicates(pts):
+    assert [list(f.indices) for f in nondominated_sort(pts)] == sort_oracle(pts)
+
+
+@settings(deadline=None)
+@given(tied_points())
+def test_domination_counts_match_oracle(pts):
+    assert _domination_counts(pts) == domination_count_oracle(pts)
 
 
 def test_sort_partitions_input():
@@ -455,3 +489,34 @@ def test_scale_preserves_dominance_relations(pts, scale):
     base_fronts = [f.indices for f in nondominated_sort(pts)]
     scaled_fronts = [f.indices for f in nondominated_sort(scaled)]
     assert base_fronts == scaled_fronts
+
+
+def sms_fill_oracle(points, mu, ref):
+    """Survivors when front 0 fits in mu, built from the oracles: whole
+    fronts in rank order, the overflowing front by domination count, then
+    contribution descending, then index."""
+    counts = domination_count_oracle(points)
+    selected = []
+    for front in sort_oracle(points):
+        if len(selected) + len(front) <= mu:
+            selected.extend(front)
+        else:
+            contribution = dict(
+                zip(front, contributions_oracle([points[i] for i in front], ref))
+            )
+            order = sorted(front, key=lambda i: (counts[i], -contribution[i], i))
+            selected.extend(order[: mu - len(selected)])
+        if len(selected) == mu:
+            break
+    return tuple(selected)
+
+
+@settings(deadline=None)
+@given(tied_points(), st.data())
+def test_sms_fill_matches_oracle_selector(pts, data):
+    assume(pts)
+    mu = data.draw(st.integers(1, len(pts)))
+    assume(len(sort_oracle(pts)[0]) <= mu)
+    for mode in ("greedy", "exact"):
+        outcome = sms_emoa_select(pts, mu, ORIGIN, mode)
+        assert outcome.selected == sms_fill_oracle(pts, mu, ORIGIN)

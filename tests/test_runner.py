@@ -50,6 +50,11 @@ class FailingClassifier:
         raise BackendError("classifier down")
 
 
+class BuggyClassifier:
+    def classify_emotions(self, text, policy=None):
+        raise TypeError("unsupported operand type(s)")
+
+
 class FailingGenerator:
     def complete(self, request, policy=None):
         raise BackendError("generator down")
@@ -427,3 +432,10 @@ def test_run_experiment_records_failed_repetitions(tmp_path):
     )
     assert payload["final"] is None
     assert all(r["error"] for r in payload["results"])
+
+
+def test_run_experiment_propagates_programming_errors(tmp_path):
+    config = small_config(out_dir=str(tmp_path))
+    backends = Backends(generator=MockTextGenerator(), classifier=BuggyClassifier())
+    with pytest.raises(TypeError, match="unsupported operand"):
+        run_experiment(config, backends)
