@@ -17,7 +17,7 @@ import random
 import re
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol
 
 import requests
@@ -37,27 +37,8 @@ CLASSIFIER_TOKEN_ENV = "EMO_CLF_TOKEN"
 
 
 class BackendError(RuntimeError):
-    """Raised when a backend call failed after exhausting its retries."""
-
-
-@dataclass(frozen=True)
-class GenerationRequest:
-    """One completion request, carrying the decoding parameters the wire
-    protocol needs."""
-
-    prompt_body: str
-    system: str = ""
-    model_name: str = "llama2"
-    temperature: float = 0.7
-    context_window: int = 512
-    max_output_tokens: int = 256
-    stop_sequences: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError("temperature must be non-negative")
-        if self.context_window <= 0 or self.max_output_tokens <= 0:
-            raise ValueError("token limits must be positive")
+    """Raised when a backend call failed: at once for an error a retry would
+    repeat, after exhausting its retries for a transient one."""
 
 
 @dataclass(frozen=True)
@@ -89,15 +70,34 @@ class LlmSettings:
     context_window: int = 512
     max_output_tokens: int = 256
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.model, str):
+            raise ValueError(f"model must be a string, got {self.model!r}")
+        t = self.temperature
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0 <= t < math.inf:
+            raise ValueError(f"temperature must be a non-negative number, got {t!r}")
+        for name in ("context_window", "max_output_tokens"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
+@dataclass(frozen=True)
+class GenerationRequest:
+    """One completion request: the rendered prompt, its system instruction
+    and the run's decoding settings."""
+
+    prompt_body: str
+    system: str = ""
+    llm: LlmSettings = field(default_factory=LlmSettings)
+
 
 class TextGenerationBackend(Protocol):
-    def complete(self, request: GenerationRequest, policy: BackendPolicy | None = None) -> str: ...
+    def complete(self, request: GenerationRequest) -> str: ...
 
 
 class EmotionClassifierBackend(Protocol):
-    def classify_emotions(
-        self, text: GeneratedText, policy: BackendPolicy | None = None
-    ) -> EmotionScores: ...
+    def classify_emotions(self, text: GeneratedText) -> EmotionScores: ...
 
 
 @dataclass(frozen=True)
@@ -122,20 +122,31 @@ def truncate_to_token_budget(text: str, budget: int = CLASSIFIER_TOKEN_BUDGET) -
     return " ".join(words[:limit])
 
 
+def _is_transient(exc: Exception) -> bool:
+    """Transport failures, 5xx and 429 replies may pass on a retry; other
+    4xx replies and malformed bodies would fail the same way again."""
+    if isinstance(exc, requests.HTTPError):
+        status = exc.response.status_code
+        return status >= 500 or status == 429
+    return isinstance(exc, (requests.ConnectionError, requests.Timeout))
+
+
 def _call_with_retries(policy: BackendPolicy, attempt, describe: str):
     delay = policy.backoff
-    last: Exception | None = None
     for attempt_index in range(policy.max_retries + 1):
         try:
             return attempt()
         except (requests.RequestException, ValueError, KeyError, TypeError) as exc:
-            last = exc
-            if attempt_index < policy.max_retries:
-                logger.debug("%s failed (attempt %d): %s", describe, attempt_index + 1, exc)
-                if delay > 0:
-                    time.sleep(delay)
-                delay *= 2
-    raise BackendError(f"{describe} failed after {policy.max_retries + 1} attempts: {last}") from last
+            if not _is_transient(exc):
+                raise BackendError(f"{describe} failed: {exc}") from exc
+            if attempt_index == policy.max_retries:
+                raise BackendError(
+                    f"{describe} failed after {policy.max_retries + 1} attempts: {exc}"
+                ) from exc
+            logger.debug("%s failed (attempt %d): %s", describe, attempt_index + 1, exc)
+            if delay > 0:
+                time.sleep(delay)
+            delay *= 2
 
 
 class OllamaClient:
@@ -151,26 +162,24 @@ class OllamaClient:
         self.policy = policy or BackendPolicy()
         self._slots = threading.BoundedSemaphore(self.policy.max_concurrent_requests)
 
-    def complete(self, request: GenerationRequest, policy: BackendPolicy | None = None) -> str:
-        policy = policy or self.policy
+    def complete(self, request: GenerationRequest) -> str:
+        llm = request.llm
         payload = {
-            "model": request.model_name,
+            "model": llm.model,
             "prompt": request.prompt_body,
             "system": request.system,
             "stream": False,
             "options": {
-                "temperature": request.temperature,
-                "num_ctx": request.context_window,
-                "num_predict": request.max_output_tokens,
+                "temperature": llm.temperature,
+                "num_ctx": llm.context_window,
+                "num_predict": llm.max_output_tokens,
             },
         }
-        if request.stop_sequences:
-            payload["options"]["stop"] = list(request.stop_sequences)
 
         def attempt() -> str:
             with self._slots:
                 response = requests.post(
-                    f"{self.base_url}/api/generate", json=payload, timeout=policy.timeout
+                    f"{self.base_url}/api/generate", json=payload, timeout=self.policy.timeout
                 )
             response.raise_for_status()
             body = response.json()
@@ -178,7 +187,7 @@ class OllamaClient:
                 raise ValueError(f"no 'response' field in reply: {sorted(body)}")
             return str(body["response"])
 
-        return _call_with_retries(policy, attempt, "text generation")
+        return _call_with_retries(self.policy, attempt, "text generation")
 
 
 class HttpEmotionClassifier:
@@ -200,10 +209,7 @@ class HttpEmotionClassifier:
         self.policy = policy or BackendPolicy()
         self._slots = threading.BoundedSemaphore(self.policy.max_concurrent_requests)
 
-    def classify_emotions(
-        self, text: GeneratedText, policy: BackendPolicy | None = None
-    ) -> EmotionScores:
-        policy = policy or self.policy
+    def classify_emotions(self, text: GeneratedText) -> EmotionScores:
         payload = {"inputs": truncate_to_token_budget(text.text)}
         headers = {}
         if self.token:
@@ -212,12 +218,12 @@ class HttpEmotionClassifier:
         def attempt() -> EmotionScores:
             with self._slots:
                 response = requests.post(
-                    self.base_url, json=payload, headers=headers, timeout=policy.timeout
+                    self.base_url, json=payload, headers=headers, timeout=self.policy.timeout
                 )
             response.raise_for_status()
             return parse_classifier_response(response.json())
 
-        return _call_with_retries(policy, attempt, "emotion classification")
+        return _call_with_retries(self.policy, attempt, "emotion classification")
 
 
 def parse_classifier_response(body) -> EmotionScores:
@@ -317,9 +323,7 @@ class MockEmotionClassifier:
                     pattern = re.compile(r"\b" + re.escape(lowered) + r"\b")
                     self._phrase_patterns.append((label, pattern))
 
-    def classify_emotions(
-        self, text: GeneratedText, policy: BackendPolicy | None = None
-    ) -> EmotionScores:
+    def classify_emotions(self, text: GeneratedText) -> EmotionScores:
         lowered = truncate_to_token_budget(text.text).lower()
         counts = dict.fromkeys(EmotionLabel, 0)
         lookup = self._token_labels.get
@@ -393,7 +397,7 @@ class MockTextGenerator:
     def __init__(self, seed: int = 0):
         self.seed = seed
 
-    def complete(self, request: GenerationRequest, policy: BackendPolicy | None = None) -> str:
+    def complete(self, request: GenerationRequest) -> str:
         rng = random.Random(f"{self.seed}|{request.system}|{request.prompt_body}")
         body = request.prompt_body
         if "Mutation Prompt:" in body:

@@ -26,65 +26,41 @@ from .runner import (
     build_backends,
     run_experiment,
 )
+from .variation import OperatorSuite, load_operator_suite
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _take(section: dict, known: dict, where: str) -> dict:
-    """Pull known keys out of a config section, rejecting everything else."""
+def _take(section: dict, known: tuple[str, ...], where: str) -> dict:
+    """Copy a config section, rejecting keys outside known."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where} section must be a JSON object")
     unknown = set(section) - set(known)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {', '.join(sorted(unknown))}")
-    return {known[key]: section[key] for key in section}
+    return dict(section)
 
 
-_TOP_LEVEL_KEYS = {
-    "mu": "mu",
-    "lambda": "lam",
-    "generations": "generations",
-    "repetitions": "repetitions",
-    "pair": "pair",
-    "selector": "selector",
-    "hv_mode": "hv_mode",
-    "seed": "seed",
-    "seed_prompts": "seed_prompts",
-    "backend": "backend",
-    "out_dir": "out_dir",
-    "llm": "llm",
-    "classifier": "classifier",
-    "policy": "policy",
-    "operators_file": "operators_file",
-    "lexicon_file": "lexicon_file",
-}
-_LLM_KEYS = {
-    "model": "model",
-    "base_url": "base_url",
-    "temperature": "temperature",
-    "context_window": "context_window",
-    "max_output_tokens": "max_output_tokens",
-}
-_CLASSIFIER_KEYS = {"base_url": "base_url", "token": "token"}
-_POLICY_KEYS = {
-    "timeout": "timeout",
-    "max_retries": "max_retries",
-    "backoff": "backoff",
-    "max_concurrent_requests": "max_concurrent_requests",
-}
-
-
-def _normalize_selector(value: str) -> str:
-    return value.replace("-", "_")
+_TOP_LEVEL_KEYS = (
+    "mu", "lambda", "generations", "repetitions", "pair", "selector", "hv_mode", "seed",
+    "seed_prompts", "backend", "out_dir", "llm", "classifier", "policy", "operators_file",
+    "lexicon_file",
+)
+_LLM_KEYS = ("model", "base_url", "temperature", "context_window", "max_output_tokens")
+_CLASSIFIER_KEYS = ("base_url", "token")
+_POLICY_KEYS = ("timeout", "max_retries", "backoff", "max_concurrent_requests")
+# fields that hold text; the two optional file paths may also be null
+_STRING_KEYS = ("pair", "selector", "out_dir", "operators_file", "lexicon_file")
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     """Build a RunConfig from an optional JSON file plus CLI overrides.
 
     Unknown keys anywhere in the file are rejected. Omitted fields keep the
-    reference defaults.
+    reference defaults. Every field is checked here, and the operators file
+    is read here, so a bad config fails before a run starts.
     """
     raw: dict = {}
     if path is not None:
@@ -102,42 +78,43 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     classifier_section = _take(fields.pop("classifier", {}), _CLASSIFIER_KEYS, "classifier")
     policy_section = _take(fields.pop("policy", {}), _POLICY_KEYS, "policy")
     fields.update({k: v for k, v in overrides.items() if v is not None})
-
-    pair_spec = fields.pop("pair", None)
-    if pair_spec is None:
+    if fields.get("pair") is None:
         raise ConfigError("an objective pair is required (config 'pair' or --pair)")
+    for key in _STRING_KEYS:
+        value = fields.get(key, "")
+        if not isinstance(value, str) and not (value is None and key.endswith("_file")):
+            raise ConfigError(f"{key} must be a string, got {value!r}")
+    if "lambda" in fields:
+        fields["lam"] = fields.pop("lambda")
+    if "selector" in fields:
+        fields["selector"] = fields["selector"].replace("-", "_")
+    pair_spec = fields.pop("pair")
     backend_kind = fields.pop("backend", "mock")
     lexicon_file = fields.pop("lexicon_file", None)
     operators_file = fields.pop("operators_file", None)
     seed_prompts = fields.pop("seed_prompts", None)
     llm_url = llm_section.pop("base_url", None)
-    clf_url = classifier_section.pop("base_url", None)
-    clf_token = classifier_section.pop("token", None)
     try:
-        pair = ObjectivePair.parse(pair_spec) if isinstance(pair_spec, str) else pair_spec
         backend = BackendConfig(
             kind=backend_kind,
             llm=LlmSettings(**llm_section),
             llm_base_url=llm_url,
-            classifier_base_url=clf_url,
-            classifier_token=clf_token,
+            classifier_base_url=classifier_section.get("base_url"),
+            classifier_token=classifier_section.get("token"),
             policy=BackendPolicy(**policy_section),
             lexicon_file=lexicon_file,
         )
-        config_kwargs = dict(fields)
-        if "selector" in config_kwargs:
-            config_kwargs["selector"] = _normalize_selector(config_kwargs["selector"])
         if seed_prompts is not None:
             if not isinstance(seed_prompts, list) or not all(
                 isinstance(p, str) for p in seed_prompts
             ):
                 raise ConfigError("seed_prompts must be a list of strings")
-            config_kwargs["seed_prompts"] = tuple(Prompt(p) for p in seed_prompts)
+            fields["seed_prompts"] = tuple(Prompt(p) for p in seed_prompts)
         return RunConfig(
-            pair=pair,
+            pair=ObjectivePair.parse(pair_spec),
             backend=backend,
-            operators_file=operators_file,
-            **config_kwargs,
+            operators=load_operator_suite(operators_file) if operators_file else OperatorSuite(),
+            **fields,
         )
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc))

@@ -300,34 +300,49 @@ def _exact_subset(points: list[FitnessPoint], k: int, ref: tuple[float, float]) 
     return sorted(stair[t] for t in chosen_positions)
 
 
-def nsga2_select(candidates: list[FitnessPoint], mu: int) -> SelectionOutcome:
-    """NSGA-II survivor selection: whole fronts in rank order, the
-    overflowing front truncated by descending crowding distance (ties toward
-    the lower index)."""
+def _select_by_fronts(
+    candidates: list[FitnessPoint], mu: int, diagnose, pick_overflow
+) -> SelectionOutcome:
+    """The survivor selection both selectors share.
+
+    Sorts the candidates into fronts, records each one's rank and its
+    diagnose() value within its front, then takes whole fronts in rank
+    order. From the front that does not fit, pick_overflow(front, need,
+    diagnostics) chooses the need indices that fill mu.
+    """
     if mu <= 0:
         raise ValueError("mu must be positive")
     if len(candidates) < mu:
         raise ValueError(f"need at least {mu} candidates, got {len(candidates)}")
     fronts = nondominated_sort(candidates)
     ranks = [0] * len(candidates)
-    crowding = [0.0] * len(candidates)
+    diagnostics = [0.0] * len(candidates)
     for front in fronts:
-        distances = crowding_distance([candidates[i] for i in front.indices])
-        for i, d in zip(front.indices, distances):
+        values = diagnose([candidates[i] for i in front.indices])
+        for i, value in zip(front.indices, values):
             ranks[i] = front.rank
-            crowding[i] = d
+            diagnostics[i] = value
     selected: list[int] = []
     for front in fronts:
-        if len(selected) + len(front) <= mu:
-            selected.extend(front.indices)
-        else:
-            need = mu - len(selected)
-            order = sorted(front.indices, key=lambda i: (-crowding[i], i))
-            selected.extend(order[:need])
+        need = mu - len(selected)
+        if need == 0:
             break
-        if len(selected) == mu:
+        if len(front) > need:
+            selected.extend(pick_overflow(front, need, diagnostics))
             break
-    return SelectionOutcome(tuple(selected), tuple(ranks), tuple(crowding))
+        selected.extend(front.indices)
+    return SelectionOutcome(tuple(selected), tuple(ranks), tuple(diagnostics))
+
+
+def nsga2_select(candidates: list[FitnessPoint], mu: int) -> SelectionOutcome:
+    """NSGA-II survivor selection: whole fronts in rank order, the
+    overflowing front truncated by descending crowding distance (ties toward
+    the lower index)."""
+
+    def by_crowding(front: Front, need: int, crowding: list[float]) -> list[int]:
+        return sorted(front.indices, key=lambda i: (-crowding[i], i))[:need]
+
+    return _select_by_fronts(candidates, mu, crowding_distance, by_crowding)
 
 
 def sms_emoa_select(
@@ -346,38 +361,17 @@ def sms_emoa_select(
     contributions and the domination counts are sweeps, O(n log n) in the
     candidate count; the subset selection costs what its mode costs.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    if len(candidates) < mu:
-        raise ValueError(f"need at least {mu} candidates, got {len(candidates)}")
-    fronts = nondominated_sort(candidates)
-    ranks = [0] * len(candidates)
-    contribution = [0.0] * len(candidates)
-    for front in fronts:
-        local = hv_contributions([candidates[i] for i in front.indices], ref)
-        for i, c in zip(front.indices, local):
-            ranks[i] = front.rank
-            contribution[i] = c
-    front0 = fronts[0]
-    if len(front0) > mu:
-        local_pick = hv_subset_select(
-            [candidates[i] for i in front0.indices], mu, ref, mode
+
+    def by_hypervolume(front: Front, need: int, contribution: list[float]) -> list[int]:
+        if front.rank == 0:  # only when the Pareto front alone exceeds mu
+            local_pick = hv_subset_select([candidates[i] for i in front.indices], need, ref, mode)
+            return [front.indices[t] for t in local_pick]
+        domination_count = _domination_counts(candidates)
+        order = sorted(
+            front.indices, key=lambda i: (domination_count[i], -contribution[i], i)
         )
-        selected = [front0.indices[t] for t in local_pick]
-        return SelectionOutcome(tuple(selected), tuple(ranks), tuple(contribution))
-    domination_count = _domination_counts(candidates)
-    selected = []
-    for front in fronts:
-        if len(selected) + len(front) <= mu:
-            selected.extend(front.indices)
-        else:
-            need = mu - len(selected)
-            order = sorted(
-                front.indices,
-                key=lambda i: (domination_count[i], -contribution[i], i),
-            )
-            selected.extend(order[:need])
-            break
-        if len(selected) == mu:
-            break
-    return SelectionOutcome(tuple(selected), tuple(ranks), tuple(contribution))
+        return order[:need]
+
+    return _select_by_fronts(
+        candidates, mu, lambda points: hv_contributions(points, ref), by_hypervolume
+    )

@@ -110,7 +110,7 @@ class RunConfig:
     seed_prompts: tuple[Prompt, ...] = DEFAULT_SEED_PROMPTS
     backend: BackendConfig = field(default_factory=BackendConfig)
     out_dir: str = "runs"
-    operators_file: str | None = None
+    operators: variation.OperatorSuite = field(default_factory=variation.OperatorSuite)
 
     def __post_init__(self) -> None:
         for name, value in (
@@ -204,35 +204,24 @@ def build_backends(config: RunConfig) -> Backends:
     )
 
 
-def _load_suite(config: RunConfig) -> variation.OperatorSuite:
-    if config.operators_file:
-        return variation.load_operator_suite(config.operators_file)
-    return variation.OperatorSuite()
-
-
 def _count_fallbacks(individuals) -> int:
     return sum(
         1 for ind in individuals for record in ind.operator_trace if record.fallback
     )
 
 
-def initialize(
-    config: RunConfig,
-    backends: Backends,
-    suite: variation.OperatorSuite | None = None,
-) -> Population:
+def initialize(config: RunConfig, backends: Backends) -> Population:
     """Found the population from the first mu seed prompts.
 
     Each seed prompt is generated from and scored once. Classifier failures
     here are unrecoverable and abort the run; a generation failure scores an
     empty text like anywhere else.
     """
-    suite = suite or _load_suite(config)
     members = []
     for k in range(config.mu):
         prompt = config.seed_prompts[k]
         text, gen_record = variation.generate_text(
-            prompt, backends.generator, suite=suite, llm=config.backend.llm
+            prompt, backends.generator, suite=config.operators, llm=config.backend.llm
         )
         scores = backends.classifier.classify_emotions(text)
         fitness = extract_fitness(scores, config.pair)
@@ -255,7 +244,6 @@ def produce_offspring(
     backends: Backends,
     rng_seed: int,
     config: RunConfig,
-    suite: variation.OperatorSuite | None = None,
     generation: int = 1,
     id_start: int = 0,
 ) -> list[Individual]:
@@ -274,7 +262,6 @@ def produce_offspring(
         return []
     if len(parents) < 2:
         raise ValueError("offspring production needs at least two parents")
-    suite = suite or _load_suite(config)
     parent_list = list(parents)
 
     def make(index: int) -> Individual:
@@ -282,14 +269,14 @@ def produce_offspring(
         ia, ib = rng.sample(range(len(parent_list)), 2)
         parent_a, parent_b = parent_list[ia], parent_list[ib]
         child, cross_record = variation.crossover(
-            parent_a.prompt, parent_b.prompt, backends.generator, rng,
-            suite=suite, llm=config.backend.llm,
+            parent_a.prompt, parent_b.prompt, backends.generator,
+            suite=config.operators, llm=config.backend.llm,
         )
         mutated, mut_record = variation.mutate(
-            child, backends.generator, rng, suite=suite, llm=config.backend.llm
+            child, backends.generator, rng, suite=config.operators, llm=config.backend.llm
         )
         text, gen_record = variation.generate_text(
-            mutated, backends.generator, suite=suite, llm=config.backend.llm
+            mutated, backends.generator, suite=config.operators, llm=config.backend.llm
         )
         trace = [cross_record, mut_record, gen_record]
         try:
@@ -321,32 +308,27 @@ def step(
     backends: Backends,
     rng_seed: int,
     generation: int,
-    suite: variation.OperatorSuite | None = None,
 ) -> tuple[Population, GenerationRecord]:
     """Advance one generation: lambda offspring, then survivor selection
     over parents plus offspring."""
     started = time.perf_counter()
-    suite = suite or _load_suite(config)
     id_start = config.mu + (generation - 1) * config.lam
     offspring = produce_offspring(
         parents, config.lam, backends, rng_seed,
-        config=config, suite=suite, generation=generation, id_start=id_start,
+        config=config, generation=generation, id_start=id_start,
     )
     candidates = list(parents) + offspring
     points = [c.fitness for c in candidates]
     if config.selector == "nsga2":
         outcome = nsga2_select(points, config.mu)
-        survivors = tuple(
-            candidates[i].with_selection(rank=outcome.ranks[i], crowding=outcome.diagnostics[i])
-            for i in outcome.selected
-        )
+        diagnostic = "crowding"
     else:
         outcome = sms_emoa_select(points, config.mu, DEFAULT_REFERENCE, config.hv_mode)
-        survivors = tuple(
-            candidates[i].with_selection(rank=outcome.ranks[i], contribution=outcome.diagnostics[i])
-            for i in outcome.selected
-        )
-    population = Population(survivors)
+        diagnostic = "contribution"
+    population = Population(tuple(
+        candidates[i].with_selection(rank=outcome.ranks[i], **{diagnostic: outcome.diagnostics[i]})
+        for i in outcome.selected
+    ))
     record = GenerationRecord(
         generation_index=generation,
         population=population,
@@ -459,7 +441,6 @@ def run_experiment(
     hypervolume statistics and, separately, statistics over each
     repetition's running maximum.
     """
-    suite = _load_suite(config)
     run_dir = Path(config.out_dir) / config.pair.slug / config.selector
     run_dir.mkdir(parents=True, exist_ok=True)
     results: list[RepetitionResult] = []
@@ -467,7 +448,7 @@ def run_experiment(
         rep_seed = config.seed + rep
         rep_dir = run_dir / f"rep_{rep}"
         try:
-            series = _run_repetition(config, backends, suite, rep, rep_seed, rep_dir, progress)
+            series = _run_repetition(config, backends, rep, rep_seed, rep_dir, progress)
             results.append(
                 RepetitionResult(
                     repetition=rep,
@@ -496,7 +477,6 @@ def run_experiment(
 def _run_repetition(
     config: RunConfig,
     backends: Backends,
-    suite: variation.OperatorSuite,
     rep: int,
     rep_seed: int,
     rep_dir: Path,
@@ -504,7 +484,7 @@ def _run_repetition(
 ) -> list[float]:
     rep_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    population = initialize(config, backends, suite=suite)
+    population = initialize(config, backends)
     record = GenerationRecord(
         generation_index=0,
         population=population,
@@ -517,9 +497,7 @@ def _run_repetition(
     if progress:
         progress(rep, record)
     for generation in range(1, config.generations + 1):
-        population, record = step(
-            population, config, backends, rep_seed, generation=generation, suite=suite
-        )
+        population, record = step(population, config, backends, rep_seed, generation=generation)
         records.append(record)
         _write_generation(rep_dir, record)
         if progress:

@@ -174,12 +174,21 @@ def load_operator_suite(path) -> OperatorSuite:
     """Read operator overrides from a JSON file.
 
     Recognized top-level keys: crossover, mutation, generation (each an
-    object with body_template and optional system_instruction and
-    few_shot_examples), and mutation_instructions (a list of {id, text}).
-    Sections left out keep their built-in defaults; unknown keys are errors.
+    object with a body_template string and optional system_instruction
+    string and few_shot_examples list of [user, response] string pairs), and
+    mutation_instructions (a list of {"id": str, "text": str}). Sections left
+    out keep their built-in defaults; unknown keys are errors. Every problem
+    with the file is a ValueError.
     """
-    with open(path, encoding="utf-8") as handle:
-        raw = json.load(handle)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            raw = json.load(handle)
+    except OSError as exc:
+        raise ValueError(f"cannot read operators file: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"operators file is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValueError("operators file must hold a JSON object")
     known = {"crossover", "mutation", "generation", "mutation_instructions"}
     unknown = set(raw) - known
     if unknown:
@@ -191,22 +200,34 @@ def load_operator_suite(path) -> OperatorSuite:
             templates[kind] = getattr(defaults, kind)
             continue
         section = raw[kind]
+        if not isinstance(section, dict):
+            raise ValueError(f"{kind} template must be a JSON object")
         extra = set(section) - {"body_template", "system_instruction", "few_shot_examples"}
         if extra:
             raise ValueError(f"unknown keys in {kind} template: {sorted(extra)}")
+        if not isinstance(section.get("body_template"), str):
+            raise ValueError(f"{kind} template needs a body_template string")
+        if not isinstance(section.get("system_instruction", ""), str):
+            raise ValueError(f"{kind} system_instruction must be a string")
+        examples = section.get("few_shot_examples", [])
+        if not isinstance(examples, list) or not all(map(_is_string_pair, examples)):
+            raise ValueError(f"{kind} few_shot_examples must be a list of [user, response] strings")
         templates[kind] = OperatorTemplate(
             kind=kind,
             body_template=section["body_template"],
             system_instruction=section.get("system_instruction", ""),
-            few_shot_examples=tuple(
-                (str(u), str(r)) for u, r in section.get("few_shot_examples", ())
-            ),
+            few_shot_examples=tuple(tuple(pair) for pair in examples),
         )
     instructions = defaults.mutation_instructions
     if "mutation_instructions" in raw:
+        items = raw["mutation_instructions"]
+        if not isinstance(items, list) or not all(
+            isinstance(item, dict) and all(isinstance(item.get(k), str) for k in ("id", "text"))
+            for item in items
+        ):
+            raise ValueError('mutation_instructions must be a list of {"id", "text"} strings')
         instructions = tuple(
-            MutationInstruction(id=str(item["id"]), text=str(item["text"]))
-            for item in raw["mutation_instructions"]
+            MutationInstruction(id=item["id"], text=item["text"]) for item in items
         )
     return OperatorSuite(
         crossover=templates["crossover"],
@@ -214,6 +235,10 @@ def load_operator_suite(path) -> OperatorSuite:
         generation=templates["generation"],
         mutation_instructions=instructions,
     )
+
+
+def _is_string_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(isinstance(v, str) for v in value)
 
 
 def render_prompt_body(template: OperatorTemplate, slots: dict[str, str]) -> str:
@@ -278,10 +303,7 @@ def _request(
     return GenerationRequest(
         prompt_body=render_prompt_body(template, slots),
         system=template.system_instruction,
-        model_name=llm.model,
-        temperature=llm.temperature,
-        context_window=llm.context_window,
-        max_output_tokens=llm.max_output_tokens,
+        llm=llm,
     )
 
 
@@ -289,7 +311,6 @@ def crossover(
     parent_a: Prompt,
     parent_b: Prompt,
     backend: TextGenerationBackend,
-    rng,
     suite: OperatorSuite | None = None,
     llm: LlmSettings | None = None,
 ) -> tuple[Prompt, OperatorRecord]:

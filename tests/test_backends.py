@@ -18,6 +18,7 @@ from moprompt.backends import (
     DEFAULT_LEXICONS,
     GenerationRequest,
     HttpEmotionClassifier,
+    LlmSettings,
     MockEmotionClassifier,
     MockTextGenerator,
     OllamaClient,
@@ -130,13 +131,17 @@ def test_truncation_preserves_short_text_exactly():
 # settings validation
 
 
-def test_generation_request_validation():
-    with pytest.raises(ValueError):
-        GenerationRequest("hi", temperature=-0.1)
-    with pytest.raises(ValueError):
-        GenerationRequest("hi", context_window=0)
-    with pytest.raises(ValueError):
-        GenerationRequest("hi", max_output_tokens=0)
+def test_llm_settings_validation():
+    with pytest.raises(ValueError, match="temperature must be a non-negative number"):
+        LlmSettings(temperature=-0.1)
+    with pytest.raises(ValueError, match="temperature"):
+        LlmSettings(temperature="hot")
+    with pytest.raises(ValueError, match="context_window must be a positive integer"):
+        LlmSettings(context_window=0)
+    with pytest.raises(ValueError, match="max_output_tokens"):
+        LlmSettings(max_output_tokens=0)
+    with pytest.raises(ValueError, match="max_output_tokens"):
+        LlmSettings(max_output_tokens=True)
 
 
 def test_backend_policy_validation():
@@ -383,12 +388,13 @@ def test_ollama_client_request_shape():
     assert body["options"] == {"temperature": 0.7, "num_ctx": 512, "num_predict": 256}
 
 
-def test_ollama_client_sends_stop_sequences():
+def test_ollama_client_sends_the_request_settings():
+    llm = LlmSettings(model="mistral", temperature=0.2, context_window=1024, max_output_tokens=64)
     with StubServer([(200, {"response": "x"})]) as server:
-        client = OllamaClient(server.url)
-        client.complete(GenerationRequest("hi", stop_sequences=("### User:",)))
+        OllamaClient(server.url).complete(GenerationRequest("hi", llm=llm))
     _, _, body = server.seen[0]
-    assert body["options"]["stop"] == ["### User:"]
+    assert body["model"] == "mistral"
+    assert body["options"] == {"temperature": 0.2, "num_ctx": 1024, "num_predict": 64}
 
 
 def test_ollama_client_retries_then_succeeds():
@@ -405,6 +411,39 @@ def test_ollama_client_exhausts_retries():
         with pytest.raises(BackendError, match="2 attempts"):
             OllamaClient(server.url, policy).complete(GenerationRequest("hi"))
     assert len(server.seen) == 2
+
+
+def test_ollama_client_does_not_retry_a_client_error():
+    with StubServer([(400, {"error": "bad request"})]) as server:
+        policy = BackendPolicy(max_retries=2, backoff=0.0)
+        with pytest.raises(BackendError, match="400"):
+            OllamaClient(server.url, policy).complete(GenerationRequest("hi"))
+    assert len(server.seen) == 1
+
+
+def test_ollama_client_retries_too_many_requests():
+    script = [(429, {}), (200, {"response": "ok"})]
+    with StubServer(script) as server:
+        policy = BackendPolicy(max_retries=2, backoff=0.0)
+        assert OllamaClient(server.url, policy).complete(GenerationRequest("hi")) == "ok"
+    assert len(server.seen) == 2
+
+
+def test_ollama_client_does_not_retry_a_malformed_reply():
+    with StubServer([(200, {"unexpected": 1})]) as server:
+        policy = BackendPolicy(max_retries=2, backoff=0.0)
+        with pytest.raises(BackendError, match="no 'response' field"):
+            OllamaClient(server.url, policy).complete(GenerationRequest("hi"))
+    assert len(server.seen) == 1
+
+
+def test_classifier_client_does_not_retry_a_malformed_reply():
+    with StubServer([(200, SIX_SCORES[:5])]) as server:
+        policy = BackendPolicy(max_retries=2, backoff=0.0)
+        client = HttpEmotionClassifier(server.url + "/classify", policy=policy)
+        with pytest.raises(BackendError, match="emotion classification failed"):
+            client.classify_emotions(GeneratedText("a story"))
+    assert len(server.seen) == 1
 
 
 def test_ollama_client_rejects_reply_without_response_field():

@@ -1,10 +1,14 @@
 """End-to-end command line behavior, exit codes, and printed contracts."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from moprompt.cli import main
+from moprompt.cli import build_parser, load_config, main
+from moprompt.variation import OperatorSuite
 
 DIAGONAL_ROWS = "f1,f2\n" + "".join(f"{k / 9!r},{1 - k / 9!r}\n" for k in range(10))
 
@@ -182,6 +186,100 @@ def test_run_rejects_bad_lexicon_file(tmp_path, capsys):
     assert "must be a list of strings" in err
 
 
+MALFORMED_OPERATOR_FILES = {
+    "not JSON": ("{crossover", "operators file is not valid JSON"),
+    "not an object": ("[]", "operators file must hold a JSON object"),
+    "section not an object": (
+        json.dumps({"crossover": "Mix them"}), "crossover template must be a JSON object"
+    ),
+    "missing body_template": (
+        json.dumps({"mutation": {"system_instruction": "be brief"}}),
+        "mutation template needs a body_template string",
+    ),
+    "body_template not a string": (
+        json.dumps({"generation": {"body_template": 5}}),
+        "generation template needs a body_template string",
+    ),
+    "system_instruction not a string": (
+        json.dumps({"generation": {"body_template": "{prompt}", "system_instruction": 1}}),
+        "generation system_instruction must be a string",
+    ),
+    "bad few_shot_examples": (
+        json.dumps({"generation": {"body_template": "{prompt}", "few_shot_examples": [["x"]]}}),
+        "generation few_shot_examples must be a list",
+    ),
+    "instructions not a list": (
+        json.dumps({"mutation_instructions": {"id": "a", "text": "b"}}),
+        "mutation_instructions must be a list",
+    ),
+    "instruction not an object": (
+        json.dumps({"mutation_instructions": ["Reword it"]}), "mutation_instructions must be a list"
+    ),
+    "instruction without text": (
+        json.dumps({"mutation_instructions": [{"id": "a"}]}), "mutation_instructions must be a list"
+    ),
+    "instruction id not a string": (
+        json.dumps({"mutation_instructions": [{"id": 1, "text": "b"}]}),
+        "mutation_instructions must be a list",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "content, message", MALFORMED_OPERATOR_FILES.values(), ids=MALFORMED_OPERATOR_FILES
+)
+def test_run_rejects_malformed_operators_file(tmp_path, capsys, content, message):
+    operators = tmp_path / "ops.json"
+    operators.write_text(content)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"pair": "joy:fear", "operators_file": str(operators)}))
+    code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert f"error: {message}" in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_run_rejects_unreadable_operators_file(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"pair": "joy:fear", "operators_file": str(tmp_path / "no.json")}))
+    code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert "cannot read operators file" in err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_load_config_reads_the_operators_file(tmp_path):
+    operators = tmp_path / "ops.json"
+    operators.write_text(json.dumps({"mutation_instructions": [{"id": "only", "text": "Reword"}]}))
+    config = load_config(None, {"pair": "joy:fear", "operators_file": str(operators)})
+    assert [i.id for i in config.operators.mutation_instructions] == ["only"]
+    assert load_config(None, {"pair": "joy:fear"}).operators == OperatorSuite()
+
+
+@pytest.mark.parametrize("field", ["pair", "selector", "out_dir", "operators_file", "lexicon_file"])
+def test_run_rejects_non_string_fields(tmp_path, capsys, field):
+    config = {"pair": "joy:fear", field: 5}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, "run", "--config", str(path))
+    assert code == 2
+    assert f"{field} must be a string, got 5" in err
+
+
+@pytest.mark.parametrize(
+    "llm, message",
+    [({"temperature": "hot"}, "temperature"), ({"temperature": -1}, "temperature"),
+     ({"context_window": 0}, "context_window"), ({"max_output_tokens": 2.5}, "max_output_tokens")],
+)
+def test_run_rejects_bad_llm_settings(tmp_path, capsys, llm, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"pair": "joy:fear", "llm": llm}))
+    code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert message in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_run_live_backend_without_urls(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("EMO_LLM_URL", raising=False)
     monkeypatch.delenv("EMO_CLF_URL", raising=False)
@@ -297,3 +395,32 @@ def test_usage_errors_exit_2(capsys):
 
 def test_help_exits_0(capsys):
     assert run_cli(capsys, "--help")[0] == 0
+
+
+# the README stays in step with the CLI
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_config_example_loads(tmp_path):
+    (example,) = re.findall(r"```json\n(.*?)```", README, re.DOTALL)
+    path = tmp_path / "config.json"
+    path.write_text(example)
+    config = load_config(str(path), {})
+    assert config.pair.slug == "love_vs_anger"
+    assert config.selector == "sms_emoa"
+
+
+def test_readme_command_lines_parse():
+    blocks = re.findall(r"```\n(.*?)```", README, re.DOTALL)
+    commands = [
+        part.strip()
+        for block in blocks
+        for line in block.splitlines()
+        for part in line.split("&&")
+        if part.strip().startswith("moprompt ")
+    ]
+    assert any(c.startswith("moprompt report") for c in commands)
+    parser = build_parser()
+    for command in commands:
+        parser.parse_args(shlex.split(command, comments=True)[1:])

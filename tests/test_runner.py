@@ -29,6 +29,7 @@ from moprompt.runner import (
     run_experiment,
     step,
 )
+from moprompt.variation import MutationInstruction, OperatorSuite
 from oracles import hypervolume_oracle
 
 PAIR = ObjectivePair.parse("love:anger")
@@ -41,22 +42,22 @@ def small_config(**overrides):
 
 
 class UniformClassifier:
-    def classify_emotions(self, text, policy=None):
+    def classify_emotions(self, text):
         return EmotionScores({label: 1 / 6 for label in EmotionLabel})
 
 
 class FailingClassifier:
-    def classify_emotions(self, text, policy=None):
+    def classify_emotions(self, text):
         raise BackendError("classifier down")
 
 
 class BuggyClassifier:
-    def classify_emotions(self, text, policy=None):
+    def classify_emotions(self, text):
         raise TypeError("unsupported operand type(s)")
 
 
 class FailingGenerator:
-    def complete(self, request, policy=None):
+    def complete(self, request):
         raise BackendError("generator down")
 
 
@@ -221,6 +222,14 @@ def test_produce_offspring_identical_across_worker_counts(monkeypatch):
     )
     assert pools == [4]
     assert serial == pooled
+
+
+def test_produce_offspring_uses_the_configured_operators():
+    only = MutationInstruction(id="only", text="Reword this prompt")
+    config = small_config(operators=OperatorSuite(mutation_instructions=(only,)))
+    backends = build_backends(config)
+    offspring = produce_offspring(initialize(config, backends), 6, backends, 0, config)
+    assert {ind.operator_trace[1].instruction_id for ind in offspring} == {"only"}
 
 
 def test_produce_offspring_never_pools_mock_backends(monkeypatch):

@@ -30,13 +30,13 @@ class EchoBackend:
         self.reply = reply
         self.requests = []
 
-    def complete(self, request, policy=None):
+    def complete(self, request):
         self.requests.append(request)
         return self.reply
 
 
 class FailingBackend:
-    def complete(self, request, policy=None):
+    def complete(self, request):
         raise BackendError("backend down")
 
 
@@ -165,7 +165,7 @@ PARENT_B = Prompt("write a 3 sentence story")
 
 
 def test_crossover_mock_golden():
-    child, record = crossover(PARENT_A, PARENT_B, MOCK, random.Random(0))
+    child, record = crossover(PARENT_A, PARENT_B, MOCK)
     assert child.text == "provide a 3 story write sentence"
     assert record.kind == "crossover"
     assert not record.fallback
@@ -190,7 +190,7 @@ def test_generate_text_mock_golden():
 
 
 def test_operators_are_deterministic():
-    again, _ = crossover(PARENT_A, PARENT_B, MockTextGenerator(seed=11), random.Random(0))
+    again, _ = crossover(PARENT_A, PARENT_B, MockTextGenerator(seed=11))
     assert again.text == "provide a 3 story write sentence"
     again, _ = mutate(PARENT_A, MockTextGenerator(seed=11), random.Random(0))
     assert again.text == "provide celebrate a 3 sentence story"
@@ -217,7 +217,7 @@ def test_mutate_sends_instruction_text_in_request():
 
 def test_crossover_cleans_noisy_completion():
     backend = EchoBackend(reply='New Prompt: "Tell a tale of two rivers."')
-    child, record = crossover(PARENT_A, PARENT_B, backend, random.Random(0))
+    child, record = crossover(PARENT_A, PARENT_B, backend)
     assert child.text == "Tell a tale of two rivers."
     assert record.raw_output == 'New Prompt: "Tell a tale of two rivers."'
 
@@ -226,14 +226,14 @@ def test_crossover_cleans_noisy_completion():
 
 
 def test_crossover_fallback_copies_lexicographically_first_parent():
-    child, record = crossover(PARENT_B, PARENT_A, FailingBackend(), random.Random(0))
+    child, record = crossover(PARENT_B, PARENT_A, FailingBackend())
     assert child.text == PARENT_A.text  # "provide..." sorts before "write..."
     assert record.fallback
     assert record.kind == "crossover"
 
 
 def test_crossover_falls_back_on_unusable_completion():
-    child, record = crossover(PARENT_A, PARENT_B, EchoBackend(reply="   "), random.Random(0))
+    child, record = crossover(PARENT_A, PARENT_B, EchoBackend(reply="   "))
     assert child.text == PARENT_A.text
     assert record.fallback
     assert record.raw_output == "   "
@@ -289,3 +289,13 @@ def test_load_operator_suite_checks_placeholders(tmp_path):
     path.write_text(json.dumps({"generation": {"body_template": "no placeholder"}}))
     with pytest.raises(ValueError, match="placeholders"):
         load_operator_suite(path)
+
+
+def test_load_operator_suite_reads_few_shot_examples(tmp_path):
+    path = tmp_path / "ops.json"
+    path.write_text(json.dumps({"generation": {
+        "body_template": "{prompt}", "few_shot_examples": [["tell it", "Once, a river."]]
+    }}))
+    suite = load_operator_suite(path)
+    assert suite.generation.few_shot_examples == (("tell it", "Once, a river."),)
+
