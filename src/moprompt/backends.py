@@ -51,6 +51,15 @@ class BackendPolicy:
     max_concurrent_requests: int = 4
 
     def __post_init__(self) -> None:
+        for name in ("timeout", "backoff"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        for name in ("max_retries", "max_concurrent_requests"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
         if self.max_retries < 0:

@@ -21,6 +21,8 @@ from .domain import FitnessPoint, ObjectivePair, Prompt
 from .moea import DEFAULT_REFERENCE, hv_subset_select, hypervolume_2d
 from .report import ReportError, discover_runs, load_run
 from .runner import (
+    BACKEND_KINDS,
+    HV_MODES,
     BackendConfig,
     RunConfig,
     build_backends,
@@ -165,21 +167,21 @@ def cmd_run(args) -> int:
     return 0 if summary.successes > 0 else 1
 
 
-def _format_table(rows: list[dict]) -> str:
-    header = ("problem", "selector", "metric", "best", "worst", "mean", "std_dev")
-    table = [header] + [
-        (
-            row["problem"],
-            row["selector"],
-            row["metric"],
-            f"{row['best']:.6f}",
-            f"{row['worst']:.6f}",
-            f"{row['mean']:.6f}",
-            f"{row['std_dev']:.6f}",
-        )
-        for row in rows
+# the columns of the printed report table and of report.csv
+_REPORT_COLUMNS = ("problem", "selector", "metric", "best", "worst", "mean", "std_dev")
+
+
+def _report_cells(row: dict, number) -> list[str]:
+    """A report row in column order, its statistics rendered by number."""
+    return [
+        value if isinstance(value, str) else number(value)
+        for value in (row[column] for column in _REPORT_COLUMNS)
     ]
-    widths = [max(len(entry[i]) for entry in table) for i in range(len(header))]
+
+
+def _format_table(rows: list[dict]) -> str:
+    table = [_REPORT_COLUMNS] + [_report_cells(row, lambda x: f"{x:.6f}") for row in rows]
+    widths = [max(len(entry[i]) for entry in table) for i in range(len(_REPORT_COLUMNS))]
     lines = []
     for entry in table:
         lines.append("  ".join(cell.ljust(width) for cell, width in zip(entry, widths)).rstrip())
@@ -222,19 +224,9 @@ def cmd_report(args) -> int:
     report_path = root / "report.csv"
     with open(report_path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["problem", "selector", "metric", "best", "worst", "mean", "std_dev"])
+        writer.writerow(_REPORT_COLUMNS)
         for row in rows:
-            writer.writerow(
-                [
-                    row["problem"],
-                    row["selector"],
-                    row["metric"],
-                    repr(row["best"]),
-                    repr(row["worst"]),
-                    repr(row["mean"]),
-                    repr(row["std_dev"]),
-                ]
-            )
+            writer.writerow(_report_cells(row, repr))
     curves_path = root / "curves.csv"
     with open(curves_path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
@@ -326,10 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = commands.add_parser("run", help="run an experiment", parents=[common])
     run_parser.add_argument("--config", help="JSON config file")
-    run_parser.add_argument("--backend", choices=["live", "mock"])
+    run_parser.add_argument("--backend", choices=BACKEND_KINDS)
     run_parser.add_argument("--pair", help="objective pair, e.g. love:anger")
     run_parser.add_argument("--selector", choices=["nsga2", "sms-emoa", "sms_emoa"])
-    run_parser.add_argument("--hv-mode", choices=["greedy", "exact"], dest="hv_mode")
+    run_parser.add_argument("--hv-mode", choices=HV_MODES, dest="hv_mode")
     run_parser.add_argument("--seed", type=int)
     run_parser.add_argument("--out", help="output directory")
     run_parser.add_argument("--reps", type=int, help="number of repetitions")
@@ -347,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     hv_parser.add_argument("--points", required=True, help="CSV file of f1,f2 rows")
     hv_parser.add_argument("--subset", type=int, help="also select a k-point subset")
-    hv_parser.add_argument("--mode", choices=["greedy", "exact"], default="greedy")
+    hv_parser.add_argument("--mode", choices=HV_MODES, default="greedy")
     hv_parser.set_defaults(func=cmd_hv)
     return parser
 

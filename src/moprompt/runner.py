@@ -15,9 +15,9 @@ import logging
 import os
 import random
 import statistics
-import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import variation
@@ -147,7 +147,6 @@ class GenerationRecord:
     population: Population
     hypervolume: float
     fallback_count: int
-    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -204,65 +203,80 @@ def build_backends(config: RunConfig) -> Backends:
     )
 
 
-def _count_fallbacks(individuals) -> int:
-    return sum(
-        1 for ind in individuals for record in ind.operator_trace if record.fallback
+def _record(generation: int, population: Population, evaluated) -> GenerationRecord:
+    """The generation's record; evaluated holds the members created in it,
+    whose operator fallbacks it counts."""
+    return GenerationRecord(
+        generation_index=generation,
+        population=population,
+        hypervolume=hypervolume_2d(population.fitness_points(), DEFAULT_REFERENCE),
+        fallback_count=sum(
+            1 for ind in evaluated for record in ind.operator_trace if record.fallback
+        ),
     )
 
 
-def initialize(config: RunConfig, backends: Backends) -> Population:
+def _build(make, count: int, pool: Executor | None) -> list[Individual]:
+    """make(0), ..., make(count - 1) in index order, on the pool when there is one."""
+    if pool is None:
+        return [make(i) for i in range(count)]
+    return list(pool.map(make, range(count)))
+
+
+def initialize(
+    config: RunConfig, backends: Backends, pool: Executor | None = None
+) -> Population:
     """Found the population from the first mu seed prompts.
 
     Each seed prompt is generated from and scored once. Classifier failures
     here are unrecoverable and abort the run; a generation failure scores an
-    empty text like anywhere else.
+    empty text like anywhere else. The founders are built like offspring:
+    on the pool when one is given, in seed-prompt order either way.
     """
-    members = []
-    for k in range(config.mu):
+
+    def make(k: int) -> Individual:
         prompt = config.seed_prompts[k]
         text, gen_record = variation.generate_text(
             prompt, backends.generator, suite=config.operators, llm=config.backend.llm
         )
         scores = backends.classifier.classify_emotions(text)
-        fitness = extract_fitness(scores, config.pair)
-        members.append(
-            Individual(
-                prompt=prompt,
-                text=text,
-                fitness=fitness,
-                id=k,
-                parent_ids=(),
-                operator_trace=(gen_record,),
-            )
+        return Individual(
+            prompt=prompt,
+            text=text,
+            fitness=extract_fitness(scores, config.pair),
+            id=k,
+            parent_ids=(),
+            operator_trace=(gen_record,),
         )
-    return Population(tuple(members))
+
+    return Population(tuple(_build(make, config.mu, pool)))
 
 
 def produce_offspring(
     parents: Population,
-    count: int,
     backends: Backends,
     rng_seed: int,
     config: RunConfig,
-    generation: int = 1,
-    id_start: int = 0,
+    *,
+    generation: int,
+    pool: Executor | None = None,
 ) -> list[Individual]:
-    """Produce count offspring from the parent population.
+    """Produce the generation's lambda offspring from the parent population.
 
-    Each offspring draws its own rng stream from (rng_seed, generation,
-    offspring index), picks two distinct parents uniformly, and runs the
-    crossover, mutation, generation, scoring pipeline. A scoring failure
-    downgrades the offspring to fitness (0, 0) instead of aborting. The
-    pipelines are independent: live backends run them on a thread pool
-    sized by the backend policy to overlap network waits, while the mocks,
-    pure Python under the GIL, run them in order. Results keep
-    offspring-index order either way.
+    Offspring ids continue from the mu founders and the lambda offspring of
+    every earlier generation. Each offspring draws its own rng stream from
+    (rng_seed, generation, offspring index), picks two distinct parents
+    uniformly, and runs the crossover, mutation, generation, scoring
+    pipeline. A scoring failure downgrades the offspring to fitness (0, 0)
+    instead of aborting. The pipelines are independent, so they run on the
+    pool when one is given; results keep offspring-index order either way.
     """
-    if count <= 0:
+    if config.lam <= 0:
         return []
     if len(parents) < 2:
         raise ValueError("offspring production needs at least two parents")
     parent_list = list(parents)
+    id_start = config.mu + (generation - 1) * config.lam
 
     def make(index: int) -> Individual:
         rng = derive_rng(rng_seed, "g", generation, "o", index)
@@ -295,11 +309,7 @@ def produce_offspring(
             operator_trace=tuple(trace),
         )
 
-    workers = min(count, config.backend.policy.max_concurrent_requests)
-    if config.backend.kind != "live" or workers == 1:
-        return [make(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(make, range(count)))
+    return _build(make, config.lam, pool)
 
 
 def step(
@@ -308,14 +318,12 @@ def step(
     backends: Backends,
     rng_seed: int,
     generation: int,
+    pool: Executor | None = None,
 ) -> tuple[Population, GenerationRecord]:
     """Advance one generation: lambda offspring, then survivor selection
     over parents plus offspring."""
-    started = time.perf_counter()
-    id_start = config.mu + (generation - 1) * config.lam
     offspring = produce_offspring(
-        parents, config.lam, backends, rng_seed,
-        config=config, generation=generation, id_start=id_start,
+        parents, backends, rng_seed, config, generation=generation, pool=pool
     )
     candidates = list(parents) + offspring
     points = [c.fitness for c in candidates]
@@ -329,14 +337,7 @@ def step(
         candidates[i].with_selection(rank=outcome.ranks[i], **{diagnostic: outcome.diagnostics[i]})
         for i in outcome.selected
     ))
-    record = GenerationRecord(
-        generation_index=generation,
-        population=population,
-        hypervolume=hypervolume_2d(population.fitness_points(), DEFAULT_REFERENCE),
-        fallback_count=_count_fallbacks(offspring),
-        wall_time=time.perf_counter() - started,
-    )
-    return population, record
+    return population, _record(generation, population, offspring)
 
 
 def individual_to_dict(ind: Individual) -> dict:
@@ -440,26 +441,29 @@ def run_experiment(
     every recorded generation. The summary reports the final-generation
     hypervolume statistics and, separately, statistics over each
     repetition's running maximum.
+    A live run founds and breeds every repetition on one thread pool of
+    max_concurrent_requests workers, so its network waits overlap; mock
+    backends are pure Python under the GIL and run in order on this thread.
     """
     run_dir = Path(config.out_dir) / config.pair.slug / config.selector
     run_dir.mkdir(parents=True, exist_ok=True)
     results: list[RepetitionResult] = []
-    for rep in range(config.repetitions):
-        rep_seed = config.seed + rep
-        rep_dir = run_dir / f"rep_{rep}"
-        try:
-            series = _run_repetition(config, backends, rep, rep_seed, rep_dir, progress)
-            results.append(
-                RepetitionResult(
-                    repetition=rep,
-                    status="ok",
-                    final_hypervolume=series[-1],
-                    max_hypervolume=max(series),
-                )
-            )
-        except (BackendError, OSError) as exc:
-            logger.warning("repetition %d failed: %s", rep, exc)
-            results.append(RepetitionResult(repetition=rep, status="failed", error=str(exc)))
+    workers = config.backend.policy.max_concurrent_requests
+    with (
+        ThreadPoolExecutor(max_workers=workers) if config.backend.kind == "live"
+        else nullcontext()
+    ) as pool:
+        for rep in range(config.repetitions):
+            try:
+                series = _run_repetition(config, backends, rep, run_dir / f"rep_{rep}",
+                                         progress, pool)
+                results.append(RepetitionResult(
+                    repetition=rep, status="ok",
+                    final_hypervolume=series[-1], max_hypervolume=max(series),
+                ))
+            except (BackendError, OSError) as exc:
+                logger.warning("repetition %d failed: %s", rep, exc)
+                results.append(RepetitionResult(repetition=rep, status="failed", error=str(exc)))
     finals = [r.final_hypervolume for r in results if r.status == "ok"]
     maxima = [r.max_hypervolume for r in results if r.status == "ok"]
     summary = RunSummary(
@@ -478,26 +482,21 @@ def _run_repetition(
     config: RunConfig,
     backends: Backends,
     rep: int,
-    rep_seed: int,
     rep_dir: Path,
     progress,
+    pool: Executor | None,
 ) -> list[float]:
     rep_dir.mkdir(parents=True, exist_ok=True)
-    started = time.perf_counter()
-    population = initialize(config, backends)
-    record = GenerationRecord(
-        generation_index=0,
-        population=population,
-        hypervolume=hypervolume_2d(population.fitness_points(), DEFAULT_REFERENCE),
-        fallback_count=_count_fallbacks(population),
-        wall_time=time.perf_counter() - started,
-    )
+    population = initialize(config, backends, pool)
+    record = _record(0, population, population)
     records = [record]
     _write_generation(rep_dir, record)
     if progress:
         progress(rep, record)
     for generation in range(1, config.generations + 1):
-        population, record = step(population, config, backends, rep_seed, generation=generation)
+        population, record = step(
+            population, config, backends, config.seed + rep, generation=generation, pool=pool
+        )
         records.append(record)
         _write_generation(rep_dir, record)
         if progress:
@@ -518,16 +517,7 @@ def _write_summary(run_dir: Path, config: RunConfig, summary: RunSummary) -> Non
         "repetitions": config.repetitions,
         "seed": config.seed,
         "backend": config.backend.kind,
-        "results": [
-            {
-                "repetition": r.repetition,
-                "status": r.status,
-                "final_hypervolume": r.final_hypervolume,
-                "max_hypervolume": r.max_hypervolume,
-                "error": r.error,
-            }
-            for r in summary.results
-        ],
+        "results": [asdict(r) for r in summary.results],
         "final": summary.final_stats,
         "running_max": summary.running_max_stats,
     }

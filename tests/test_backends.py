@@ -2,6 +2,7 @@
 
 import http.server
 import json
+import math
 import threading
 import time
 
@@ -153,6 +154,17 @@ def test_backend_policy_validation():
         BackendPolicy(backoff=-0.5)
     with pytest.raises(ValueError):
         BackendPolicy(max_concurrent_requests=0)
+    # wrong types are named, not coerced: a fractional semaphore bound or
+    # retry count would be silently wrong, a string would fail mid-run
+    for field, value in (
+        ("max_concurrent_requests", 2.5), ("max_concurrent_requests", True),
+        ("max_retries", 1.5), ("max_retries", "2"),
+        ("timeout", True), ("timeout", math.inf), ("timeout", math.nan), ("timeout", "30"),
+        ("backoff", "0.5"), ("backoff", False), ("backoff", math.inf),
+    ):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            BackendPolicy(**{field: value})
+    assert BackendPolicy(timeout=5, backoff=0, max_retries=0).timeout == 5
 
 
 # mock classifier

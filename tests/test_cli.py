@@ -280,6 +280,23 @@ def test_run_rejects_bad_llm_settings(tmp_path, capsys, llm, message):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize(
+    "policy, message",
+    [({"max_concurrent_requests": 2.5}, "max_concurrent_requests must be an integer"),
+     ({"max_retries": 1.5}, "max_retries must be an integer"),
+     ({"timeout": True}, "timeout must be a finite number"),
+     ({"timeout": float("inf")}, "timeout must be a finite number"),
+     ({"backoff": "0.5"}, "backoff must be a finite number")],
+)
+def test_run_rejects_bad_policy_settings(tmp_path, capsys, policy, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"pair": "joy:fear", "policy": policy}))
+    code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert message in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_run_live_backend_without_urls(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("EMO_LLM_URL", raising=False)
     monkeypatch.delenv("EMO_CLF_URL", raising=False)

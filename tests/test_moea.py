@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from moprompt.domain import FitnessPoint
@@ -482,9 +482,15 @@ def test_selectors_never_prefer_dominated_over_dominator():
 
 @settings(deadline=None)
 @given(st.lists(point_strategy, min_size=1, max_size=30), st.floats(0.05, 1.0))
+@example(points_of((0.0, 0.0), (0.0, 5e-324)), 0.5)
 def test_scale_preserves_dominance_relations(pts, scale):
     # multiplication by c > 0 is order-preserving per coordinate, so the
-    # front structure is exactly unchanged
+    # front structure is exactly unchanged, provided rounding keeps distinct
+    # values distinct: 5e-324 * 0.5 == 0.0 ties two coordinates, which
+    # rightly merges their fronts
+    for axis in ("f1", "f2"):
+        values = {getattr(p, axis) for p in pts}
+        assume(len({v * scale for v in values}) == len(values))
     scaled = [FitnessPoint(p.f1 * scale, p.f2 * scale) for p in pts]
     base_fronts = [f.indices for f in nondominated_sort(pts)]
     scaled_fronts = [f.indices for f in nondominated_sort(scaled)]

@@ -1,6 +1,7 @@
 """Generational loop: initialization, offspring, elitism, output tree."""
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -161,6 +162,14 @@ def test_initialize_aborts_on_classifier_failure():
         initialize(config, backends)
 
 
+def test_initialize_on_a_pool_equals_serial():
+    config = small_config()
+    backends = build_backends(config)
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        pooled = initialize(config, backends, pool)
+    assert pooled == initialize(config, backends)
+
+
 # offspring production
 
 
@@ -169,22 +178,20 @@ def test_produce_offspring_needs_two_parents():
     backends = build_backends(config)
     lone = Population((make_parent(0, 0.5, 0.5),))
     with pytest.raises(ValueError, match="two parents"):
-        produce_offspring(lone, 3, backends, 0, config)
+        produce_offspring(lone, backends, 0, config, generation=1)
 
 
 def test_produce_offspring_zero_count():
-    config = small_config()
+    config = small_config(lam=0)
     parents = Population((make_parent(0, 0.5, 0.5), make_parent(1, 0.4, 0.6)))
-    assert produce_offspring(parents, 0, build_backends(config), 0, config) == []
+    assert produce_offspring(parents, build_backends(config), 0, config, generation=1) == []
 
 
 def test_produce_offspring_ids_and_lineage():
     config = small_config()
     backends = build_backends(config)
     population = initialize(config, backends)
-    offspring = produce_offspring(
-        population, 6, backends, 0, config, generation=1, id_start=4
-    )
+    offspring = produce_offspring(population, backends, 0, config, generation=1)
     assert [o.id for o in offspring] == [4, 5, 6, 7, 8, 9]
     parent_ids = {ind.id for ind in population}
     for child in offspring:
@@ -192,65 +199,39 @@ def test_produce_offspring_ids_and_lineage():
         assert child.parent_ids[0] != child.parent_ids[1]
         assert set(child.parent_ids) <= parent_ids
         assert [r.kind for r in child.operator_trace] == ["crossover", "mutation", "generation"]
+    # ids continue after the mu founders and lambda per earlier generation
+    later = produce_offspring(population, backends, 0, config, generation=3)
+    assert [o.id for o in later] == [16, 17, 18, 19, 20, 21]
 
 
-def test_produce_offspring_identical_across_worker_counts(monkeypatch):
-    serial_config = small_config(
-        backend=BackendConfig(policy=BackendPolicy(max_concurrent_requests=1))
-    )
-    # only live backends get the pool; the mock pair stands in for the
-    # clients so the pooled path runs offline
-    pooled_config = small_config(
-        backend=BackendConfig(kind="live", policy=BackendPolicy(max_concurrent_requests=4))
-    )
-    pools = []
-
-    class RecordingPool(runner.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers)
-
-    monkeypatch.setattr(runner, "ThreadPoolExecutor", RecordingPool)
-    backends = build_backends(serial_config)
-    population = initialize(serial_config, backends)
-    serial = produce_offspring(
-        population, 6, backends, 5, serial_config, generation=2, id_start=10
-    )
-    assert pools == []
-    pooled = produce_offspring(
-        population, 6, backends, 5, pooled_config, generation=2, id_start=10
-    )
-    assert pools == [4]
-    assert serial == pooled
+def test_produce_offspring_identical_across_worker_counts():
+    config = small_config()
+    backends = build_backends(config)
+    population = initialize(config, backends)
+    serial = produce_offspring(population, backends, 5, config, generation=2)
+    for workers in (1, 4):
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            pooled = produce_offspring(population, backends, 5, config, generation=2, pool=pool)
+        assert pooled == serial
+    assert [o.id for o in serial] == [10, 11, 12, 13, 14, 15]
 
 
 def test_produce_offspring_uses_the_configured_operators():
     only = MutationInstruction(id="only", text="Reword this prompt")
     config = small_config(operators=OperatorSuite(mutation_instructions=(only,)))
     backends = build_backends(config)
-    offspring = produce_offspring(initialize(config, backends), 6, backends, 0, config)
+    offspring = produce_offspring(
+        initialize(config, backends), backends, 0, config, generation=1
+    )
     assert {ind.operator_trace[1].instruction_id for ind in offspring} == {"only"}
 
 
-def test_produce_offspring_never_pools_mock_backends(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("mock backends must not start a thread pool")
-
-    monkeypatch.setattr(runner, "ThreadPoolExecutor", no_pool)
-    config = small_config(
-        backend=BackendConfig(policy=BackendPolicy(max_concurrent_requests=4))
-    )
-    backends = build_backends(config)
-    population = initialize(config, backends)
-    offspring = produce_offspring(population, 6, backends, 0, config, id_start=4)
-    assert [o.id for o in offspring] == [4, 5, 6, 7, 8, 9]
-
-
 def test_produce_offspring_downgrades_scoring_failure():
-    config = small_config()
+    config = small_config(lam=2)
     backends = Backends(generator=MockTextGenerator(), classifier=FailingClassifier())
     parents = Population((make_parent(0, 0.5, 0.5), make_parent(1, 0.4, 0.6)))
-    offspring = produce_offspring(parents, 2, backends, 0, config, id_start=2)
+    offspring = produce_offspring(parents, backends, 0, config, generation=1)
+    assert len(offspring) == 2
     for child in offspring:
         assert child.fitness == FitnessPoint(0.0, 0.0)
         trailing = child.operator_trace[-1]
@@ -441,6 +422,63 @@ def test_run_experiment_records_failed_repetitions(tmp_path):
     )
     assert payload["final"] is None
     assert all(r["error"] for r in payload["results"])
+
+
+def test_run_experiment_records_failed_live_repetitions(tmp_path):
+    # the founding classifier failure surfaces through the run's pool too
+    config = small_config(out_dir=str(tmp_path), backend=BackendConfig(kind="live"))
+    backends = Backends(generator=MockTextGenerator(), classifier=FailingClassifier())
+    summary = run_experiment(config, backends)
+    assert [r.status for r in summary.results] == ["failed", "failed"]
+    assert all(r.error == "classifier down" for r in summary.results)
+
+
+def test_run_experiment_builds_one_pool_per_live_run(tmp_path, monkeypatch):
+    built, batches = [], []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+            super().__init__(max_workers)
+
+        def map(self, fn, *iterables, **kwargs):
+            batches.append(fn)
+            return super().map(fn, *iterables, **kwargs)
+
+    monkeypatch.setattr(runner, "ThreadPoolExecutor", RecordingPool)
+    # only live backends get the pool; the mock pair stands in for the
+    # clients so the pooled path runs offline
+    live = small_config(
+        out_dir=str(tmp_path / "live"),
+        backend=BackendConfig(kind="live", policy=BackendPolicy(max_concurrent_requests=3)),
+    )
+    run_experiment(live, build_backends(small_config()))
+    assert built == [3]
+    # every repetition founds and breeds on it, one batch per generation
+    assert len(batches) == live.repetitions * (live.generations + 1)
+
+    mock = small_config(out_dir=str(tmp_path / "mock"))
+    run_experiment(mock, build_backends(mock))
+    assert built == [3]
+    # and the pool changes no record
+    mock_dir = tmp_path / "mock" / "love_vs_anger" / "nsga2"
+    live_dir = tmp_path / "live" / "love_vs_anger" / "nsga2"
+    files = sorted(mock_dir.glob("rep_*/*"))
+    assert len(files) == mock.repetitions * (mock.generations + 3)
+    for path in files:
+        assert (live_dir / path.relative_to(mock_dir)).read_bytes() == path.read_bytes(), path
+
+
+def test_run_experiment_never_pools_mock_backends(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("mock backends must not start a thread pool")
+
+    monkeypatch.setattr(runner, "ThreadPoolExecutor", no_pool)
+    config = small_config(
+        out_dir=str(tmp_path),
+        backend=BackendConfig(policy=BackendPolicy(max_concurrent_requests=4)),
+    )
+    assert run_experiment(config, build_backends(config)).successes == 2
 
 
 def test_run_experiment_propagates_programming_errors(tmp_path):
