@@ -117,11 +117,6 @@ class Backends:
     classifier: EmotionClassifierBackend
 
 
-def estimate_tokens(text: str) -> int:
-    """Conservative subword count estimate from whitespace tokens."""
-    return math.ceil(len(text.split()) * SUBWORDS_PER_WORD)
-
-
 def truncate_to_token_budget(text: str, budget: int = CLASSIFIER_TOKEN_BUDGET) -> str:
     """Drop trailing words until the estimated subword count fits the budget."""
     words = text.split()

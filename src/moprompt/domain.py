@@ -9,7 +9,7 @@ evolutionary loop builds new individuals instead of mutating old ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 MAX_PROMPT_CHARS = 2000
@@ -195,7 +195,8 @@ class Individual:
         crowding: float | None = None,
         contribution: float | None = None,
     ) -> "Individual":
-        return replace(self, rank=rank, crowding=crowding, contribution=contribution)
+        return Individual(self.prompt, self.text, self.fitness, self.id, self.parent_ids,
+                          self.operator_trace, rank, crowding, contribution)
 
 
 @dataclass(frozen=True)

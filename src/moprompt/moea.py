@@ -53,12 +53,6 @@ class SelectionOutcome:
     diagnostics: tuple[float, ...]
 
 
-def dominates(a: FitnessPoint, b: FitnessPoint) -> bool:
-    """True if a is at least as good as b in both objectives and strictly
-    better in at least one. Irreflexive: a point never dominates itself."""
-    return a.f1 >= b.f1 and a.f2 >= b.f2 and (a.f1 > b.f1 or a.f2 > b.f2)
-
-
 def nondominated_sort(points: list[FitnessPoint]) -> list[Front]:
     """Partition points into fronts by non-dominated rank in O(n log n).
 

@@ -78,7 +78,10 @@ def _load_points(path: Path) -> list[FitnessPoint]:
             if not line:
                 continue
             data = json.loads(line)
-            points.append(FitnessPoint(*data["fitness"]))
+            try:
+                points.append(FitnessPoint(*data["fitness"]))
+            except (KeyError, TypeError):
+                raise ValueError("record without a two-number fitness") from None
     if not points:
         raise ValueError("no individuals in record")
     return points
@@ -88,21 +91,29 @@ def load_run(run_dir: Path) -> RunReport:
     """Recompute one run's curves and statistics from its gen_*.jsonl files.
 
     Only repetitions the summary marks ok are loaded; their records must all
-    be present and parseable, else a ReportError lists the bad files.
+    be present and parseable, else a ReportError lists the bad files. A
+    summary or record that parses as JSON but has the wrong shape counts as
+    unparseable.
     """
     run_dir = Path(run_dir)
     bad: list[str] = []
     summary_path = run_dir / "summary.json"
+    unreadable = ReportError(f"unreadable summary in {run_dir}", [str(summary_path)])
     try:
         with open(summary_path, encoding="utf-8") as handle:
             summary = json.load(handle)
     except (OSError, json.JSONDecodeError):
-        raise ReportError(f"unreadable summary in {run_dir}", [str(summary_path)])
+        raise unreadable from None
+    results = summary.get("results", []) if isinstance(summary, dict) else None
+    if not isinstance(results, list) or not all(isinstance(r, dict) for r in results):
+        raise unreadable
     curves: list[RepetitionCurve] = []
-    for result in summary.get("results", []):
+    for result in results:
         if result.get("status") != "ok":
             continue
-        rep = result["repetition"]
+        rep = result.get("repetition")
+        if isinstance(rep, bool) or not isinstance(rep, int):
+            raise unreadable
         rep_dir = run_dir / f"rep_{rep}"
         gen_files: dict[int, Path] = {}
         if rep_dir.is_dir():
@@ -122,7 +133,7 @@ def load_run(run_dir: Path) -> RunReport:
             path = gen_files[generation]
             try:
                 points = _load_points(path)
-            except (OSError, ValueError, KeyError, json.JSONDecodeError):
+            except (OSError, ValueError):
                 bad.append(str(path))
                 break
             series.append(hypervolume_2d(points, DEFAULT_REFERENCE))

@@ -6,6 +6,12 @@ and scores one text per offspring, and selects mu survivors from parents
 plus offspring. An experiment repeats the run with shifted seeds and writes
 a fully reproducible output tree: per-generation population records, a
 hypervolume series per repetition, the final Pareto front, and a summary.
+
+A survivor's record changes from one generation to the next only in its
+selection fields (rank, crowding, contribution), so each survivor's other
+JSON is encoded once per repetition and reused while it survives. A
+repetition holds one population plus one (generation, hypervolume,
+fallback count) row per generation, not every generation's population.
 """
 
 from __future__ import annotations
@@ -384,21 +390,59 @@ def individual_from_dict(data: dict) -> Individual:
     )
 
 
-def _write_generation(rep_dir: Path, record: GenerationRecord) -> None:
+_INF = float("inf")
+
+
+def _line_pieces(ind: Individual) -> tuple[str, str]:
+    """The JSON of ind's line before and after its three selection fields
+    (rank, crowding, contribution), cut from the json.dumps of
+    individual_to_dict."""
+    items = list(individual_to_dict(ind).items())
+    cut = [key for key, _ in items].index("rank")
+    head = json.dumps(dict(items[:cut]), ensure_ascii=False)[:-1]
+    tail = json.dumps(dict(items[cut + 3:]), ensure_ascii=False)[1:]
+    return head, tail
+
+
+def _json_number(value: float | None) -> str:
+    """None, an int or a float as json.dumps writes it."""
+    if value is None:
+        return "null"
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return repr(value)
+
+
+def _write_generation(
+    rep_dir: Path, record: GenerationRecord, pieces: dict[int, tuple[str, str]]
+) -> dict[int, tuple[str, str]]:
+    """Write the generation's survivors, one json.dumps(individual_to_dict)
+    line each, and return the head and tail pieces of exactly these
+    survivors by id. pieces holds those of the previous generation of the
+    same repetition (ids restart in every repetition), which survivors
+    reuse; only their selection fields are formatted again."""
     path = rep_dir / f"gen_{record.generation_index}.jsonl"
+    current: dict[int, tuple[str, str]] = {}
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for ind in record.population:
-            handle.write(json.dumps(individual_to_dict(ind), ensure_ascii=False))
-            handle.write("\n")
+            head, tail = current[ind.id] = pieces.get(ind.id) or _line_pieces(ind)
+            handle.write(
+                f'{head}, "rank": {_json_number(ind.rank)}, '
+                f'"crowding": {_json_number(ind.crowding)}, '
+                f'"contribution": {_json_number(ind.contribution)}, {tail}\n'
+            )
+    return current
 
 
-def _write_hypervolume_series(rep_dir: Path, records: list[GenerationRecord]) -> None:
+def _write_hypervolume_series(rep_dir: Path, rows: list[tuple[int, float, int]]) -> None:
     with open(rep_dir / "hypervolume.csv", "w", encoding="utf-8", newline="\n") as handle:
         handle.write("generation,hypervolume,fallback_count\n")
-        for record in records:
-            handle.write(
-                f"{record.generation_index},{record.hypervolume!r},{record.fallback_count}\n"
-            )
+        for generation, hypervolume, fallback_count in rows:
+            handle.write(f"{generation},{hypervolume!r},{fallback_count}\n")
 
 
 def _write_pareto_front(
@@ -489,21 +533,20 @@ def _run_repetition(
     rep_dir.mkdir(parents=True, exist_ok=True)
     population = initialize(config, backends, pool)
     record = _record(0, population, population)
-    records = [record]
-    _write_generation(rep_dir, record)
-    if progress:
-        progress(rep, record)
-    for generation in range(1, config.generations + 1):
-        population, record = step(
-            population, config, backends, config.seed + rep, generation=generation, pool=pool
-        )
-        records.append(record)
-        _write_generation(rep_dir, record)
+    rows: list[tuple[int, float, int]] = []
+    pieces: dict[int, tuple[str, str]] = {}
+    for generation in range(config.generations + 1):
+        if generation:
+            population, record = step(
+                population, config, backends, config.seed + rep, generation=generation, pool=pool
+            )
+        rows.append((generation, record.hypervolume, record.fallback_count))
+        pieces = _write_generation(rep_dir, record, pieces)
         if progress:
             progress(rep, record)
-    _write_hypervolume_series(rep_dir, records)
+    _write_hypervolume_series(rep_dir, rows)
     _write_pareto_front(rep_dir, config, rep, population)
-    return [r.hypervolume for r in records]
+    return [hypervolume for _, hypervolume, _ in rows]
 
 
 def _write_summary(run_dir: Path, config: RunConfig, summary: RunSummary) -> None:

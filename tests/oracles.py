@@ -4,16 +4,29 @@ Everything here favors obviousness over speed: the hypervolume oracle sums
 grid cells after coordinate compression, the sorting oracle peels fronts
 off a full dominance matrix, domination counts test every ordered pair,
 subset selection enumerates every combination, and the classifier oracle
-runs one regex per lexicon word.
-None of it shares code with the package under test beyond the value types
-and the classifier's truncation rule.
+runs one regex per lexicon word. The line oracle encodes a whole
+individual with json.dumps, which the runner's survivor writer must match
+byte for byte.
+None of it shares code with the package under test beyond the value types,
+the classifier's truncation rule and the record schema (individual_to_dict).
+The token estimate and the dominance predicate live here because only the
+tests use them.
 """
 
+import json
+import math
 import re
 from itertools import combinations
 
-from moprompt.backends import truncate_to_token_budget
-from moprompt.domain import EmotionLabel, EmotionScores, FitnessPoint
+from moprompt.backends import SUBWORDS_PER_WORD, truncate_to_token_budget
+from moprompt.domain import EmotionLabel, EmotionScores, FitnessPoint, Individual
+from moprompt.runner import individual_to_dict
+
+
+def dominates(a: FitnessPoint, b: FitnessPoint) -> bool:
+    """True if a is at least as good as b in both objectives and strictly
+    better in at least one. Irreflexive: a point never dominates itself."""
+    return a.f1 >= b.f1 and a.f2 >= b.f2 and (a.f1 > b.f1 or a.f2 > b.f2)
 
 
 def dominates_oracle(a: FitnessPoint, b: FitnessPoint) -> bool:
@@ -116,3 +129,14 @@ def classify_oracle(text: str, lexicons: dict) -> EmotionScores:
         raw[label] = 1.0 + count
     total = sum(raw.values())
     return EmotionScores({label: raw[label] / total for label in EmotionLabel})
+
+
+def estimate_tokens(text: str) -> int:
+    """Conservative subword count estimate from whitespace tokens, the one
+    truncate_to_token_budget keeps within its budget."""
+    return math.ceil(len(text.split()) * SUBWORDS_PER_WORD)
+
+
+def encode_individual_oracle(ind: Individual) -> str:
+    """One gen_k.jsonl line, without its newline."""
+    return json.dumps(individual_to_dict(ind), ensure_ascii=False)

@@ -23,13 +23,12 @@ from moprompt.backends import (
     MockEmotionClassifier,
     MockTextGenerator,
     OllamaClient,
-    estimate_tokens,
     load_lexicons,
     parse_classifier_response,
     truncate_to_token_budget,
 )
 from moprompt.domain import EmotionLabel, GeneratedText
-from oracles import classify_oracle
+from oracles import classify_oracle, estimate_tokens
 
 
 class StubServer:

@@ -401,6 +401,20 @@ def test_report_lists_unreadable_files(finished_runs, capsys):
     assert str(target) in err
 
 
+@pytest.mark.parametrize("name, content", [
+    ("rep_0/gen_1.jsonl", json.dumps({"fitness": [0.5]}) + "\n"),
+    ("rep_0/gen_1.jsonl", "[1, 2]\n"),
+    ("summary.json", "[]\n"),
+])
+def test_report_lists_wrong_shaped_files(finished_runs, capsys, name, content):
+    target = finished_runs / "joy_vs_fear" / "nsga2" / name
+    target.write_text(content)
+    code, _, err = run_cli(capsys, "report", "--run", str(finished_runs))
+    assert code == 1
+    assert "unreadable run data" in err
+    assert str(target) in err
+
+
 # argument handling
 
 

@@ -9,7 +9,6 @@ from moprompt.domain import FitnessPoint
 from moprompt.moea import (
     _domination_counts,
     crowding_distance,
-    dominates,
     hv_contributions,
     hv_subset_select,
     hypervolume_2d,
@@ -22,6 +21,7 @@ from oracles import (
     contributions_oracle,
     crowding_oracle,
     domination_count_oracle,
+    dominates,
     dominates_oracle,
     hypervolume_oracle,
     sort_oracle,

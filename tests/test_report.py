@@ -64,10 +64,9 @@ def test_load_run_reports_missing_generation_files(finished_run, tmp_path):
     assert excinfo.value.bad_files == [str(dst / "rep_1")]
 
 
-def test_load_run_reports_corrupt_records(finished_run, tmp_path):
+def copy_run(finished_run, dst):
     root, _, _ = finished_run
     src = root / "joy_vs_fear" / "nsga2"
-    dst = tmp_path / "corrupt"
     dst.mkdir()
     (dst / "summary.json").write_text((src / "summary.json").read_text())
     for rep in range(2):
@@ -75,11 +74,41 @@ def test_load_run_reports_corrupt_records(finished_run, tmp_path):
         rep_dir.mkdir()
         for path in (src / f"rep_{rep}").glob("gen_*.jsonl"):
             rep_dir.joinpath(path.name).write_text(path.read_text())
+    return dst
+
+
+def test_load_run_reports_corrupt_records(finished_run, tmp_path):
+    dst = copy_run(finished_run, tmp_path / "corrupt")
     target = dst / "rep_0" / "gen_1.jsonl"
     target.write_text("not json\n")
     with pytest.raises(ReportError) as excinfo:
         load_run(dst)
     assert excinfo.value.bad_files == [str(target)]
+
+
+@pytest.mark.parametrize("record", [{"fitness": [0.5]}, [1, 2], {"fitness": 0.5}, {"id": 3}])
+def test_load_run_reports_wrong_shaped_records(finished_run, tmp_path, record):
+    dst = copy_run(finished_run, tmp_path / "corrupt")
+    target = dst / "rep_0" / "gen_1.jsonl"
+    target.write_text(json.dumps(record) + "\n")
+    with pytest.raises(ReportError) as excinfo:
+        load_run(dst)
+    assert excinfo.value.bad_files == [str(target)]
+
+
+@pytest.mark.parametrize("summary", [
+    [1, 2],
+    {"results": {"repetition": 0, "status": "ok"}},
+    {"results": [{"repetition": 0, "status": "ok"}, "ok"]},
+    {"results": [{"status": "ok"}]},
+    {"results": [{"repetition": "0", "status": "ok"}]},
+])
+def test_load_run_reports_corrupt_summary(finished_run, tmp_path, summary):
+    dst = copy_run(finished_run, tmp_path / "corrupt")
+    (dst / "summary.json").write_text(json.dumps(summary))
+    with pytest.raises(ReportError, match="unreadable summary") as excinfo:
+        load_run(dst)
+    assert excinfo.value.bad_files == [str(dst / "summary.json")]
 
 
 def test_load_run_skips_failed_repetitions(tmp_path):
