@@ -11,16 +11,19 @@ mock classifier counts emotion keywords.
 
 from __future__ import annotations
 
+import http.client
+import json
 import logging
 import math
 import random
 import re
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass, field
 from typing import Protocol
-
-import requests
 
 from .domain import EmotionLabel, EmotionScores, GeneratedText
 
@@ -129,10 +132,9 @@ def truncate_to_token_budget(text: str, budget: int = CLASSIFIER_TOKEN_BUDGET) -
 def _is_transient(exc: Exception) -> bool:
     """Transport failures, 5xx and 429 replies may pass on a retry; other
     4xx replies and malformed bodies would fail the same way again."""
-    if isinstance(exc, requests.HTTPError):
-        status = exc.response.status_code
-        return status >= 500 or status == 429
-    return isinstance(exc, (requests.ConnectionError, requests.Timeout))
+    if isinstance(exc, urllib.error.HTTPError):
+        return exc.code >= 500 or exc.code == 429
+    return isinstance(exc, (OSError, http.client.HTTPException))
 
 
 def _call_with_retries(policy: BackendPolicy, attempt, describe: str):
@@ -140,7 +142,7 @@ def _call_with_retries(policy: BackendPolicy, attempt, describe: str):
     for attempt_index in range(policy.max_retries + 1):
         try:
             return attempt()
-        except (requests.RequestException, ValueError, KeyError, TypeError) as exc:
+        except (OSError, http.client.HTTPException, ValueError, KeyError, TypeError) as exc:
             if not _is_transient(exc):
                 raise BackendError(f"{describe} failed: {exc}") from exc
             if attempt_index == policy.max_retries:
@@ -153,6 +155,37 @@ def _call_with_retries(policy: BackendPolicy, attempt, describe: str):
             delay *= 2
 
 
+def _check_base_url(url: str, field_name: str) -> None:
+    """Reject a URL that no request could reach, before any request is made."""
+    try:
+        parts = urllib.parse.urlsplit(url)
+        # reading the port raises ValueError when it is not a number in range
+        valid = parts.scheme in ("http", "https") and bool(parts.hostname) and parts.port != 0
+    except (AttributeError, TypeError, ValueError):  # not a string, or a malformed port
+        valid = False
+    if not valid:
+        raise ValueError(
+            f"{field_name} must be an http:// or https:// URL with a host, got {url!r}"
+        )
+
+
+def _post_json(opener: urllib.request.OpenerDirector, url: str, payload, headers: dict,
+               timeout: float) -> bytes:
+    """POST payload as JSON and return the whole reply body. A reply other
+    than 2xx raises HTTPError, whose body is closed first; each request opens
+    and closes its own connection."""
+    request = urllib.request.Request(
+        url, data=json.dumps(payload).encode(),
+        headers={"Content-Type": "application/json", **headers}, method="POST",
+    )
+    try:
+        with opener.open(request, timeout=timeout) as response:
+            return response.read()
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        raise
+
+
 class OllamaClient:
     """Text generation over an Ollama-compatible /api/generate endpoint.
 
@@ -162,9 +195,11 @@ class OllamaClient:
     """
 
     def __init__(self, base_url: str, policy: BackendPolicy | None = None):
+        _check_base_url(base_url, "llm.base_url")
         self.base_url = base_url.rstrip("/")
         self.policy = policy or BackendPolicy()
         self._slots = threading.BoundedSemaphore(self.policy.max_concurrent_requests)
+        self._opener = urllib.request.build_opener()
 
     def complete(self, request: GenerationRequest) -> str:
         llm = request.llm
@@ -179,17 +214,21 @@ class OllamaClient:
                 "num_predict": llm.max_output_tokens,
             },
         }
+        url = f"{self.base_url}/api/generate"
 
         def attempt() -> str:
             with self._slots:
-                response = requests.post(
-                    f"{self.base_url}/api/generate", json=payload, timeout=self.policy.timeout
-                )
-            response.raise_for_status()
-            body = response.json()
+                raw = _post_json(self._opener, url, payload, {}, self.policy.timeout)
+            body = json.loads(raw)
             if "response" not in body:
                 raise ValueError(f"no 'response' field in reply: {sorted(body)}")
-            return str(body["response"])
+            text = str(body["response"])
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                # JSON may escape a lone surrogate, which no file can hold
+                raise ValueError(f"reply text is not valid Unicode: {exc}") from exc
+            return text
 
         return _call_with_retries(self.policy, attempt, "text generation")
 
@@ -208,10 +247,12 @@ class HttpEmotionClassifier:
         token: str | None = None,
         policy: BackendPolicy | None = None,
     ):
+        _check_base_url(base_url, "classifier.base_url")
         self.base_url = base_url
         self.token = token
         self.policy = policy or BackendPolicy()
         self._slots = threading.BoundedSemaphore(self.policy.max_concurrent_requests)
+        self._opener = urllib.request.build_opener()
 
     def classify_emotions(self, text: GeneratedText) -> EmotionScores:
         payload = {"inputs": truncate_to_token_budget(text.text)}
@@ -221,11 +262,9 @@ class HttpEmotionClassifier:
 
         def attempt() -> EmotionScores:
             with self._slots:
-                response = requests.post(
-                    self.base_url, json=payload, headers=headers, timeout=self.policy.timeout
-                )
-            response.raise_for_status()
-            return parse_classifier_response(response.json())
+                raw = _post_json(self._opener, self.base_url, payload, headers,
+                                 self.policy.timeout)
+            return parse_classifier_response(json.loads(raw))
 
         return _call_with_retries(self.policy, attempt, "emotion classification")
 
@@ -276,8 +315,6 @@ def load_lexicons(path) -> dict[EmotionLabel, tuple[str, ...]]:
     """Read keyword lexicons from a JSON file mapping label names to word
     lists. Labels not mentioned keep their defaults. Every problem with the
     file is a ValueError."""
-    import json
-
     try:
         with open(path, encoding="utf-8") as handle:
             raw = json.load(handle)

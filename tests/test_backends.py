@@ -1,13 +1,14 @@
 """Backend clients: token budgeting, mock determinism, wire protocol."""
 
+import contextlib
 import http.server
 import json
 import math
+import socket
 import threading
 import time
 
 import pytest
-import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,15 +35,17 @@ from oracles import classify_oracle, estimate_tokens
 class StubServer:
     """Scripted local HTTP server for exercising the live clients.
 
-    script is a list of (status, json_payload) pairs consumed per request;
-    the final entry repeats. Records every request and tracks the peak
-    number served concurrently (counted strictly between request read and
-    response write, so it never overshoots the client's own window).
+    script is a list of (status, payload) pairs consumed per request; the
+    final entry repeats. Or it is a function (path, request_body) -> (status,
+    payload). A bytes payload is sent as it is, any other is sent as JSON.
+    Records every request and tracks the peak number served concurrently
+    (counted strictly between request read and response write, so it never
+    overshoots the client's own window).
     """
 
     def __init__(self, script, delay=0.0):
         assert script
-        self.script = list(script)
+        self.script = script if callable(script) else list(script)
         self.delay = delay
         self.seen = []
         self.inflight = 0
@@ -62,11 +65,13 @@ class StubServer:
                 with outer._lock:
                     outer.inflight -= 1
                     outer.seen.append((self.path, dict(self.headers), body))
-                    if len(outer.script) > 1:
+                    if callable(outer.script):
+                        status, payload = outer.script(self.path, body)
+                    elif len(outer.script) > 1:
                         status, payload = outer.script.pop(0)
                     else:
                         status, payload = outer.script[0]
-                data = json.dumps(payload).encode()
+                data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
@@ -77,7 +82,10 @@ class StubServer:
                 pass
 
         self._server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # a short poll lets shutdown return quickly
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
 
     @property
     def url(self):
@@ -464,15 +472,32 @@ def test_ollama_client_rejects_reply_without_response_field():
             OllamaClient(server.url, policy).complete(GenerationRequest("hi"))
 
 
+def test_ollama_client_does_not_retry_a_non_json_reply():
+    with StubServer([(200, b"<html>busy</html>")]) as server:
+        policy = BackendPolicy(max_retries=2, backoff=0.0)
+        with pytest.raises(BackendError, match="text generation failed"):
+            OllamaClient(server.url, policy).complete(GenerationRequest("hi"))
+    assert len(server.seen) == 1
+
+
+def test_ollama_client_does_not_retry_a_lone_surrogate():
+    # json.loads accepts the escape, but no UTF-8 file can hold the result
+    with StubServer([(200, b'{"response": "a story \\ud800"}')]) as server:
+        policy = BackendPolicy(max_retries=2, backoff=0.0)
+        with pytest.raises(BackendError, match="not valid Unicode"):
+            OllamaClient(server.url, policy).complete(GenerationRequest("hi"))
+    assert len(server.seen) == 1
+
+
 def test_retry_backoff_doubles(monkeypatch):
     calls = []
     delays = []
 
     def refused(*args, **kwargs):
         calls.append(args)
-        raise requests.ConnectionError("connection refused")
+        raise ConnectionRefusedError("connection refused")
 
-    monkeypatch.setattr(backends.requests, "post", refused)
+    monkeypatch.setattr(backends, "_post_json", refused)
     monkeypatch.setattr(backends.time, "sleep", delays.append)
     policy = BackendPolicy(max_retries=3, backoff=0.1)
     with pytest.raises(BackendError, match="4 attempts"):
@@ -485,14 +510,90 @@ def test_zero_backoff_never_sleeps(monkeypatch):
     delays = []
 
     def refused(*args, **kwargs):
-        raise requests.ConnectionError("connection refused")
+        raise ConnectionRefusedError("connection refused")
 
-    monkeypatch.setattr(backends.requests, "post", refused)
+    monkeypatch.setattr(backends, "_post_json", refused)
     monkeypatch.setattr(backends.time, "sleep", delays.append)
     policy = BackendPolicy(max_retries=2, backoff=0.0)
     with pytest.raises(BackendError):
         OllamaClient("http://127.0.0.1:1", policy).complete(GenerationRequest("hi"))
     assert delays == []
+
+
+@contextlib.contextmanager
+def closed_port():
+    """A URL whose port nothing listens on, so every connection is refused."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        port = listener.getsockname()[1]
+    yield f"http://127.0.0.1:{port}"
+
+
+@contextlib.contextmanager
+def answering_late():
+    """A server that answers after the client's timeout has passed."""
+    with StubServer([(200, {"response": "late"})], delay=1.0) as server:
+        yield server.url
+
+
+@contextlib.contextmanager
+def hanging_up():
+    """A server that reads each request and closes the connection unanswered."""
+    stop = threading.Event()
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(0.05)
+
+        def serve():
+            while not stop.is_set():
+                try:
+                    conn, _ = listener.accept()
+                except TimeoutError:
+                    continue
+                with conn:
+                    conn.recv(65536)
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        try:
+            yield f"http://127.0.0.1:{listener.getsockname()[1]}"
+        finally:
+            stop.set()
+            thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+CLIENT_CALLS = {
+    "generate": lambda url, policy: OllamaClient(url, policy).complete(GenerationRequest("hi")),
+    "classify": lambda url, policy: HttpEmotionClassifier(url, policy=policy).classify_emotions(
+        GeneratedText("hi")
+    ),
+}
+
+
+@pytest.mark.parametrize("client", sorted(CLIENT_CALLS))
+@pytest.mark.parametrize("server", [closed_port, answering_late, hanging_up],
+                         ids=["refused", "read-timeout", "closed-unanswered"])
+def test_transport_failures_are_retried_then_raise(monkeypatch, client, server):
+    sent = []
+    post = backends._post_json
+
+    def counting(opener, url, *args):
+        sent.append(url)
+        return post(opener, url, *args)
+
+    monkeypatch.setattr(backends, "_post_json", counting)
+    policy = BackendPolicy(timeout=0.2, max_retries=2, backoff=0.0)
+    with server() as url:
+        with pytest.raises(BackendError, match="after 3 attempts"):
+            CLIENT_CALLS[client](url, policy)
+    assert len(sent) == policy.max_retries + 1
+
+
+@pytest.mark.parametrize("url", ["localhost:11434", "ftp://x", "http://", "http://h:port", ""])
+def test_clients_reject_unreachable_base_urls(url):
+    with pytest.raises(ValueError, match="^llm.base_url must be an http"):
+        OllamaClient(url)
+    with pytest.raises(ValueError, match="^classifier.base_url must be an http"):
+        HttpEmotionClassifier(url)
 
 
 def test_classifier_client_sends_token_and_truncates():

@@ -307,6 +307,30 @@ def test_run_live_backend_without_urls(tmp_path, capsys, monkeypatch):
     assert "EMO_LLM_URL" in err
 
 
+@pytest.mark.parametrize("url", ["localhost:11434", "ftp://x"])
+@pytest.mark.parametrize(
+    "source, field",
+    [("llm", "llm.base_url"), ("classifier", "classifier.base_url"),
+     ("EMO_LLM_URL", "llm.base_url"), ("EMO_CLF_URL", "classifier.base_url")],
+)
+def test_run_rejects_unreachable_base_urls(tmp_path, capsys, monkeypatch, url, source, field):
+    # a URL no request could reach is a configuration error, whether it
+    # comes from the config file or the environment
+    monkeypatch.setenv("EMO_LLM_URL", "http://localhost:11434")
+    monkeypatch.setenv("EMO_CLF_URL", "http://localhost:8000/classify")
+    config = {"pair": "joy:fear", "backend": "live"}
+    if source.startswith("EMO_"):
+        monkeypatch.setenv(source, url)
+    else:
+        config[source] = {"base_url": url}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert f"{field} must be an http:// or https:// URL with a host, got {url!r}" in err
+    assert not (tmp_path / "runs").exists()
+
+
 # hv command
 
 

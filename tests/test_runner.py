@@ -6,7 +6,14 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import moprompt.runner as runner
-from moprompt.backends import BackendError, BackendPolicy, Backends, MockTextGenerator
+from moprompt.backends import (
+    BackendError,
+    BackendPolicy,
+    Backends,
+    GenerationRequest,
+    MockEmotionClassifier,
+    MockTextGenerator,
+)
 from moprompt.domain import (
     EmotionLabel,
     EmotionScores,
@@ -18,6 +25,7 @@ from moprompt.domain import (
     Prompt,
 )
 from moprompt.moea import hypervolume_2d
+from moprompt.report import load_run
 from moprompt.runner import (
     BackendConfig,
     RunConfig,
@@ -32,6 +40,7 @@ from moprompt.runner import (
 )
 from moprompt.variation import MutationInstruction, OperatorSuite
 from oracles import hypervolume_oracle
+from test_backends import StubServer
 
 PAIR = ObjectivePair.parse("love:anger")
 
@@ -431,6 +440,37 @@ def test_run_experiment_records_failed_live_repetitions(tmp_path):
     summary = run_experiment(config, backends)
     assert [r.status for r in summary.results] == ["failed", "failed"]
     assert all(r.error == "classifier down" for r in summary.results)
+
+
+def test_live_run_falls_back_on_stories_with_lone_surrogates(tmp_path):
+    # the stub serves the mocks over HTTP, but every story reply carries the
+    # escape of a lone surrogate, which json.loads accepts and no file can hold
+    generator, classifier = MockTextGenerator(), MockEmotionClassifier()
+
+    def reply(path, body):
+        if path == "/classify":
+            scores = classifier.classify_emotions(GeneratedText(body["inputs"]))
+            return 200, [{"label": k, "score": v} for k, v in scores.as_dict().items()]
+        request = GenerationRequest(body["prompt"], system=body["system"])
+        text = generator.complete(request)
+        if "Mutation Prompt:" in request.prompt_body or "One prompt is:" in request.prompt_body:
+            return 200, {"response": text}
+        return 200, {"response": text + "\ud800"}
+
+    with StubServer(reply) as server:
+        config = small_config(out_dir=str(tmp_path), backend=BackendConfig(
+            kind="live", llm_base_url=server.url, classifier_base_url=f"{server.url}/classify",
+            policy=BackendPolicy(max_retries=0, backoff=0.0, max_concurrent_requests=2),
+        ))
+        summary = run_experiment(config, build_backends(config))
+    assert summary.successes == config.repetitions
+    run_dir = tmp_path / "love_vs_anger" / "nsga2"
+    assert len(load_run(run_dir).curves) == config.repetitions
+    for rep in range(config.repetitions):
+        rows = (run_dir / f"rep_{rep}" / "hypervolume.csv").read_text().splitlines()[1:]
+        assert len(rows) == config.generations + 1
+        # every offspring's story fell back to an empty text
+        assert all(int(row.split(",")[2]) == config.lam for row in rows[1:])
 
 
 def test_run_experiment_builds_one_pool_per_live_run(tmp_path, monkeypatch):
