@@ -588,7 +588,9 @@ def test_transport_failures_are_retried_then_raise(monkeypatch, client, server):
     assert len(sent) == policy.max_retries + 1
 
 
-@pytest.mark.parametrize("url", ["localhost:11434", "ftp://x", "http://", "http://h:port", ""])
+@pytest.mark.parametrize(
+    "url", ["localhost:11434", "ftp://x", "http://", "http://h:port", "http://h:0", "", 5]
+)
 def test_clients_reject_unreachable_base_urls(url):
     with pytest.raises(ValueError, match="^llm.base_url must be an http"):
         OllamaClient(url)
