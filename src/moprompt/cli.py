@@ -4,7 +4,8 @@ Three commands: run executes an experiment from a JSON config plus
 overrides, report rebuilds comparison tables from finished run directories,
 and hv computes hypervolumes for a CSV of points. Exit codes: 0 on success,
 1 for runtime failures (no successful repetition, unreadable run data),
-2 for configuration and usage errors.
+2 for configuration and usage errors (an output directory that cannot be
+created among them).
 """
 
 from __future__ import annotations
@@ -138,6 +139,11 @@ def cmd_run(args) -> int:
         backends = build_backends(config)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        config.run_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return 2
 
     def progress(rep: int, record) -> None:

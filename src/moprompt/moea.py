@@ -233,8 +233,8 @@ def hv_subset_select(
     input list.
     """
     n = len(points)
-    if k == 0:
-        raise ValueError("cannot select an empty subset")
+    if k < 1:
+        raise ValueError(f"subset size must be at least 1, got {k}")
     if k > n:
         raise ValueError(f"cannot select {k} of {n} points")
     _check_reference(points, ref)

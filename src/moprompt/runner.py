@@ -144,6 +144,11 @@ class RunConfig:
                 f"need at least mu={self.mu} seed prompts, got {len(self.seed_prompts)}"
             )
 
+    @property
+    def run_dir(self) -> Path:
+        """The directory run_experiment writes this run's tree to."""
+        return Path(self.out_dir) / self.pair.slug / self.selector
+
 
 @dataclass(frozen=True)
 class GenerationRecord:
@@ -485,14 +490,18 @@ def run_experiment(
     every recorded generation. The summary reports the final-generation
     hypervolume statistics and, separately, statistics over each
     repetition's running maximum.
-    A live run founds and breeds every repetition on one thread pool of
-    max_concurrent_requests workers, so its network waits overlap; mock
-    backends are pure Python under the GIL and run in order on this thread.
+    A live run founds and breeds every repetition on one thread pool with a
+    worker for every request slot of both clients, so its network waits
+    overlap and each client's max_concurrent_requests slots are the one
+    bound on its requests in flight: one offspring's classification
+    overlaps the next offspring's generation. Mock backends are pure Python
+    under the GIL and run in order on this thread.
     """
-    run_dir = Path(config.out_dir) / config.pair.slug / config.selector
+    run_dir = config.run_dir
     run_dir.mkdir(parents=True, exist_ok=True)
     results: list[RepetitionResult] = []
-    workers = config.backend.policy.max_concurrent_requests
+    # one worker per request slot of the generator and of the classifier
+    workers = 2 * config.backend.policy.max_concurrent_requests
     with (
         ThreadPoolExecutor(max_workers=workers) if config.backend.kind == "live"
         else nullcontext()

@@ -1,5 +1,6 @@
 """Backend clients: token budgeting, mock determinism, wire protocol."""
 
+import collections
 import contextlib
 import http.server
 import json
@@ -38,7 +39,8 @@ class StubServer:
     script is a list of (status, payload) pairs consumed per request; the
     final entry repeats. Or it is a function (path, request_body) -> (status,
     payload). A bytes payload is sent as it is, any other is sent as JSON.
-    Records every request and tracks the peak number served concurrently
+    Records every request and tracks the peak number served concurrently,
+    overall and per path, plus every set of paths served at the same moment
     (counted strictly between request read and response write, so it never
     overshoots the client's own window).
     """
@@ -50,6 +52,9 @@ class StubServer:
         self.seen = []
         self.inflight = 0
         self.max_inflight = 0
+        self.path_inflight = collections.Counter()
+        self.path_max_inflight = collections.Counter()
+        self.paths_together = set()
         self._lock = threading.Lock()
         outer = self
 
@@ -60,10 +65,16 @@ class StubServer:
                 with outer._lock:
                     outer.inflight += 1
                     outer.max_inflight = max(outer.max_inflight, outer.inflight)
+                    outer.path_inflight[self.path] += 1
+                    outer.path_max_inflight[self.path] = max(
+                        outer.path_max_inflight[self.path], outer.path_inflight[self.path]
+                    )
+                    outer.paths_together.add(frozenset(+outer.path_inflight))
                 if outer.delay:
                     time.sleep(outer.delay)
                 with outer._lock:
                     outer.inflight -= 1
+                    outer.path_inflight[self.path] -= 1
                     outer.seen.append((self.path, dict(self.headers), body))
                     if callable(outer.script):
                         status, payload = outer.script(self.path, body)

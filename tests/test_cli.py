@@ -105,6 +105,31 @@ def test_run_rejects_equal_pair_labels(tmp_path, capsys):
     assert "objective pair labels must differ" in err
 
 
+def test_run_rejects_an_out_dir_that_cannot_be_created(tmp_path, capsys):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    code, out, err = run_cli(
+        capsys, "run", "--pair", "love:anger", "--out", str(blocker / "x"), "--gens", "1",
+    )
+    assert code == 2
+    assert err.startswith("error: cannot create output directory: ")
+    assert "Traceback" not in err
+    # no repetition ran
+    assert out == ""
+
+
+def test_run_keeps_exit_1_when_no_repetition_can_write(tmp_path, capsys):
+    run_dir = tmp_path / "love_vs_anger" / "nsga2"
+    run_dir.mkdir(parents=True)
+    (run_dir / "rep_0").write_text("")
+    code, out, _ = run_cli(
+        capsys, "run", "--pair", "love:anger", "--out", str(tmp_path),
+        "--reps", "1", "--gens", "1",
+    )
+    assert code == 1
+    assert "rep 0 failed: " in out
+
+
 def test_run_requires_a_pair(capsys):
     code, _, err = run_cli(capsys, "run")
     assert code == 2
@@ -353,6 +378,17 @@ def test_hv_subset_golden(tmp_path, capsys):
     assert lines[0] == "hypervolume 0.250000000000"
     assert lines[1] == "selected 0 1 2"
     assert lines[2] == "subset_hypervolume 0.250000000000"
+
+
+@pytest.mark.parametrize("mode", ["greedy", "exact"])
+def test_hv_rejects_a_subset_size_below_one(tmp_path, capsys, mode):
+    path = tmp_path / "points.csv"
+    path.write_text(DIAGONAL_ROWS)
+    code, _, err = run_cli(
+        capsys, "hv", "--points", str(path), "--subset", "-1", "--mode", mode
+    )
+    assert code == 2
+    assert err == "error: subset size must be at least 1, got -1\n"
 
 
 def test_hv_missing_file(tmp_path, capsys):

@@ -301,6 +301,14 @@ def test_subset_select_validates_k():
         hv_subset_select(pts, 1, ORIGIN, mode="fancy")
 
 
+@pytest.mark.parametrize("mode", ["greedy", "exact"])
+@pytest.mark.parametrize("k", [0, -1, -3])
+def test_subset_select_rejects_sizes_below_one(mode, k):
+    pts = points_of((0.5, 0.5), (0.6, 0.2), (0.2, 0.6))
+    with pytest.raises(ValueError, match=f"^subset size must be at least 1, got {k}$"):
+        hv_subset_select(pts, k, ORIGIN, mode)
+
+
 def test_subset_select_k_equals_n():
     pts = points_of((0.5, 0.5), (0.6, 0.2))
     assert hv_subset_select(pts, 2, ORIGIN, "greedy") == [0, 1]

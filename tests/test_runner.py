@@ -493,13 +493,13 @@ def test_run_experiment_builds_one_pool_per_live_run(tmp_path, monkeypatch):
         backend=BackendConfig(kind="live", policy=BackendPolicy(max_concurrent_requests=3)),
     )
     run_experiment(live, build_backends(small_config()))
-    assert built == [3]
+    assert built == [6]
     # every repetition founds and breeds on it, one batch per generation
     assert len(batches) == live.repetitions * (live.generations + 1)
 
     mock = small_config(out_dir=str(tmp_path / "mock"))
     run_experiment(mock, build_backends(mock))
-    assert built == [3]
+    assert built == [6]
     # and the pool changes no record
     mock_dir = tmp_path / "mock" / "love_vs_anger" / "nsga2"
     live_dir = tmp_path / "live" / "love_vs_anger" / "nsga2"
@@ -507,6 +507,46 @@ def test_run_experiment_builds_one_pool_per_live_run(tmp_path, monkeypatch):
     assert len(files) == mock.repetitions * (mock.generations + 3)
     for path in files:
         assert (live_dir / path.relative_to(mock_dir)).read_bytes() == path.read_bytes(), path
+
+
+def test_live_run_overlaps_generation_and_classification(tmp_path):
+    # the stub serves the mocks over HTTP, so the live tree must equal the
+    # mock one; each client has one request slot, and the pool has a worker
+    # for each, so a story and a classification can be in flight together
+    generator, classifier = MockTextGenerator(), MockEmotionClassifier()
+
+    def reply(path, body):
+        if path == "/classify":
+            scores = classifier.classify_emotions(GeneratedText(body["inputs"]))
+            return 200, [{"label": k, "score": v} for k, v in scores.as_dict().items()]
+        return 200, {"response": generator.complete(
+            GenerationRequest(body["prompt"], system=body["system"])
+        )}
+
+    with StubServer(reply, delay=0.01) as server:
+        live = small_config(out_dir=str(tmp_path / "live"), backend=BackendConfig(
+            kind="live", llm_base_url=server.url, classifier_base_url=f"{server.url}/classify",
+            policy=BackendPolicy(max_retries=0, backoff=0.0, max_concurrent_requests=1),
+        ))
+        summary = run_experiment(live, build_backends(live))
+    assert summary.successes == live.repetitions
+    assert set(server.path_max_inflight) == {"/api/generate", "/classify"}
+    assert max(server.path_max_inflight.values()) == 1
+    assert frozenset({"/api/generate", "/classify"}) in server.paths_together
+
+    mock = small_config(out_dir=str(tmp_path / "mock"))
+    run_experiment(mock, build_backends(mock))
+    mock_dir = tmp_path / "mock" / "love_vs_anger" / "nsga2"
+    live_dir = tmp_path / "live" / "love_vs_anger" / "nsga2"
+    files = sorted(mock_dir.glob("rep_*/*"))
+    assert len(files) == mock.repetitions * (mock.generations + 3)
+    for path in files:
+        assert (live_dir / path.relative_to(mock_dir)).read_bytes() == path.read_bytes(), path
+    # the summaries differ only in the backend they name
+    mock_summary = json.loads((mock_dir / "summary.json").read_text())
+    live_summary = json.loads((live_dir / "summary.json").read_text())
+    assert (live_summary.pop("backend"), mock_summary.pop("backend")) == ("live", "mock")
+    assert live_summary == mock_summary
 
 
 def test_run_experiment_never_pools_mock_backends(tmp_path, monkeypatch):
