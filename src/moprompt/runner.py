@@ -33,12 +33,10 @@ from .backends import (
     Backends,
     CLASSIFIER_TOKEN_ENV,
     CLASSIFIER_URL_ENV,
-    HttpEmotionClassifier,
     LLM_URL_ENV,
     LlmSettings,
     MockEmotionClassifier,
     MockTextGenerator,
-    OllamaClient,
     load_lexicons,
 )
 from .domain import (
@@ -99,6 +97,13 @@ class BackendConfig:
     def __post_init__(self) -> None:
         if self.kind not in BACKEND_KINDS:
             raise ValueError(f"backend kind must be one of {BACKEND_KINDS}, got {self.kind!r}")
+        for name, value in (
+            ("llm.base_url", self.llm_base_url),
+            ("classifier.base_url", self.classifier_base_url),
+            ("classifier.token", self.classifier_token),
+        ):
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -193,6 +198,7 @@ def build_backends(config: RunConfig) -> Backends:
 
     Live URLs come from the config or the EMO_LLM_URL / EMO_CLF_URL
     environment variables; EMO_CLF_TOKEN supplies an optional bearer token.
+    The HTTP clients are imported here, so a mock run never loads them.
     """
     bc = config.backend
     if bc.kind == "mock":
@@ -208,6 +214,8 @@ def build_backends(config: RunConfig) -> Backends:
     if not clf_url:
         raise ValueError(f"live backend needs classifier.base_url or {CLASSIFIER_URL_ENV}")
     token = bc.classifier_token or os.environ.get(CLASSIFIER_TOKEN_ENV)
+    from .live import HttpEmotionClassifier, OllamaClient
+
     return Backends(
         generator=OllamaClient(llm_url, policy=bc.policy),
         classifier=HttpEmotionClassifier(clf_url, token=token, policy=bc.policy),

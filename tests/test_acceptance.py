@@ -185,13 +185,8 @@ def test_criterion_8_identical_configs_give_byte_identical_trees(mock_run):
 
 def test_criterion_9_wire_contract():
     with criterion(9, "generation requests carry the decoding defaults and retries obey policy"):
-        from moprompt.backends import (
-            BackendError,
-            BackendPolicy,
-            GenerationRequest,
-            OllamaClient,
-            parse_classifier_response,
-        )
+        from moprompt.backends import BackendError, BackendPolicy, GenerationRequest
+        from moprompt.live import OllamaClient, parse_classifier_response
 
         with StubServer([(200, {"response": "ok"})]) as server:
             OllamaClient(server.url).complete(GenerationRequest("hello"))

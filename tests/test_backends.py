@@ -14,21 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moprompt.backends as backends
+import moprompt.live as live
 from moprompt.backends import (
     BackendError,
     BackendPolicy,
     CLASSIFIER_TOKEN_BUDGET,
     DEFAULT_LEXICONS,
     GenerationRequest,
-    HttpEmotionClassifier,
     LlmSettings,
     MockEmotionClassifier,
     MockTextGenerator,
-    OllamaClient,
     load_lexicons,
-    parse_classifier_response,
     truncate_to_token_budget,
 )
+from moprompt.live import HttpEmotionClassifier, OllamaClient, parse_classifier_response
 from moprompt.domain import EmotionLabel, GeneratedText
 from oracles import classify_oracle, estimate_tokens
 
@@ -508,8 +507,8 @@ def test_retry_backoff_doubles(monkeypatch):
         calls.append(args)
         raise ConnectionRefusedError("connection refused")
 
-    monkeypatch.setattr(backends, "_post_json", refused)
-    monkeypatch.setattr(backends.time, "sleep", delays.append)
+    monkeypatch.setattr(live, "_post_json", refused)
+    monkeypatch.setattr(live.time, "sleep", delays.append)
     policy = BackendPolicy(max_retries=3, backoff=0.1)
     with pytest.raises(BackendError, match="4 attempts"):
         OllamaClient("http://127.0.0.1:1", policy).complete(GenerationRequest("hi"))
@@ -523,8 +522,8 @@ def test_zero_backoff_never_sleeps(monkeypatch):
     def refused(*args, **kwargs):
         raise ConnectionRefusedError("connection refused")
 
-    monkeypatch.setattr(backends, "_post_json", refused)
-    monkeypatch.setattr(backends.time, "sleep", delays.append)
+    monkeypatch.setattr(live, "_post_json", refused)
+    monkeypatch.setattr(live.time, "sleep", delays.append)
     policy = BackendPolicy(max_retries=2, backoff=0.0)
     with pytest.raises(BackendError):
         OllamaClient("http://127.0.0.1:1", policy).complete(GenerationRequest("hi"))
@@ -585,13 +584,13 @@ CLIENT_CALLS = {
                          ids=["refused", "read-timeout", "closed-unanswered"])
 def test_transport_failures_are_retried_then_raise(monkeypatch, client, server):
     sent = []
-    post = backends._post_json
+    post = live._post_json
 
     def counting(opener, url, *args):
         sent.append(url)
         return post(opener, url, *args)
 
-    monkeypatch.setattr(backends, "_post_json", counting)
+    monkeypatch.setattr(live, "_post_json", counting)
     policy = BackendPolicy(timeout=0.2, max_retries=2, backoff=0.0)
     with server() as url:
         with pytest.raises(BackendError, match="after 3 attempts"):

@@ -281,9 +281,11 @@ def test_load_config_reads_the_operators_file(tmp_path):
     assert load_config(None, {"pair": "joy:fear"}).operators == OperatorSuite()
 
 
-@pytest.mark.parametrize("field", ["pair", "selector", "out_dir", "operators_file", "lexicon_file"])
+@pytest.mark.parametrize("field", ["pair", "selector", "out_dir", "operators_file", "lexicon_file",
+                                   "llm.base_url", "classifier.base_url", "classifier.token"])
 def test_run_rejects_non_string_fields(tmp_path, capsys, field):
-    config = {"pair": "joy:fear", field: 5}
+    section, _, key = field.rpartition(".")
+    config = {"pair": "joy:fear", **({section: {key: 5}} if section else {key: 5})}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     code, _, err = run_cli(capsys, "run", "--config", str(path))
