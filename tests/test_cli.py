@@ -283,7 +283,8 @@ def test_load_config_reads_the_operators_file(tmp_path):
 
 @pytest.mark.parametrize("field", ["pair", "selector", "out_dir", "operators_file", "lexicon_file",
                                    "llm.base_url", "classifier.base_url", "classifier.token"])
-def test_run_rejects_non_string_fields(tmp_path, capsys, field):
+def test_run_rejects_non_string_fields(tmp_path, capsys, monkeypatch, field):
+    monkeypatch.chdir(tmp_path)  # the default out_dir is "runs" under the working directory
     section, _, key = field.rpartition(".")
     config = {"pair": "joy:fear", **({section: {key: 5}} if section else {key: 5})}
     path = tmp_path / "config.json"
@@ -291,6 +292,7 @@ def test_run_rejects_non_string_fields(tmp_path, capsys, field):
     code, _, err = run_cli(capsys, "run", "--config", str(path))
     assert code == 2
     assert f"{field} must be a string, got 5" in err
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize(
