@@ -41,14 +41,21 @@ class StubServer:
     Records every request and tracks the peak number served concurrently,
     overall and per path, plus every set of paths served at the same moment
     (counted strictly between request read and response write, so it never
-    overshoots the client's own window).
+    overshoots the client's own window), and counts connections.
+
+    It speaks HTTP/1.0, closing each connection after one reply, unless
+    http11 is set: then connections are kept alive, and a connection idle
+    for idle_timeout seconds is closed. Either way it writes each reply's
+    headers and body separately with Nagle's algorithm on. A CONNECT request
+    is recorded and answered like a POST, so a stub can stand in for a proxy.
     """
 
-    def __init__(self, script, delay=0.0):
+    def __init__(self, script, delay=0.0, http11=False, idle_timeout=None):
         assert script
         self.script = script if callable(script) else list(script)
         self.delay = delay
         self.seen = []
+        self.connections = 0
         self.inflight = 0
         self.max_inflight = 0
         self.path_inflight = collections.Counter()
@@ -58,6 +65,14 @@ class StubServer:
         outer = self
 
         class Handler(http.server.BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1" if http11 else "HTTP/1.0"
+            timeout = idle_timeout
+
+            def setup(self):
+                super().setup()
+                with outer._lock:
+                    outer.connections += 1
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
                 body = json.loads(self.rfile.read(length) or b"{}")
@@ -87,6 +102,8 @@ class StubServer:
                 self.send_header("Content-Length", str(len(data)))
                 self.end_headers()
                 self.wfile.write(data)
+
+            do_CONNECT = do_POST
 
             def log_message(self, *args):
                 pass
@@ -608,6 +625,13 @@ def test_clients_reject_unreachable_base_urls(url):
         HttpEmotionClassifier(url)
 
 
+@pytest.mark.parametrize("token", ["a\nb", "a\r\nX-Injected: 1", "a\x00b", "a\tb", "caf\u00e9"])
+def test_classifier_rejects_a_token_that_cannot_be_a_header_value(token):
+    with pytest.raises(ValueError, match="^classifier.token must be printable ASCII") as info:
+        HttpEmotionClassifier("http://127.0.0.1:1", token=token)
+    assert token not in str(info.value)  # a secret is not echoed
+
+
 def test_classifier_client_sends_token_and_truncates():
     with StubServer([(200, SIX_SCORES)]) as server:
         client = HttpEmotionClassifier(server.url + "/classify", token="sekrit")
@@ -649,3 +673,128 @@ def test_concurrency_cap_is_respected():
             thread.join()
     assert results == ["ok"] * 6
     assert server.max_inflight <= 2
+
+
+# kept-alive connections
+
+
+def echo_prompt(path, body):
+    return 200, {"response": body["prompt"]}
+
+
+def test_sequential_calls_share_one_connection():
+    with StubServer(echo_prompt, http11=True) as server:
+        client = OllamaClient(server.url, BackendPolicy(max_retries=0))
+        replies = [client.complete(GenerationRequest(f"call {i}")) for i in range(10)]
+    assert replies == [f"call {i}" for i in range(10)]
+    assert server.connections == 1
+
+
+def test_concurrent_calls_hold_one_connection_per_slot():
+    with StubServer(echo_prompt, delay=0.05, http11=True) as server:
+        client = OllamaClient(server.url, BackendPolicy(max_concurrent_requests=2, max_retries=0))
+        results = []
+
+        def worker(i):
+            results.append(client.complete(GenerationRequest(f"call {i}")))
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == sorted(f"call {i}" for i in range(8))
+    assert 1 <= server.connections <= 2
+
+
+def test_a_connection_the_server_closed_is_reopened_within_the_attempt():
+    with StubServer(echo_prompt, http11=True, idle_timeout=0.05) as server:
+        client = OllamaClient(server.url, BackendPolicy(max_retries=0))
+        assert client.complete(GenerationRequest("first")) == "first"
+        time.sleep(0.5)  # the server closes the idle connection meanwhile
+        assert client.complete(GenerationRequest("second")) == "second"
+    assert [body["prompt"] for _, _, body in server.seen] == ["first", "second"]
+    assert server.connections == 2
+
+
+def test_a_late_reply_is_never_read_as_the_next_calls_reply():
+    with StubServer(echo_prompt, delay=1.0, http11=True) as server:
+        client = OllamaClient(server.url, BackendPolicy(timeout=0.3, max_retries=0))
+        with pytest.raises(BackendError, match="timed out"):
+            client.complete(GenerationRequest("first"))
+        server.delay = 0.0
+        assert client.complete(GenerationRequest("second")) == "second"
+    assert server.connections == 2
+
+
+@pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="needs TCP_QUICKACK")
+def test_a_server_with_nagle_on_does_not_stall_a_kept_alive_connection():
+    # the stub writes headers and body separately without TCP_NODELAY; with
+    # delayed ACKs each reply on a reused connection would wait about 40 ms
+    with StubServer([(200, {"response": "ok"})], http11=True) as server:
+        client = OllamaClient(server.url, BackendPolicy(max_retries=0))
+        start = time.perf_counter()
+        for _ in range(20):
+            client.complete(GenerationRequest("hi"))
+        elapsed = time.perf_counter() - start
+    assert server.connections == 1
+    assert elapsed < 0.4
+
+
+# proxies and request targets
+
+
+@pytest.fixture
+def proxy_env(monkeypatch):
+    """Set proxy variables for one test; the lowercase names win over any
+    uppercase ones already set."""
+    for name in ("http_proxy", "https_proxy", "no_proxy"):
+        monkeypatch.setenv(name, "")
+
+    def set_proxy(**names):
+        for name, value in names.items():
+            monkeypatch.setenv(name, value)
+
+    return set_proxy
+
+
+def test_plain_http_goes_to_the_proxy_with_an_absolute_target(proxy_env):
+    with StubServer([(200, {"response": "via proxy"})]) as proxy, closed_port() as url:
+        host_port = proxy.url.removeprefix("http://")
+        proxy_env(http_proxy=f"http://user:p%40ss@{host_port}")
+        assert OllamaClient(url).complete(GenerationRequest("hi")) == "via proxy"
+    path, headers, body = proxy.seen[0]
+    assert path == f"{url}/api/generate"
+    assert headers["Host"] == url.removeprefix("http://")
+    assert headers["Proxy-Authorization"] == "Basic dXNlcjpwQHNz"  # user:p@ss
+    assert body["prompt"] == "hi"
+
+
+def test_https_goes_through_a_connect_tunnel(proxy_env):
+    with StubServer([(403, {})]) as proxy, closed_port() as url:
+        port = url.rpartition(":")[2]
+        proxy_env(https_proxy=f"user:pw@{proxy.url.removeprefix('http://')}")
+        client = HttpEmotionClassifier(f"https://127.0.0.1:{port}/classify",
+                                       policy=BackendPolicy(max_retries=0))
+        with pytest.raises(BackendError, match="Tunnel connection failed: 403"):
+            client.classify_emotions(GeneratedText("hi"))
+    path, headers, _ = proxy.seen[0]
+    assert path == f"127.0.0.1:{port}"
+    assert headers["Proxy-Authorization"] == "Basic dXNlcjpwdw=="  # user:pw
+
+
+def test_a_host_in_no_proxy_is_reached_directly(proxy_env):
+    with StubServer([(200, {})]) as proxy, StubServer([(200, {"response": "direct"})]) as server:
+        proxy_env(http_proxy=proxy.url, no_proxy="example.org,127.0.0.1")
+        assert OllamaClient(server.url).complete(GenerationRequest("hi")) == "direct"
+    assert [path for path, _, _ in server.seen] == ["/api/generate"]
+    assert proxy.seen == []
+
+
+def test_classifier_url_path_and_query_reach_the_server():
+    with StubServer([(200, SIX_SCORES)]) as server:
+        HttpEmotionClassifier(server.url + "/classify?wait_for_model=true").classify_emotions(
+            GeneratedText("hi")
+        )
+    assert server.seen[0][0] == "/classify?wait_for_model=true"

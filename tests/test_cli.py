@@ -360,6 +360,24 @@ def test_run_rejects_unreachable_base_urls(tmp_path, capsys, monkeypatch, url, s
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("source", ["config", "EMO_CLF_TOKEN"])
+def test_run_rejects_a_token_that_cannot_be_a_header_value(tmp_path, capsys, monkeypatch, source):
+    # nothing listens on port 1, and the run must stop before any request
+    monkeypatch.setenv("EMO_LLM_URL", "http://127.0.0.1:1")
+    monkeypatch.setenv("EMO_CLF_URL", "http://127.0.0.1:1/classify")
+    config = {"pair": "joy:fear", "backend": "live"}
+    if source == "config":
+        config["classifier"] = {"token": "a\nb"}
+    else:
+        monkeypatch.setenv(source, "a\rb")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert "classifier.token must be printable ASCII" in err
+    assert not (tmp_path / "runs").exists()
+
+
 # hv command
 
 
