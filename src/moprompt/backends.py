@@ -12,14 +12,14 @@ mock run never loads the HTTP stack.
 
 from __future__ import annotations
 
-import json
-import math
 import random
 import re
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from typing import Protocol
 
 from .domain import EmotionLabel, EmotionScores, GeneratedText
+from .rules import check, check_fields, integer, number, read_json_object, strings, text
 
 # token budget of the emotion evaluator; inputs are truncated to fit
 CLASSIFIER_TOKEN_BUDGET = 512
@@ -40,50 +40,26 @@ class BackendError(RuntimeError):
 class BackendPolicy:
     """Retry and concurrency behavior for a backend client."""
 
-    timeout: float = 30.0
-    max_retries: int = 2
-    backoff: float = 0.5
-    max_concurrent_requests: int = 4
+    timeout: float = field(default=30.0, metadata=number(positive=True))
+    max_retries: int = field(default=2, metadata=integer(0))
+    backoff: float = field(default=0.5, metadata=number())
+    max_concurrent_requests: int = field(default=4, metadata=integer(1))
 
     def __post_init__(self) -> None:
-        for name in ("timeout", "backoff"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        for name in ("max_retries", "max_concurrent_requests"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.backoff < 0:
-            raise ValueError("backoff must be >= 0")
-        if self.max_concurrent_requests < 1:
-            raise ValueError("max_concurrent_requests must be >= 1")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class LlmSettings:
     """Decoding defaults applied to every request a run issues."""
 
-    model: str = "llama2"
-    temperature: float = 0.7
-    context_window: int = 512
-    max_output_tokens: int = 256
+    model: str = field(default="llama2", metadata=text())
+    temperature: float = field(default=0.7, metadata=number())
+    context_window: int = field(default=512, metadata=integer(1))
+    max_output_tokens: int = field(default=256, metadata=integer(1))
 
     def __post_init__(self) -> None:
-        if not isinstance(self.model, str):
-            raise ValueError(f"model must be a string, got {self.model!r}")
-        t = self.temperature
-        if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0 <= t < math.inf:
-            raise ValueError(f"temperature must be a non-negative number, got {t!r}")
-        for name in ("context_window", "max_output_tokens"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -105,11 +81,21 @@ class EmotionClassifierBackend(Protocol):
 
 
 @dataclass(frozen=True)
-class Backends:
-    """The generator/classifier pair a run is wired to."""
+class Backends(AbstractContextManager):
+    """The generator/classifier pair a run is wired to. As a context
+    manager it closes both on exit."""
 
     generator: TextGenerationBackend
     classifier: EmotionClassifierBackend
+
+    def close(self) -> None:
+        """Close the idle connections of the clients that hold any."""
+        for backend in (self.generator, self.classifier):
+            if hasattr(backend, "close"):
+                backend.close()
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 def truncate_to_token_budget(text: str, budget: int = CLASSIFIER_TOKEN_BUDGET) -> str:
@@ -149,19 +135,9 @@ def load_lexicons(path) -> dict[EmotionLabel, tuple[str, ...]]:
     """Read keyword lexicons from a JSON file mapping label names to word
     lists. Labels not mentioned keep their defaults. Every problem with the
     file is a ValueError."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except OSError as exc:
-        raise ValueError(f"cannot read lexicon file: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValueError("lexicon file must hold a JSON object")
     lexicons = dict(DEFAULT_LEXICONS)
-    for name, words in raw.items():
-        label = EmotionLabel.parse(name)
-        if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
-            raise ValueError(f"lexicon for {name!r} must be a list of strings")
-        lexicons[label] = tuple(words)
+    for name, words in read_json_object(path, "lexicon file").items():
+        lexicons[EmotionLabel.parse(name)] = tuple(check(f"lexicon for {name!r}", words, strings()))
     return lexicons
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -21,6 +21,7 @@ from .backends import BackendPolicy, LlmSettings
 from .domain import FitnessPoint, ObjectivePair, Prompt
 from .moea import DEFAULT_REFERENCE, hv_subset_select, hypervolume_2d
 from .report import ReportError, discover_runs, load_run
+from .rules import check, read_json_object, strings, text
 from .runner import (
     BACKEND_KINDS,
     HV_MODES,
@@ -51,70 +52,52 @@ _TOP_LEVEL_KEYS = (
     "seed_prompts", "backend", "out_dir", "llm", "classifier", "policy", "operators_file",
     "lexicon_file",
 )
-_LLM_KEYS = ("model", "base_url", "temperature", "context_window", "max_output_tokens")
-_CLASSIFIER_KEYS = ("base_url", "token")
-_POLICY_KEYS = ("timeout", "max_retries", "backoff", "max_concurrent_requests")
-# fields that hold text; the two optional file paths may also be null
-_STRING_KEYS = ("pair", "selector", "out_dir", "operators_file", "lexicon_file")
+# each section's keys are its dataclass's fields, so a new field needs no edit here
+_SECTION_KEYS = {
+    "llm": ("base_url", *(spec.name for spec in dataclasses.fields(LlmSettings))),
+    "classifier": ("base_url", "token"),
+    "policy": tuple(spec.name for spec in dataclasses.fields(BackendPolicy)),
+}
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     """Build a RunConfig from an optional JSON file plus CLI overrides.
 
     Unknown keys anywhere in the file are rejected. Omitted fields keep the
-    reference defaults. Every field is checked here, and the operators file
-    is read here, so a bad config fails before a run starts.
+    reference defaults. Each field is checked by the rule its dataclass
+    declares (`moprompt.rules`), and the operators file is read here, so a
+    bad config fails before a run starts.
     """
-    raw: dict = {}
-    if path is not None:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                raw = json.load(handle)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}")
-        if not isinstance(raw, dict):
-            raise ConfigError("config file must hold a JSON object")
-    fields = _take(raw, _TOP_LEVEL_KEYS, "config")
-    llm_section = _take(fields.pop("llm", {}), _LLM_KEYS, "llm")
-    classifier_section = _take(fields.pop("classifier", {}), _CLASSIFIER_KEYS, "classifier")
-    policy_section = _take(fields.pop("policy", {}), _POLICY_KEYS, "policy")
-    fields.update({k: v for k, v in overrides.items() if v is not None})
-    if fields.get("pair") is None:
-        raise ConfigError("an objective pair is required (config 'pair' or --pair)")
-    for key in _STRING_KEYS:
-        value = fields.get(key, "")
-        if not isinstance(value, str) and not (value is None and key.endswith("_file")):
-            raise ConfigError(f"{key} must be a string, got {value!r}")
-    if "lambda" in fields:
-        fields["lam"] = fields.pop("lambda")
-    if "selector" in fields:
-        fields["selector"] = fields["selector"].replace("-", "_")
-    pair_spec = fields.pop("pair")
-    backend_kind = fields.pop("backend", "mock")
-    lexicon_file = fields.pop("lexicon_file", None)
-    operators_file = fields.pop("operators_file", None)
-    seed_prompts = fields.pop("seed_prompts", None)
-    llm_url = llm_section.pop("base_url", None)
     try:
-        backend = BackendConfig(
-            kind=backend_kind,
-            llm=LlmSettings(**llm_section),
-            llm_base_url=llm_url,
-            classifier_base_url=classifier_section.get("base_url"),
-            classifier_token=classifier_section.get("token"),
-            policy=BackendPolicy(**policy_section),
-            lexicon_file=lexicon_file,
+        raw = read_json_object(path, "config file") if path is not None else {}
+        fields = _take(raw, _TOP_LEVEL_KEYS, "config")
+        llm, classifier, policy = (
+            _take(fields.pop(name, {}), keys, name) for name, keys in _SECTION_KEYS.items()
         )
-        if seed_prompts is not None:
-            if not isinstance(seed_prompts, list) or not all(
-                isinstance(p, str) for p in seed_prompts
-            ):
-                raise ConfigError("seed_prompts must be a list of strings")
-            fields["seed_prompts"] = tuple(Prompt(p) for p in seed_prompts)
+        fields.update({k: v for k, v in overrides.items() if v is not None})
+        if fields.get("pair") is None:
+            raise ConfigError("an objective pair is required (config 'pair' or --pair)")
+        pair = ObjectivePair.parse(check("pair", fields.pop("pair"), text()))
+        if "lambda" in fields:
+            fields["lam"] = fields.pop("lambda")
+        if fields.get("selector") == "sms-emoa":
+            fields["selector"] = "sms_emoa"
+        if "seed_prompts" in fields:
+            prompts = check("seed_prompts", fields.pop("seed_prompts"), strings())
+            fields["seed_prompts"] = tuple(Prompt(p) for p in prompts)
+        operators_file = check("operators_file", fields.pop("operators_file", None),
+                               text(optional=True))
+        backend = BackendConfig(
+            kind=fields.pop("backend", "mock"),
+            llm=LlmSettings(**{k: v for k, v in llm.items() if k != "base_url"}),
+            llm_base_url=llm.get("base_url"),
+            classifier_base_url=classifier.get("base_url"),
+            classifier_token=classifier.get("token"),
+            policy=BackendPolicy(**policy),
+            lexicon_file=fields.pop("lexicon_file", None),
+        )
         return RunConfig(
-            pair=ObjectivePair.parse(pair_spec),
+            pair=pair,
             backend=backend,
             operators=load_operator_suite(operators_file) if operators_file else OperatorSuite(),
             **fields,
@@ -124,26 +107,13 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 
 def cmd_run(args) -> int:
-    overrides = {
-        "backend": args.backend,
-        "pair": args.pair,
-        "selector": args.selector,
-        "hv_mode": args.hv_mode,
-        "seed": args.seed,
-        "out_dir": args.out,
-        "repetitions": args.reps,
-        "generations": args.gens,
-    }
+    # the run flags are stored under their config keys and override them
+    overrides = {key: value for key, value in vars(args).items() if key in _TOP_LEVEL_KEYS}
     try:
         config = load_config(args.config, overrides)
         backends = build_backends(config)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        config.run_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return 2
 
     def progress(rep: int, record) -> None:
@@ -154,7 +124,13 @@ def cmd_run(args) -> int:
             f"hv {record.hypervolume:.6f} fallbacks {record.fallback_count}"
         )
 
-    summary = run_experiment(config, backends, progress=progress)
+    with backends:
+        try:
+            config.run_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+            return 2
+        summary = run_experiment(config, backends, progress=progress)
     for result in summary.results:
         if result.status == "ok":
             print(
@@ -227,25 +203,22 @@ def cmd_report(args) -> int:
                 }
             )
     print(_format_table(rows))
-    report_path = root / "report.csv"
-    with open(report_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_REPORT_COLUMNS)
-        for row in rows:
-            writer.writerow(_report_cells(row, repr))
-    curves_path = root / "curves.csv"
-    with open(curves_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["problem", "selector", "repetition", "generation", "hypervolume"])
-        for report in reports:
-            for curve in report.curves:
-                for generation, hv in enumerate(curve.hypervolumes):
-                    writer.writerow(
-                        [report.problem, report.selector, curve.repetition, generation, repr(hv)]
-                    )
-    print(f"wrote {report_path}")
-    print(f"wrote {curves_path}")
+    _write_csv(root / "report.csv", _REPORT_COLUMNS, (_report_cells(row, repr) for row in rows))
+    _write_csv(
+        root / "curves.csv", ("problem", "selector", "repetition", "generation", "hypervolume"),
+        ([report.problem, report.selector, curve.repetition, generation, repr(hv)]
+         for report in reports for curve in report.curves
+         for generation, hv in enumerate(curve.hypervolumes)),
+    )
     return 0
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+    print(f"wrote {path}")
 
 
 def _read_points_csv(path: str) -> list[FitnessPoint]:
@@ -329,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--selector", choices=["nsga2", "sms-emoa", "sms_emoa"])
     run_parser.add_argument("--hv-mode", choices=HV_MODES, dest="hv_mode")
     run_parser.add_argument("--seed", type=int)
-    run_parser.add_argument("--out", help="output directory")
-    run_parser.add_argument("--reps", type=int, help="number of repetitions")
-    run_parser.add_argument("--gens", type=int, help="number of generations")
+    run_parser.add_argument("--out", dest="out_dir", help="output directory")
+    run_parser.add_argument("--reps", type=int, dest="repetitions", help="number of repetitions")
+    run_parser.add_argument("--gens", type=int, dest="generations", help="number of generations")
     run_parser.set_defaults(func=cmd_run)
 
     report_parser = commands.add_parser(

@@ -28,6 +28,7 @@ import urllib.request
 
 from .backends import BackendError, BackendPolicy, GenerationRequest, truncate_to_token_budget
 from .domain import EmotionLabel, EmotionScores, GeneratedText
+from .rules import check_base_url, check_token
 
 logger = logging.getLogger(__name__)
 
@@ -35,6 +36,8 @@ logger = logging.getLogger(__name__)
 # without TCP_NODELAY, holds the body until the headers are acknowledged,
 # and on a reused connection the client delays that ACK by about 40 ms.
 _QUICKACK = getattr(socket, "TCP_QUICKACK", None)
+# how much of an error reply's body its HTTPError message keeps
+_REASON_CHARS = 200
 
 
 def _is_transient(exc: Exception) -> bool:
@@ -61,30 +64,6 @@ def _call_with_retries(policy: BackendPolicy, attempt, describe: str):
             if delay > 0:
                 time.sleep(delay)
             delay *= 2
-
-
-def _check_base_url(url: str, field_name: str) -> None:
-    """Reject a URL that no request could reach, before any request is made."""
-    try:
-        parts = urllib.parse.urlsplit(url)
-        # reading the port raises ValueError when it is not a number in range
-        valid = parts.scheme in ("http", "https") and bool(parts.hostname) and parts.port != 0
-    except (AttributeError, TypeError, ValueError):  # not a string, or a malformed port
-        valid = False
-    if not valid:
-        raise ValueError(
-            f"{field_name} must be an http:// or https:// URL with a host, got {url!r}"
-        )
-
-
-def _check_token(token: str | None) -> None:
-    """Reject a bearer token that cannot be sent as a header value. Bearer
-    tokens are printable ASCII (RFC 6750); the token itself is not echoed."""
-    if token is not None and not all(" " <= ch <= "~" for ch in token):
-        raise ValueError(
-            "classifier.token must be printable ASCII, with no line breaks or other "
-            "control characters"
-        )
 
 
 class _Connections:
@@ -155,7 +134,9 @@ def _post_json(connections: _Connections, body: bytes, headers: dict) -> bytes:
     more on a new one; a failure on a new connection, or a timeout, is left
     to the caller's retry policy. A connection goes back to the idle list
     only after its whole reply has been read, and is closed after any
-    exception. A reply other than 2xx raises HTTPError once its body is read.
+    exception. A reply other than 2xx raises HTTPError once its body is read;
+    its message ends with the start of that body, so the server's own reason
+    reaches the log.
     """
     headers = {"Content-Type": "application/json", **connections.headers, **headers}
     try:
@@ -180,12 +161,40 @@ def _post_json(connections: _Connections, body: bytes, headers: dict) -> bytes:
     else:
         connections.idle.append(connection)
     if not 200 <= response.status < 300:
-        raise urllib.error.HTTPError(connections.url, response.status, response.reason,
+        # repr escapes control characters, so a body cannot forge log lines
+        detail = data.decode("utf-8", "replace")[:_REASON_CHARS]
+        reason = f"{response.reason}: {detail!r}" if detail else response.reason
+        raise urllib.error.HTTPError(connections.url, response.status, reason,
                                      response.headers, None)
     return data
 
 
-class OllamaClient:
+class _Client:
+    """What both clients share: request slots, the kept-alive connections to
+    their one URL, and calls retried under the policy."""
+
+    def __init__(self, url: str, policy: BackendPolicy | None):
+        self.policy = policy or BackendPolicy()
+        self._slots = threading.BoundedSemaphore(self.policy.max_concurrent_requests)
+        self._connections = _Connections(url, self.policy.timeout)
+
+    def _call(self, describe: str, body: bytes, headers: dict, parse):
+        """POST body in a request slot and return parse(the decoded reply)."""
+
+        def attempt():
+            with self._slots:
+                raw = _post_json(self._connections, body, headers)
+            return parse(json.loads(raw))
+
+        return _call_with_retries(self.policy, attempt, describe)
+
+    def close(self) -> None:
+        """Close the idle connections; a later call opens a new one."""
+        while self._connections.idle:
+            self._connections.idle.pop().close()
+
+
+class OllamaClient(_Client):
     """Text generation over an Ollama-compatible /api/generate endpoint.
 
     Sends the system instruction and prompt per request rather than baking
@@ -194,11 +203,9 @@ class OllamaClient:
     """
 
     def __init__(self, base_url: str, policy: BackendPolicy | None = None):
-        _check_base_url(base_url, "llm.base_url")
+        check_base_url(base_url, "llm.base_url")
         self.base_url = base_url.rstrip("/")
-        self.policy = policy or BackendPolicy()
-        self._slots = threading.BoundedSemaphore(self.policy.max_concurrent_requests)
-        self._connections = _Connections(f"{self.base_url}/api/generate", self.policy.timeout)
+        super().__init__(f"{self.base_url}/api/generate", policy)
 
     def complete(self, request: GenerationRequest) -> str:
         llm = request.llm
@@ -213,25 +220,22 @@ class OllamaClient:
                 "num_predict": llm.max_output_tokens,
             },
         }).encode()
-
-        def attempt() -> str:
-            with self._slots:
-                raw = _post_json(self._connections, body, {})
-            reply = json.loads(raw)
-            if "response" not in reply:
-                raise ValueError(f"no 'response' field in reply: {sorted(reply)}")
-            text = str(reply["response"])
-            try:
-                text.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                # JSON may escape a lone surrogate, which no file can hold
-                raise ValueError(f"reply text is not valid Unicode: {exc}") from exc
-            return text
-
-        return _call_with_retries(self.policy, attempt, "text generation")
+        return self._call("text generation", body, {}, _response_text)
 
 
-class HttpEmotionClassifier:
+def _response_text(reply) -> str:
+    if "response" not in reply:
+        raise ValueError(f"no 'response' field in reply: {sorted(reply)}")
+    text = str(reply["response"])
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        # JSON may escape a lone surrogate, which no file can hold
+        raise ValueError(f"reply text is not valid Unicode: {exc}") from exc
+    return text
+
+
+class HttpEmotionClassifier(_Client):
     """Emotion scoring over a hosted-inference style JSON endpoint.
 
     POSTs {"inputs": "<text>"} and expects a list (possibly nested one deep)
@@ -245,26 +249,16 @@ class HttpEmotionClassifier:
         token: str | None = None,
         policy: BackendPolicy | None = None,
     ):
-        _check_base_url(base_url, "classifier.base_url")
-        _check_token(token)
+        check_base_url(base_url, "classifier.base_url")
+        check_token(token)
         self.base_url = base_url
         self.token = token
-        self.policy = policy or BackendPolicy()
-        self._slots = threading.BoundedSemaphore(self.policy.max_concurrent_requests)
-        self._connections = _Connections(base_url, self.policy.timeout)
+        super().__init__(base_url, policy)
 
     def classify_emotions(self, text: GeneratedText) -> EmotionScores:
         body = json.dumps({"inputs": truncate_to_token_budget(text.text)}).encode()
-        headers = {}
-        if self.token:
-            headers["Authorization"] = f"Bearer {self.token}"
-
-        def attempt() -> EmotionScores:
-            with self._slots:
-                raw = _post_json(self._connections, body, headers)
-            return parse_classifier_response(json.loads(raw))
-
-        return _call_with_retries(self.policy, attempt, "emotion classification")
+        headers = {"Authorization": f"Bearer {self.token}"} if self.token else {}
+        return self._call("emotion classification", body, headers, parse_classifier_response)
 
 
 def parse_classifier_response(body) -> EmotionScores:

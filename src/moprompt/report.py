@@ -102,7 +102,7 @@ def load_run(run_dir: Path) -> RunReport:
     try:
         with open(summary_path, encoding="utf-8") as handle:
             summary = json.load(handle)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):  # ValueError: not JSON, or not UTF-8
         raise unreadable from None
     results = summary.get("results", []) if isinstance(summary, dict) else None
     if not isinstance(results, list) or not all(isinstance(r, dict) for r in results):

@@ -56,6 +56,7 @@ from .moea import (
     nsga2_select,
     sms_emoa_select,
 )
+from .rules import check_fields, choice, integer, text, token, url
 
 logger = logging.getLogger(__name__)
 
@@ -84,26 +85,19 @@ DEFAULT_SEED_PROMPTS = tuple(
 
 @dataclass(frozen=True)
 class BackendConfig:
-    """Which backends a run talks to and how."""
+    """Which backends a run talks to and how. URLs and the token are checked
+    here for either kind, so a bad one fails when the config loads."""
 
-    kind: str = "mock"
+    kind: str = field(default="mock", metadata=choice(BACKEND_KINDS, name="backend"))
     llm: LlmSettings = field(default_factory=LlmSettings)
-    llm_base_url: str | None = None
-    classifier_base_url: str | None = None
-    classifier_token: str | None = None
+    llm_base_url: str | None = field(default=None, metadata=url("llm.base_url"))
+    classifier_base_url: str | None = field(default=None, metadata=url("classifier.base_url"))
+    classifier_token: str | None = field(default=None, metadata=token("classifier.token"))
     policy: BackendPolicy = field(default_factory=BackendPolicy)
-    lexicon_file: str | None = None
+    lexicon_file: str | None = field(default=None, metadata=text(optional=True))
 
     def __post_init__(self) -> None:
-        if self.kind not in BACKEND_KINDS:
-            raise ValueError(f"backend kind must be one of {BACKEND_KINDS}, got {self.kind!r}")
-        for name, value in (
-            ("llm.base_url", self.llm_base_url),
-            ("classifier.base_url", self.classifier_base_url),
-            ("classifier.token", self.classifier_token),
-        ):
-            if value is not None and not isinstance(value, str):
-                raise ValueError(f"{name} must be a string, got {value!r}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -111,39 +105,22 @@ class RunConfig:
     """Everything a run needs, with defaults matching the reference setup."""
 
     pair: ObjectivePair
-    mu: int = 10
-    lam: int = 20
-    generations: int = 30
-    repetitions: int = 10
-    selector: str = "nsga2"
-    hv_mode: str = "greedy"
-    seed: int = 0
+    mu: int = field(default=10, metadata=integer(1))
+    lam: int = field(default=20, metadata=integer(0, name="lambda"))
+    generations: int = field(default=30, metadata=integer(1))
+    repetitions: int = field(default=10, metadata=integer(1))
+    selector: str = field(default="nsga2", metadata=choice(SELECTORS))
+    hv_mode: str = field(default="greedy", metadata=choice(HV_MODES))
+    seed: int = field(default=0, metadata=integer())
     seed_prompts: tuple[Prompt, ...] = DEFAULT_SEED_PROMPTS
     backend: BackendConfig = field(default_factory=BackendConfig)
-    out_dir: str = "runs"
+    out_dir: str = field(default="runs", metadata=text())
     operators: variation.OperatorSuite = field(default_factory=variation.OperatorSuite)
 
     def __post_init__(self) -> None:
-        for name, value in (
-            ("mu", self.mu), ("lambda", self.lam), ("generations", self.generations),
-            ("repetitions", self.repetitions), ("seed", self.seed),
-        ):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.mu < 1:
-            raise ValueError("mu must be >= 1")
-        if self.lam < 0:
-            raise ValueError("lambda must be >= 0")
+        check_fields(self)
         if self.lam > 0 and self.mu < 2:
             raise ValueError("mu must be >= 2 when lambda > 0 (crossover needs two parents)")
-        if self.generations < 1:
-            raise ValueError("generations must be >= 1")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.selector not in SELECTORS:
-            raise ValueError(f"selector must be one of {SELECTORS}, got {self.selector!r}")
-        if self.hv_mode not in HV_MODES:
-            raise ValueError(f"hv_mode must be one of {HV_MODES}, got {self.hv_mode!r}")
         if len(self.seed_prompts) < self.mu:
             raise ValueError(
                 f"need at least mu={self.mu} seed prompts, got {len(self.seed_prompts)}"
@@ -359,6 +336,10 @@ def step(
     return population, _record(generation, population, offspring)
 
 
+# every OperatorRecord field, in the order a record is written
+_TRACE_KEYS = ("kind", "instruction_id", "fallback", "raw_output")
+
+
 def individual_to_dict(ind: Individual) -> dict:
     return {
         "id": ind.id,
@@ -370,13 +351,7 @@ def individual_to_dict(ind: Individual) -> dict:
         "contribution": ind.contribution,
         "parent_ids": list(ind.parent_ids),
         "operator_trace": [
-            {
-                "kind": record.kind,
-                "instruction_id": record.instruction_id,
-                "fallback": record.fallback,
-                "raw_output": record.raw_output,
-            }
-            for record in ind.operator_trace
+            {key: getattr(record, key) for key in _TRACE_KEYS} for record in ind.operator_trace
         ],
     }
 
@@ -388,15 +363,7 @@ def individual_from_dict(data: dict) -> Individual:
         fitness=FitnessPoint(*data["fitness"]),
         id=data["id"],
         parent_ids=tuple(data["parent_ids"]),
-        operator_trace=tuple(
-            OperatorRecord(
-                kind=r["kind"],
-                instruction_id=r.get("instruction_id"),
-                fallback=r.get("fallback", False),
-                raw_output=r.get("raw_output", ""),
-            )
-            for r in data.get("operator_trace", ())
-        ),
+        operator_trace=tuple(OperatorRecord(**r) for r in data.get("operator_trace", ())),
         rank=data.get("rank"),
         crowding=data.get("crowding"),
         contribution=data.get("contribution"),
@@ -469,7 +436,11 @@ def _write_pareto_front(
         "repetition": repetition,
         "individuals": [individual_to_dict(final[i]) for i in front0],
     }
-    with open(rep_dir / "pareto_front.json", "w", encoding="utf-8", newline="\n") as handle:
+    _write_json(rep_dir / "pareto_front.json", payload)
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(payload, handle, ensure_ascii=False, indent=2)
         handle.write("\n")
 
@@ -581,6 +552,4 @@ def _write_summary(run_dir: Path, config: RunConfig, summary: RunSummary) -> Non
         "final": summary.final_stats,
         "running_max": summary.running_max_stats,
     }
-    with open(run_dir / "summary.json", "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(payload, handle, ensure_ascii=False, indent=2)
-        handle.write("\n")
+    _write_json(run_dir / "summary.json", payload)

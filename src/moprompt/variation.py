@@ -11,7 +11,7 @@ marks the step in the returned trace record.
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import logging
 import re
 import string
@@ -19,13 +19,13 @@ from dataclasses import dataclass
 
 from .backends import (
     BackendError,
-    CLASSIFIER_TOKEN_BUDGET,
     GenerationRequest,
     LlmSettings,
     TextGenerationBackend,
     truncate_to_token_budget,
 )
 from .domain import MAX_PROMPT_CHARS, GeneratedText, OperatorRecord, Prompt
+from .rules import read_json_object
 
 logger = logging.getLogger(__name__)
 
@@ -157,12 +157,9 @@ class OperatorSuite:
     mutation_instructions: tuple[MutationInstruction, ...] = DEFAULT_MUTATION_INSTRUCTIONS
 
     def __post_init__(self) -> None:
-        if self.crossover.kind != "crossover":
-            raise ValueError("crossover slot holds a non-crossover template")
-        if self.mutation.kind != "mutation":
-            raise ValueError("mutation slot holds a non-mutation template")
-        if self.generation.kind != "generation":
-            raise ValueError("generation slot holds a non-generation template")
+        for kind in _KIND_PLACEHOLDERS:
+            if getattr(self, kind).kind != kind:
+                raise ValueError(f"{kind} slot holds a non-{kind} template")
         if not self.mutation_instructions:
             raise ValueError("at least one mutation instruction is required")
         ids = [instr.id for instr in self.mutation_instructions]
@@ -180,25 +177,12 @@ def load_operator_suite(path) -> OperatorSuite:
     out keep their built-in defaults; unknown keys are errors. Every problem
     with the file is a ValueError.
     """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            raw = json.load(handle)
-    except OSError as exc:
-        raise ValueError(f"cannot read operators file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"operators file is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValueError("operators file must hold a JSON object")
-    known = {"crossover", "mutation", "generation", "mutation_instructions"}
-    unknown = set(raw) - known
+    raw = read_json_object(path, "operators file")
+    unknown = set(raw) - {spec.name for spec in dataclasses.fields(OperatorSuite)}
     if unknown:
         raise ValueError(f"unknown operator file keys: {sorted(unknown)}")
-    defaults = OperatorSuite()
-    templates = {}
-    for kind in ("crossover", "mutation", "generation"):
-        if kind not in raw:
-            templates[kind] = getattr(defaults, kind)
-            continue
+    given = {}
+    for kind in (kind for kind in _KIND_PLACEHOLDERS if kind in raw):
         section = raw[kind]
         if not isinstance(section, dict):
             raise ValueError(f"{kind} template must be a JSON object")
@@ -212,13 +196,9 @@ def load_operator_suite(path) -> OperatorSuite:
         examples = section.get("few_shot_examples", [])
         if not isinstance(examples, list) or not all(map(_is_string_pair, examples)):
             raise ValueError(f"{kind} few_shot_examples must be a list of [user, response] strings")
-        templates[kind] = OperatorTemplate(
-            kind=kind,
-            body_template=section["body_template"],
-            system_instruction=section.get("system_instruction", ""),
-            few_shot_examples=tuple(tuple(pair) for pair in examples),
+        given[kind] = OperatorTemplate(
+            kind=kind, **dict(section, few_shot_examples=tuple(map(tuple, examples)))
         )
-    instructions = defaults.mutation_instructions
     if "mutation_instructions" in raw:
         items = raw["mutation_instructions"]
         if not isinstance(items, list) or not all(
@@ -226,15 +206,10 @@ def load_operator_suite(path) -> OperatorSuite:
             for item in items
         ):
             raise ValueError('mutation_instructions must be a list of {"id", "text"} strings')
-        instructions = tuple(
+        given["mutation_instructions"] = tuple(
             MutationInstruction(id=item["id"], text=item["text"]) for item in items
         )
-    return OperatorSuite(
-        crossover=templates["crossover"],
-        mutation=templates["mutation"],
-        generation=templates["generation"],
-        mutation_instructions=instructions,
-    )
+    return dataclasses.replace(OperatorSuite(), **given)
 
 
 def _is_string_pair(value) -> bool:
@@ -297,14 +272,33 @@ def clean_completion(raw: str, max_chars: int = MAX_PROMPT_CHARS) -> str:
     return text.strip()
 
 
-def _request(
-    template: OperatorTemplate, slots: dict[str, str], llm: LlmSettings
-) -> GenerationRequest:
-    return GenerationRequest(
+def _apply(kind: str, template: OperatorTemplate, slots: dict[str, str], backend,
+           llm: LlmSettings | None, result, fallback, note: str, **record):
+    """The shared path of the three operators: render template with slots,
+    ask the backend, and turn the reply into a value with result. When the
+    backend fails, or result returns None for an unusable reply, the value is
+    fallback() and the record is marked; note says what the fallback does.
+    record holds further OperatorRecord fields."""
+    request = GenerationRequest(
         prompt_body=render_prompt_body(template, slots),
         system=template.system_instruction,
-        llm=llm,
+        llm=llm or LlmSettings(),
     )
+    raw = ""
+    try:
+        raw = backend.complete(request)
+        value = result(raw)
+        if value is not None:
+            return value, OperatorRecord(kind=kind, raw_output=raw, **record)
+    except BackendError as exc:
+        logger.warning("%s backend failed, %s: %s", kind, note, exc)
+    logger.info("variation_fallback %s", kind)
+    return fallback(), OperatorRecord(kind=kind, raw_output=raw, fallback=True, **record)
+
+
+def _cleaned_prompt(raw: str) -> Prompt | None:
+    cleaned = clean_completion(raw)
+    return Prompt(cleaned) if cleaned else None
 
 
 def crossover(
@@ -319,24 +313,11 @@ def crossover(
     On backend failure or an unusable completion the child is a copy of the
     lexicographically first parent and the trace marks the fallback.
     """
-    suite = suite or OperatorSuite()
-    llm = llm or LlmSettings()
-    request = _request(
-        suite.crossover,
-        {"parent_a": parent_a.text, "parent_b": parent_b.text},
-        llm,
+    return _apply(
+        "crossover", (suite or OperatorSuite()).crossover,
+        {"parent_a": parent_a.text, "parent_b": parent_b.text}, backend, llm, _cleaned_prompt,
+        lambda: Prompt(min(parent_a.text, parent_b.text)), "copying a parent",
     )
-    raw = ""
-    try:
-        raw = backend.complete(request)
-        cleaned = clean_completion(raw)
-        if cleaned:
-            return Prompt(cleaned), OperatorRecord(kind="crossover", raw_output=raw)
-    except BackendError as exc:
-        logger.warning("crossover backend failed, copying a parent: %s", exc)
-    fallback = min(parent_a.text, parent_b.text)
-    logger.info("variation_fallback crossover")
-    return Prompt(fallback), OperatorRecord(kind="crossover", raw_output=raw, fallback=True)
 
 
 def mutate(
@@ -352,26 +333,11 @@ def mutate(
     unchanged and the trace marks the fallback.
     """
     suite = suite or OperatorSuite()
-    llm = llm or LlmSettings()
     instruction = suite.mutation_instructions[rng.randrange(len(suite.mutation_instructions))]
-    request = _request(
-        suite.mutation,
-        {"mutation_prompt": instruction.text, "prompt": prompt.text},
-        llm,
-    )
-    raw = ""
-    try:
-        raw = backend.complete(request)
-        cleaned = clean_completion(raw)
-        if cleaned:
-            return Prompt(cleaned), OperatorRecord(
-                kind="mutation", raw_output=raw, instruction_id=instruction.id
-            )
-    except BackendError as exc:
-        logger.warning("mutation backend failed, keeping prompt: %s", exc)
-    logger.info("variation_fallback mutation")
-    return Prompt(prompt.text), OperatorRecord(
-        kind="mutation", raw_output=raw, instruction_id=instruction.id, fallback=True
+    return _apply(
+        "mutation", suite.mutation, {"mutation_prompt": instruction.text, "prompt": prompt.text},
+        backend, llm, _cleaned_prompt, lambda: Prompt(prompt.text), "keeping prompt",
+        instruction_id=instruction.id,
     )
 
 
@@ -384,13 +350,8 @@ def generate_text(
     """Produce the story text for a prompt, truncated to the evaluator's
     token budget. Backend failure yields empty text plus a fallback record;
     the empty text still gets evaluated downstream."""
-    suite = suite or OperatorSuite()
-    llm = llm or LlmSettings()
-    request = _request(suite.generation, {"prompt": prompt.text}, llm)
-    try:
-        raw = backend.complete(request)
-    except BackendError as exc:
-        logger.warning("generation backend failed, scoring empty text: %s", exc)
-        return GeneratedText(""), OperatorRecord(kind="generation", fallback=True)
-    truncated = truncate_to_token_budget(raw.strip(), CLASSIFIER_TOKEN_BUDGET)
-    return GeneratedText(truncated), OperatorRecord(kind="generation", raw_output=raw)
+    return _apply(
+        "generation", (suite or OperatorSuite()).generation, {"prompt": prompt.text}, backend,
+        llm, lambda raw: GeneratedText(truncate_to_token_budget(raw.strip())),
+        lambda: GeneratedText(""), "scoring empty text",
+    )

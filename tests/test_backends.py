@@ -462,9 +462,10 @@ def test_ollama_client_exhausts_retries():
 def test_ollama_client_does_not_retry_a_client_error():
     with StubServer([(400, {"error": "bad request"})]) as server:
         policy = BackendPolicy(max_retries=2, backoff=0.0)
-        with pytest.raises(BackendError, match="400"):
+        with pytest.raises(BackendError, match="400") as info:
             OllamaClient(server.url, policy).complete(GenerationRequest("hi"))
     assert len(server.seen) == 1
+    assert '"error": "bad request"' in str(info.value)  # the server's own reason
 
 
 def test_ollama_client_retries_too_many_requests():
@@ -682,17 +683,28 @@ def echo_prompt(path, body):
     return 200, {"response": body["prompt"]}
 
 
+# an unclosed socket warns only when it is collected, inside a finalizer, so
+# the warning reaches pytest as an unraisable exception, not as a warning
+CLOSES_ITS_SOCKETS = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
+
+
+@CLOSES_ITS_SOCKETS
 def test_sequential_calls_share_one_connection():
-    with StubServer(echo_prompt, http11=True) as server:
-        client = OllamaClient(server.url, BackendPolicy(max_retries=0))
+    with StubServer(echo_prompt, http11=True) as server, contextlib.closing(
+        OllamaClient(server.url, BackendPolicy(max_retries=0))
+    ) as client:
         replies = [client.complete(GenerationRequest(f"call {i}")) for i in range(10)]
     assert replies == [f"call {i}" for i in range(10)]
     assert server.connections == 1
 
 
+@CLOSES_ITS_SOCKETS
 def test_concurrent_calls_hold_one_connection_per_slot():
-    with StubServer(echo_prompt, delay=0.05, http11=True) as server:
-        client = OllamaClient(server.url, BackendPolicy(max_concurrent_requests=2, max_retries=0))
+    with StubServer(echo_prompt, delay=0.05, http11=True) as server, contextlib.closing(
+        OllamaClient(server.url, BackendPolicy(max_concurrent_requests=2, max_retries=0))
+    ) as client:
         results = []
 
         def worker(i):
@@ -708,9 +720,11 @@ def test_concurrent_calls_hold_one_connection_per_slot():
     assert 1 <= server.connections <= 2
 
 
+@CLOSES_ITS_SOCKETS
 def test_a_connection_the_server_closed_is_reopened_within_the_attempt():
-    with StubServer(echo_prompt, http11=True, idle_timeout=0.05) as server:
-        client = OllamaClient(server.url, BackendPolicy(max_retries=0))
+    with StubServer(echo_prompt, http11=True, idle_timeout=0.05) as server, contextlib.closing(
+        OllamaClient(server.url, BackendPolicy(max_retries=0))
+    ) as client:
         assert client.complete(GenerationRequest("first")) == "first"
         time.sleep(0.5)  # the server closes the idle connection meanwhile
         assert client.complete(GenerationRequest("second")) == "second"
@@ -718,9 +732,11 @@ def test_a_connection_the_server_closed_is_reopened_within_the_attempt():
     assert server.connections == 2
 
 
+@CLOSES_ITS_SOCKETS
 def test_a_late_reply_is_never_read_as_the_next_calls_reply():
-    with StubServer(echo_prompt, delay=1.0, http11=True) as server:
-        client = OllamaClient(server.url, BackendPolicy(timeout=0.3, max_retries=0))
+    with StubServer(echo_prompt, delay=1.0, http11=True) as server, contextlib.closing(
+        OllamaClient(server.url, BackendPolicy(timeout=0.3, max_retries=0))
+    ) as client:
         with pytest.raises(BackendError, match="timed out"):
             client.complete(GenerationRequest("first"))
         server.delay = 0.0
@@ -728,12 +744,14 @@ def test_a_late_reply_is_never_read_as_the_next_calls_reply():
     assert server.connections == 2
 
 
+@CLOSES_ITS_SOCKETS
 @pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="needs TCP_QUICKACK")
 def test_a_server_with_nagle_on_does_not_stall_a_kept_alive_connection():
     # the stub writes headers and body separately without TCP_NODELAY; with
     # delayed ACKs each reply on a reused connection would wait about 40 ms
-    with StubServer([(200, {"response": "ok"})], http11=True) as server:
-        client = OllamaClient(server.url, BackendPolicy(max_retries=0))
+    with StubServer([(200, {"response": "ok"})], http11=True) as server, contextlib.closing(
+        OllamaClient(server.url, BackendPolicy(max_retries=0))
+    ) as client:
         start = time.perf_counter()
         for _ in range(20):
             client.complete(GenerationRequest("hi"))

@@ -3,11 +3,17 @@
 import json
 import re
 import shlex
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from moprompt.cli import build_parser, load_config, main
+from moprompt import cli
+from moprompt.backends import Backends, MockEmotionClassifier, MockTextGenerator
+from moprompt.cli import ConfigError, build_parser, load_config, main
+from moprompt.runner import RunConfig
 from moprompt.variation import OperatorSuite
 
 DIAGONAL_ROWS = "f1,f2\n" + "".join(f"{k / 9!r},{1 - k / 9!r}\n" for k in range(10))
@@ -128,6 +134,21 @@ def test_run_keeps_exit_1_when_no_repetition_can_write(tmp_path, capsys):
     )
     assert code == 1
     assert "rep 0 failed: " in out
+
+
+def test_run_closes_its_backends(tmp_path, capsys, monkeypatch):
+    closed = []
+
+    class ClosingGenerator(MockTextGenerator):
+        def close(self):
+            closed.append(self)
+
+    monkeypatch.setattr(cli, "build_backends", lambda config: Backends(
+        generator=ClosingGenerator(config.seed), classifier=MockEmotionClassifier()))
+    code, _, _ = run_cli(capsys, "run", "--pair", "joy:fear", "--reps", "1", "--gens", "1",
+                         "--out", str(tmp_path), "--quiet")
+    assert code == 0
+    assert len(closed) == 1
 
 
 def test_run_requires_a_pair(capsys):
@@ -378,6 +399,96 @@ def test_run_rejects_a_token_that_cannot_be_a_header_value(tmp_path, capsys, mon
     assert not (tmp_path / "runs").exists()
 
 
+# values that once loaded silently: an empty path, URL, model or token, a URL
+# that is checked for every backend kind, numbers no float can hold
+SILENTLY_ACCEPTED = {
+    "operators_file": ({"operators_file": ""}, "operators_file must not be empty"),
+    "lexicon_file": ({"lexicon_file": ""}, "lexicon_file must not be empty"),
+    "out_dir": ({"out_dir": ""}, "out_dir must not be empty"),
+    "llm.base_url": ({"llm": {"base_url": ""}}, "llm.base_url must not be empty"),
+    "classifier.token": ({"classifier": {"token": ""}}, "classifier.token must not be empty"),
+    "llm.model": ({"llm": {"model": ""}}, "model must not be empty"),
+    "mock backend URL": (
+        {"backend": "mock", "llm": {"base_url": "ftp://nowhere"}},
+        "llm.base_url must be an http:// or https:// URL with a host, got 'ftp://nowhere'",
+    ),
+    "huge timeout": ({"policy": {"timeout": 10**400}}, "timeout must be a finite number"),
+    "huge temperature": ({"llm": {"temperature": 10**400}}, "temperature must be a finite number"),
+}
+
+
+@pytest.mark.parametrize(
+    "fields, message", SILENTLY_ACCEPTED.values(), ids=SILENTLY_ACCEPTED
+)
+def test_run_rejects_values_that_once_loaded_silently(tmp_path, capsys, monkeypatch, fields,
+                                                     message):
+    monkeypatch.chdir(tmp_path)  # where the default or an empty out_dir would write
+    monkeypatch.setenv("EMO_LLM_URL", "http://127.0.0.1:1")
+    monkeypatch.setenv("EMO_CLF_TOKEN", "from-the-environment")
+    (tmp_path / "config.json").write_text(json.dumps({"pair": "love:anger", **fields}))
+    code, _, err = run_cli(capsys, "run", "--config", "config.json")
+    assert code == 2
+    assert f"error: {message}" in err
+    assert "Traceback" not in err
+    assert [path.name for path in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_run_names_a_lexicon_file_that_is_not_json(tmp_path, capsys):
+    lexicon = tmp_path / "lex.json"
+    lexicon.write_text("{joy: [delight]}")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"pair": "joy:fear", "lexicon_file": str(lexicon)}))
+    code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert "error: lexicon file is not valid JSON: Expecting property name" in err
+    assert not (tmp_path / "runs").exists()
+
+
+# every key a config file may hold, as "section.key" inside a section
+CONFIG_PATHS = (
+    "pair", "mu", "lambda", "generations", "repetitions", "selector", "hv_mode", "seed",
+    "seed_prompts", "backend", "out_dir", "operators_file", "lexicon_file", "llm", "classifier",
+    "policy", "llm.model", "llm.base_url", "llm.temperature", "llm.context_window",
+    "llm.max_output_tokens", "classifier.base_url", "classifier.token", "policy.timeout",
+    "policy.max_retries", "policy.backoff", "policy.max_concurrent_requests", "unknown",
+)
+# mistyped and edge values: huge ints, NaN and infinities, empty strings, wrong types
+EDGE_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 30),
+    st.integers(min_value=2**1024, max_value=10**401), st.integers(max_value=-(2**1024)),
+    st.floats(), st.sampled_from(["", " ", "love:anger", "sms-emoa", "exact", "live",
+                                  "http://127.0.0.1:1", "ftp://nowhere", "a\nb"]),
+    st.text(max_size=8), st.lists(st.text(max_size=4), max_size=12),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def config_objects(draw):
+    """A valid config with one to three keys set to edge values."""
+    raw = {"pair": "love:anger"}
+    for path in draw(st.lists(st.sampled_from(CONFIG_PATHS), min_size=1, max_size=3,
+                              unique=True)):
+        section, _, key = path.rpartition(".")
+        target = raw.setdefault(section, {}) if section else raw
+        if isinstance(target, dict):
+            target[key] = draw(EDGE_VALUES)
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(config_objects())
+def test_any_json_object_loads_or_is_a_config_error(raw):
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "config.json"
+        path.write_text(json.dumps(raw))
+        try:
+            config = load_config(str(path), {})
+        except ConfigError:
+            return
+    assert isinstance(config, RunConfig)
+
+
 # hv command
 
 
@@ -491,6 +602,15 @@ def test_report_lists_unreadable_files(finished_runs, capsys):
 def test_report_lists_wrong_shaped_files(finished_runs, capsys, name, content):
     target = finished_runs / "joy_vs_fear" / "nsga2" / name
     target.write_text(content)
+    code, _, err = run_cli(capsys, "report", "--run", str(finished_runs))
+    assert code == 1
+    assert "unreadable run data" in err
+    assert str(target) in err
+
+
+def test_report_lists_a_summary_that_is_not_utf8(finished_runs, capsys):
+    target = finished_runs / "joy_vs_fear" / "nsga2" / "summary.json"
+    target.write_bytes(b'{"results": "\xff"}\n')
     code, _, err = run_cli(capsys, "report", "--run", str(finished_runs))
     assert code == 1
     assert "unreadable run data" in err

@@ -62,6 +62,22 @@ moprompt.report.load_run(Path(summary.out_dir))
     assert loaded_http_modules(script, str(tmp_path)) == []
 
 
+def test_loading_a_live_config_loads_no_http_stack(tmp_path):
+    # the URLs and the token are checked when the config loads, without the clients
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "pair": "love:anger", "backend": "live",
+        "llm": {"base_url": "http://127.0.0.1:1"},
+        "classifier": {"base_url": "https://127.0.0.1:1/classify", "token": "tok"},
+    }))
+    script = """
+import sys
+from moprompt.cli import load_config
+assert load_config(sys.argv[1], {}).backend.kind == "live"
+"""
+    assert loaded_http_modules(script, str(config)) == []
+
+
 def test_live_backends_load_the_http_stack():
     # building the clients sends no request, so nothing need listen on the port
     script = """
