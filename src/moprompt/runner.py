@@ -336,10 +336,6 @@ def step(
     return population, _record(generation, population, offspring)
 
 
-# every OperatorRecord field, in the order a record is written
-_TRACE_KEYS = ("kind", "instruction_id", "fallback", "raw_output")
-
-
 def individual_to_dict(ind: Individual) -> dict:
     return {
         "id": ind.id,
@@ -351,7 +347,13 @@ def individual_to_dict(ind: Individual) -> dict:
         "contribution": ind.contribution,
         "parent_ids": list(ind.parent_ids),
         "operator_trace": [
-            {key: getattr(record, key) for key in _TRACE_KEYS} for record in ind.operator_trace
+            {
+                "kind": record.kind,
+                "instruction_id": record.instruction_id,
+                "fallback": record.fallback,
+                "raw_output": record.raw_output,
+            }
+            for record in ind.operator_trace
         ],
     }
 
@@ -363,6 +365,7 @@ def individual_from_dict(data: dict) -> Individual:
         fitness=FitnessPoint(*data["fitness"]),
         id=data["id"],
         parent_ids=tuple(data["parent_ids"]),
+        # individual_to_dict writes every OperatorRecord field
         operator_trace=tuple(OperatorRecord(**r) for r in data.get("operator_trace", ())),
         rank=data.get("rank"),
         crowding=data.get("crowding"),
