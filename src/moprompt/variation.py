@@ -182,7 +182,7 @@ def load_operator_suite(path) -> OperatorSuite:
     if unknown:
         raise ValueError(f"unknown operator file keys: {sorted(unknown)}")
     given = {}
-    for kind in (kind for kind in _KIND_PLACEHOLDERS if kind in raw):
+    for kind in [k for k in _KIND_PLACEHOLDERS if k in raw]:
         section = raw[kind]
         if not isinstance(section, dict):
             raise ValueError(f"{kind} template must be a JSON object")
