@@ -16,6 +16,7 @@ import random
 import re
 from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
+from threading import TIMEOUT_MAX
 from typing import Protocol
 
 from .domain import EmotionLabel, EmotionScores, GeneratedText
@@ -36,13 +37,19 @@ class BackendError(RuntimeError):
     repeat, after exhausting its retries for a transient one."""
 
 
+class BackendRejected(BackendError):
+    """Raised for a reply status that is not retried (a 3xx, or a 4xx other than 429).
+    Every later request would be refused too, so the repetition fails."""
+
+
 @dataclass(frozen=True)
 class BackendPolicy:
     """Retry and concurrency behavior for a backend client."""
 
-    timeout: float = field(default=30.0, metadata=number(positive=True))
+    # a socket timeout past TIMEOUT_MAX overflows, as does a sleep whose deadline passes it
+    timeout: float = field(default=30.0, metadata=number(positive=True, high=TIMEOUT_MAX))
     max_retries: int = field(default=2, metadata=integer(0))
-    backoff: float = field(default=0.5, metadata=number())
+    backoff: float = field(default=0.5, metadata=number(high=TIMEOUT_MAX / 2))
     max_concurrent_requests: int = field(default=4, metadata=integer(1))
 
     def __post_init__(self) -> None:

@@ -21,10 +21,11 @@ from .backends import BackendPolicy, LlmSettings
 from .domain import FitnessPoint, ObjectivePair, Prompt
 from .moea import DEFAULT_REFERENCE, hv_subset_select, hypervolume_2d
 from .report import ReportError, discover_runs, load_run
-from .rules import check, read_json_object, strings, text
+from .rules import check, read_json_object, section, strings, text
 from .runner import (
     BACKEND_KINDS,
     HV_MODES,
+    SELECTORS,
     BackendConfig,
     RunConfig,
     build_backends,
@@ -35,16 +36,6 @@ from .variation import OperatorSuite, load_operator_suite
 
 class ConfigError(ValueError):
     pass
-
-
-def _take(section: dict, known: tuple[str, ...], where: str) -> dict:
-    """Copy a config section, rejecting keys outside known."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} section must be a JSON object")
-    unknown = set(section) - set(known)
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {', '.join(sorted(unknown))}")
-    return dict(section)
 
 
 _TOP_LEVEL_KEYS = (
@@ -70,9 +61,9 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     """
     try:
         raw = read_json_object(path, "config file") if path is not None else {}
-        fields = _take(raw, _TOP_LEVEL_KEYS, "config")
+        fields = section(raw, _TOP_LEVEL_KEYS, "config")
         llm, classifier, policy = (
-            _take(fields.pop(name, {}), keys, name) for name, keys in _SECTION_KEYS.items()
+            section(fields.pop(name, {}), keys, name) for name, keys in _SECTION_KEYS.items()
         )
         fields.update({k: v for k, v in overrides.items() if v is not None})
         if fields.get("pair") is None:
@@ -299,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--config", help="JSON config file")
     run_parser.add_argument("--backend", choices=BACKEND_KINDS)
     run_parser.add_argument("--pair", help="objective pair, e.g. love:anger")
-    run_parser.add_argument("--selector", choices=["nsga2", "sms-emoa", "sms_emoa"])
+    run_parser.add_argument("--selector", choices=(*SELECTORS, "sms-emoa"))
     run_parser.add_argument("--hv-mode", choices=HV_MODES, dest="hv_mode")
     run_parser.add_argument("--seed", type=int)
     run_parser.add_argument("--out", dest="out_dir", help="output directory")

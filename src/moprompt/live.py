@@ -26,7 +26,8 @@ import urllib.error
 import urllib.parse
 import urllib.request
 
-from .backends import BackendError, BackendPolicy, GenerationRequest, truncate_to_token_budget
+from .backends import (BackendError, BackendPolicy, BackendRejected, GenerationRequest,
+                       truncate_to_token_budget)
 from .domain import EmotionLabel, EmotionScores, GeneratedText
 from .rules import check_base_url, check_token
 
@@ -54,8 +55,9 @@ def _call_with_retries(policy: BackendPolicy, attempt, describe: str):
         try:
             return attempt()
         except (OSError, http.client.HTTPException, ValueError, KeyError, TypeError) as exc:
-            if not _is_transient(exc):
-                raise BackendError(f"{describe} failed: {exc}") from exc
+            if not _is_transient(exc):  # a refused status, or a malformed reply
+                cls = BackendRejected if isinstance(exc, urllib.error.HTTPError) else BackendError
+                raise cls(f"{describe} failed: {exc}") from exc
             if attempt_index == policy.max_retries:
                 raise BackendError(
                     f"{describe} failed after {policy.max_retries + 1} attempts: {exc}"

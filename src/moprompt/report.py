@@ -52,9 +52,7 @@ class RunReport:
 
     problem: str
     selector: str
-    run_dir: str
     curves: tuple[RepetitionCurve, ...]
-    summary: dict
 
     @property
     def final_stats(self) -> dict:
@@ -146,7 +144,5 @@ def load_run(run_dir: Path) -> RunReport:
     return RunReport(
         problem=summary.get("pair", run_dir.parent.name),
         selector=summary.get("selector", run_dir.name),
-        run_dir=str(run_dir),
         curves=tuple(curves),
-        summary=summary,
     )

@@ -4,8 +4,9 @@ A config dataclass gives each field its rule in the field's metadata, as in
 `mu: int = field(default=10, metadata=integer(1))`, and calls
 `check_fields(self)`. The config keys that `load_config` converts before a
 dataclass sees them apply their rule there with `check`. A rule may carry
-the field's name in the config file (`lambda`, `llm.base_url`). Only the
-standard library is imported, so checking a config loads no HTTP code.
+the field's name in the config file (`lambda`, `llm.base_url`). `section`
+and `build` read a JSON object by the same rules. Only the standard
+library is imported, so checking a config loads no HTTP code.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import json
 import sys
 import urllib.parse
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 
 def integer(low: int | None = None, name: str | None = None) -> dict:
@@ -29,8 +30,8 @@ def integer(low: int | None = None, name: str | None = None) -> dict:
     return {"problem": problem, "name": name}
 
 
-def number(positive: bool = False) -> dict:
-    """A finite int or float, not a bool: > 0 when positive, else >= 0."""
+def number(positive: bool = False, high: float = sys.float_info.max) -> dict:
+    """A finite int or float, not a bool, at most high: > 0 when positive, else >= 0."""
 
     def problem(value):
         real = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -39,20 +40,22 @@ def number(positive: bool = False) -> dict:
             return f"must be a finite number, got {value!r}"
         if value < 0 or (positive and value == 0):
             return f"must be a {'positive' if positive else 'non-negative'} number, got {value!r}"
+        if value > high:
+            return f"must be at most {high!r}, got {value!r}"
         return None
 
     return {"problem": problem, "name": None}
 
 
-def text(optional: bool = False, name: str | None = None, then=None) -> dict:
-    """A non-empty string, or None when optional, in which then finds no problem."""
+def text(optional: bool = False, name: str | None = None, then=None, empty: bool = False) -> dict:
+    """A string, non-empty unless empty, or None when optional, in which then finds no problem."""
 
     def problem(value):
         if value is None and optional:
             return None
         if not isinstance(value, str):
             return f"must be a string, got {value!r}"
-        if not value:
+        if not (value or empty):
             return "must not be empty"
         return then(value) if then else None
 
@@ -64,9 +67,19 @@ def choice(options: tuple[str, ...], name: str | None = None) -> dict:
                 else f"must be one of {options}, got {value!r}")
 
 
+def items(test=lambda item: True, what: str = "a list") -> dict:
+    """A list, or a tuple, each of whose items passes test."""
+    return {"problem": lambda value: None if isinstance(value, (list, tuple)) and all(
+        map(test, value)) else f"must be {what}", "name": None}
+
+
 def strings() -> dict:
-    return {"problem": lambda value: None if isinstance(value, list) and all(
-        isinstance(item, str) for item in value) else "must be a list of strings", "name": None}
+    return items(lambda item: isinstance(item, str), "a list of strings")
+
+
+def pairs() -> dict:
+    return items(lambda item: isinstance(item, (list, tuple)) and len(item) == 2 and all(
+        isinstance(part, str) for part in item), "a list of [user, response] string pairs")
 
 
 def _url_problem(url) -> str | None:
@@ -109,6 +122,28 @@ def check_fields(obj) -> None:
     for spec in fields(obj):
         if "problem" in spec.metadata:
             check(spec.metadata["name"] or spec.name, getattr(obj, spec.name), spec.metadata)
+
+
+def section(raw, known, where: str) -> dict:
+    """A copy of the JSON object raw, none of whose keys may fall outside known."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} section must be a JSON object")
+    unknown = set(raw) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {', '.join(sorted(unknown))}")
+    return dict(raw)
+
+
+def build(cls, raw, where: str):
+    """The dataclass cls made from the JSON object raw, a section of a file.
+    Each field of cls declares a rule; each that raw gives, or that has no
+    default, is checked by it and named where.field."""
+    given = section(raw, [spec.name for spec in fields(cls)], where)
+    for spec in fields(cls):
+        required = spec.default is MISSING and spec.default_factory is MISSING
+        if required or spec.name in given:
+            check(f"{where}.{spec.name}", given.get(spec.name), spec.metadata)
+    return cls(**given)
 
 
 def check_base_url(value, name: str) -> None:

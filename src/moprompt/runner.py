@@ -30,6 +30,7 @@ from . import variation
 from .backends import (
     BackendError,
     BackendPolicy,
+    BackendRejected,
     Backends,
     CLASSIFIER_TOKEN_ENV,
     CLASSIFIER_URL_ENV,
@@ -153,8 +154,6 @@ class RepetitionResult:
 
 @dataclass(frozen=True)
 class RunSummary:
-    pair: ObjectivePair
-    selector: str
     results: tuple[RepetitionResult, ...]
     final_stats: dict | None
     running_max_stats: dict | None
@@ -226,8 +225,9 @@ def initialize(
 
     Each seed prompt is generated from and scored once. Classifier failures
     here are unrecoverable and abort the run; a generation failure scores an
-    empty text like anywhere else. The founders are built like offspring:
-    on the pool when one is given, in seed-prompt order either way.
+    empty text like anywhere else, unless the request was refused. The
+    founders are built like offspring: on the pool when one is given, in
+    seed-prompt order either way.
     """
 
     def make(k: int) -> Individual:
@@ -264,8 +264,9 @@ def produce_offspring(
     (rng_seed, generation, offspring index), picks two distinct parents
     uniformly, and runs the crossover, mutation, generation, scoring
     pipeline. A scoring failure downgrades the offspring to fitness (0, 0)
-    instead of aborting. The pipelines are independent, so they run on the
-    pool when one is given; results keep offspring-index order either way.
+    instead of aborting, unless the request was refused (BackendRejected).
+    The pipelines are independent, so they run on the pool when one is
+    given; results keep offspring-index order either way.
     """
     if config.lam <= 0:
         return []
@@ -292,6 +293,8 @@ def produce_offspring(
         try:
             scores = backends.classifier.classify_emotions(text)
             fitness = extract_fitness(scores, config.pair)
+        except BackendRejected:
+            raise
         except BackendError as exc:
             logger.warning("eval_failed for offspring %d: %s", id_start + index, exc)
             fitness = FitnessPoint(0.0, 0.0)
@@ -502,8 +505,6 @@ def run_experiment(
     finals = [r.final_hypervolume for r in results if r.status == "ok"]
     maxima = [r.max_hypervolume for r in results if r.status == "ok"]
     summary = RunSummary(
-        pair=config.pair,
-        selector=config.selector,
         results=tuple(results),
         final_stats=_stats(finals) if finals else None,
         running_max_stats=_stats(maxima) if maxima else None,

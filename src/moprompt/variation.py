@@ -11,25 +11,26 @@ marks the step in the returned trace record.
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import re
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from .backends import (
     BackendError,
+    BackendRejected,
     GenerationRequest,
     LlmSettings,
     TextGenerationBackend,
     truncate_to_token_budget,
 )
 from .domain import MAX_PROMPT_CHARS, GeneratedText, OperatorRecord, Prompt
-from .rules import read_json_object
+from .rules import build, check, check_fields, items, pairs, read_json_object, section, text
 
 logger = logging.getLogger(__name__)
 
-_KIND_PLACEHOLDERS = {
+# the placeholders that the body of each operator slot's template uses
+_PLACEHOLDERS = {
     "crossover": {"parent_a", "parent_b"},
     "mutation": {"mutation_prompt", "prompt"},
     "generation": {"prompt"},
@@ -38,47 +39,33 @@ _KIND_PLACEHOLDERS = {
 
 @dataclass(frozen=True)
 class OperatorTemplate:
-    """A prompt template for one operator kind.
+    """A prompt template for one operator slot of an OperatorSuite, which
+    checks the body's placeholders against the slot. few_shot_examples are
+    user/response pairs rendered ahead of the instantiated body."""
 
-    body_template carries the placeholders for its kind (checked at
-    construction); few_shot_examples are user/response pairs rendered ahead
-    of the instantiated body.
-    """
-
-    kind: str
-    body_template: str
-    system_instruction: str = ""
-    few_shot_examples: tuple[tuple[str, str], ...] = ()
+    body_template: str = field(metadata=text())
+    system_instruction: str = field(default="", metadata=text(empty=True))
+    few_shot_examples: tuple[tuple[str, str], ...] = field(default=(), metadata=pairs())
 
     def __post_init__(self) -> None:
-        if self.kind not in _KIND_PLACEHOLDERS:
-            raise ValueError(f"unknown operator kind: {self.kind!r}")
-        found = {
-            name
-            for _, name, _, _ in string.Formatter().parse(self.body_template)
-            if name
-        }
-        expected = _KIND_PLACEHOLDERS[self.kind]
-        if found != expected:
-            raise ValueError(
-                f"{self.kind} template must use placeholders {sorted(expected)}, found {sorted(found)}"
-            )
+        check_fields(self)
+        # JSON gives the pairs as lists
+        object.__setattr__(self, "few_shot_examples", tuple(map(tuple, self.few_shot_examples)))
 
 
 @dataclass(frozen=True)
 class MutationInstruction:
     """One rewrite instruction the mutation operator can draw."""
 
-    id: str
-    text: str
+    id: str = field(metadata=text())
+    text: str = field(metadata=text(then=lambda value: None if value.strip() else
+                                    "must not be blank"))
 
     def __post_init__(self) -> None:
-        if not self.id or not self.text.strip():
-            raise ValueError("mutation instructions need an id and non-empty text")
+        check_fields(self)
 
 
 DEFAULT_CROSSOVER_TEMPLATE = OperatorTemplate(
-    kind="crossover",
     system_instruction=(
         "You combine two prompts into one better prompt. Use one sentence "
         "maximum, which is a instruction to generate text, and keep the "
@@ -93,7 +80,6 @@ DEFAULT_CROSSOVER_TEMPLATE = OperatorTemplate(
 )
 
 DEFAULT_MUTATION_TEMPLATE = OperatorTemplate(
-    kind="mutation",
     system_instruction=(
         "Use the following mutation prompt and the following prompt, to "
         "change the prompt and generate a better prompt. Use one sentence "
@@ -114,7 +100,6 @@ DEFAULT_MUTATION_TEMPLATE = OperatorTemplate(
 )
 
 DEFAULT_GENERATION_TEMPLATE = OperatorTemplate(
-    kind="generation",
     system_instruction=(
         "Follow the instruction and write a short story of at most three "
         "sentences. Output only the story."
@@ -157,9 +142,16 @@ class OperatorSuite:
     mutation_instructions: tuple[MutationInstruction, ...] = DEFAULT_MUTATION_INSTRUCTIONS
 
     def __post_init__(self) -> None:
-        for kind in _KIND_PLACEHOLDERS:
-            if getattr(self, kind).kind != kind:
-                raise ValueError(f"{kind} slot holds a non-{kind} template")
+        for slot, expected in _PLACEHOLDERS.items():
+            body = getattr(self, slot).body_template
+            try:  # each field as (name, format spec, conversion)
+                found = {part[1:] for part in string.Formatter().parse(body) if part[1] is not None}
+            except ValueError:  # an unmatched brace
+                found = None
+            # with plain fields of exactly these names, rendering cannot fail
+            if found != {(name, "", None) for name in expected}:
+                raise ValueError(f"{slot}.body_template must use the plain placeholders "
+                                 f"{sorted(expected)} and no others, got {body!r}")
         if not self.mutation_instructions:
             raise ValueError("at least one mutation instruction is required")
         ids = [instr.id for instr in self.mutation_instructions]
@@ -168,52 +160,22 @@ class OperatorSuite:
 
 
 def load_operator_suite(path) -> OperatorSuite:
-    """Read operator overrides from a JSON file.
-
-    Recognized top-level keys: crossover, mutation, generation (each an
-    object with a body_template string and optional system_instruction
-    string and few_shot_examples list of [user, response] string pairs), and
-    mutation_instructions (a list of {"id": str, "text": str}). Sections left
-    out keep their built-in defaults; unknown keys are errors. Every problem
-    with the file is a ValueError.
-    """
-    raw = read_json_object(path, "operators file")
-    unknown = set(raw) - {spec.name for spec in dataclasses.fields(OperatorSuite)}
-    if unknown:
-        raise ValueError(f"unknown operator file keys: {sorted(unknown)}")
-    given = {}
-    for kind in [k for k in _KIND_PLACEHOLDERS if k in raw]:
-        section = raw[kind]
-        if not isinstance(section, dict):
-            raise ValueError(f"{kind} template must be a JSON object")
-        extra = set(section) - {"body_template", "system_instruction", "few_shot_examples"}
-        if extra:
-            raise ValueError(f"unknown keys in {kind} template: {sorted(extra)}")
-        if not isinstance(section.get("body_template"), str):
-            raise ValueError(f"{kind} template needs a body_template string")
-        if not isinstance(section.get("system_instruction", ""), str):
-            raise ValueError(f"{kind} system_instruction must be a string")
-        examples = section.get("few_shot_examples", [])
-        if not isinstance(examples, list) or not all(map(_is_string_pair, examples)):
-            raise ValueError(f"{kind} few_shot_examples must be a list of [user, response] strings")
-        given[kind] = OperatorTemplate(
-            kind=kind, **dict(section, few_shot_examples=tuple(map(tuple, examples)))
-        )
+    """Read operator overrides from a JSON file: crossover, mutation and
+    generation hold the fields of OperatorTemplate, mutation_instructions a
+    list of objects with those of MutationInstruction. Sections left out keep
+    their defaults. Every problem with the file is a ValueError that names
+    the field by its place in the file, as in generation.body_template."""
+    raw = section(read_json_object(path, "operators file"),
+                  [spec.name for spec in fields(OperatorSuite)], "operators file")
+    given = {slot: build(OperatorTemplate, raw[slot], slot)
+             for slot in _PLACEHOLDERS if slot in raw}
     if "mutation_instructions" in raw:
-        items = raw["mutation_instructions"]
-        if not isinstance(items, list) or not all(
-            isinstance(item, dict) and all(isinstance(item.get(k), str) for k in ("id", "text"))
-            for item in items
-        ):
-            raise ValueError('mutation_instructions must be a list of {"id", "text"} strings')
         given["mutation_instructions"] = tuple(
-            MutationInstruction(id=item["id"], text=item["text"]) for item in items
+            build(MutationInstruction, item, f"mutation_instructions[{index}]")
+            for index, item in enumerate(
+                check("mutation_instructions", raw["mutation_instructions"], items()))
         )
-    return dataclasses.replace(OperatorSuite(), **given)
-
-
-def _is_string_pair(value) -> bool:
-    return isinstance(value, list) and len(value) == 2 and all(isinstance(v, str) for v in value)
+    return OperatorSuite(**given)
 
 
 def render_prompt_body(template: OperatorTemplate, slots: dict[str, str]) -> str:
@@ -272,13 +234,16 @@ def clean_completion(raw: str, max_chars: int = MAX_PROMPT_CHARS) -> str:
     return text.strip()
 
 
-def _apply(kind: str, template: OperatorTemplate, slots: dict[str, str], backend,
+def _apply(kind: str, suite: OperatorSuite | None, slots: dict[str, str], backend,
            llm: LlmSettings | None, result, fallback, note: str, **record):
-    """The shared path of the three operators: render template with slots,
-    ask the backend, and turn the reply into a value with result. When the
+    """The shared path of the three operators: render the template in the
+    suite's kind slot with slots, ask the backend, and turn the reply into a
+    value with result. When the
     backend fails, or result returns None for an unusable reply, the value is
     fallback() and the record is marked; note says what the fallback does.
-    record holds further OperatorRecord fields."""
+    A refused request (BackendRejected) propagates instead. record holds
+    further OperatorRecord fields."""
+    template = getattr(suite or OperatorSuite(), kind)
     request = GenerationRequest(
         prompt_body=render_prompt_body(template, slots),
         system=template.system_instruction,
@@ -290,6 +255,8 @@ def _apply(kind: str, template: OperatorTemplate, slots: dict[str, str], backend
         value = result(raw)
         if value is not None:
             return value, OperatorRecord(kind=kind, raw_output=raw, **record)
+    except BackendRejected:
+        raise
     except BackendError as exc:
         logger.warning("%s backend failed, %s: %s", kind, note, exc)
     logger.info("variation_fallback %s", kind)
@@ -314,9 +281,9 @@ def crossover(
     lexicographically first parent and the trace marks the fallback.
     """
     return _apply(
-        "crossover", (suite or OperatorSuite()).crossover,
-        {"parent_a": parent_a.text, "parent_b": parent_b.text}, backend, llm, _cleaned_prompt,
-        lambda: Prompt(min(parent_a.text, parent_b.text)), "copying a parent",
+        "crossover", suite, {"parent_a": parent_a.text, "parent_b": parent_b.text}, backend,
+        llm, _cleaned_prompt, lambda: Prompt(min(parent_a.text, parent_b.text)),
+        "copying a parent",
     )
 
 
@@ -335,7 +302,7 @@ def mutate(
     suite = suite or OperatorSuite()
     instruction = suite.mutation_instructions[rng.randrange(len(suite.mutation_instructions))]
     return _apply(
-        "mutation", suite.mutation, {"mutation_prompt": instruction.text, "prompt": prompt.text},
+        "mutation", suite, {"mutation_prompt": instruction.text, "prompt": prompt.text},
         backend, llm, _cleaned_prompt, lambda: Prompt(prompt.text), "keeping prompt",
         instruction_id=instruction.id,
     )
@@ -351,7 +318,7 @@ def generate_text(
     token budget. Backend failure yields empty text plus a fallback record;
     the empty text still gets evaluated downstream."""
     return _apply(
-        "generation", (suite or OperatorSuite()).generation, {"prompt": prompt.text}, backend,
-        llm, lambda raw: GeneratedText(truncate_to_token_budget(raw.strip())),
+        "generation", suite, {"prompt": prompt.text}, backend, llm,
+        lambda raw: GeneratedText(truncate_to_token_budget(raw.strip())),
         lambda: GeneratedText(""), "scoring empty text",
     )

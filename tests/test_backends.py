@@ -6,6 +6,7 @@ import http.server
 import json
 import math
 import socket
+import sys
 import threading
 import time
 
@@ -48,6 +49,11 @@ class StubServer:
     for idle_timeout seconds is closed. Either way it writes each reply's
     headers and body separately with Nagle's algorithm on. A CONNECT request
     is recorded and answered like a POST, so a stub can stand in for a proxy.
+
+    An exception in a handler, such as writing a late reply to a client that
+    gave up, is kept in errors rather than printed. On exit the stub cuts
+    pending delays short, ends the reads of open connections and joins every
+    handler thread, so no handler outlives it to write into a later test.
     """
 
     def __init__(self, script, delay=0.0, http11=False, idle_timeout=None):
@@ -61,7 +67,10 @@ class StubServer:
         self.path_inflight = collections.Counter()
         self.path_max_inflight = collections.Counter()
         self.paths_together = set()
+        self.errors = []
         self._lock = threading.Lock()
+        self._closing = threading.Event()
+        self._open = set()
         outer = self
 
         class Handler(http.server.BaseHTTPRequestHandler):
@@ -72,6 +81,12 @@ class StubServer:
                 super().setup()
                 with outer._lock:
                     outer.connections += 1
+                    outer._open.add(self.connection)
+
+            def finish(self):
+                with outer._lock:
+                    outer._open.discard(self.connection)
+                super().finish()
 
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
@@ -85,7 +100,7 @@ class StubServer:
                     )
                     outer.paths_together.add(frozenset(+outer.path_inflight))
                 if outer.delay:
-                    time.sleep(outer.delay)
+                    outer._closing.wait(outer.delay)
                 with outer._lock:
                     outer.inflight -= 1
                     outer.path_inflight[self.path] -= 1
@@ -108,7 +123,13 @@ class StubServer:
             def log_message(self, *args):
                 pass
 
-        self._server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        class Server(http.server.ThreadingHTTPServer):
+            daemon_threads = False  # so server_close joins every handler thread
+
+            def handle_error(self, request, client_address):
+                outer.errors.append(sys.exc_info()[1])
+
+        self._server = Server(("127.0.0.1", 0), Handler)
         # a short poll lets shutdown return quickly
         self._thread = threading.Thread(
             target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
@@ -125,6 +146,12 @@ class StubServer:
 
     def __exit__(self, *exc):
         self._server.shutdown()
+        self._closing.set()
+        with self._lock:
+            for connection in self._open:
+                # a handler waiting for a request on this connection reads its end
+                with contextlib.suppress(OSError):
+                    connection.shutdown(socket.SHUT_RD)
         self._server.server_close()
         return False
 
@@ -199,6 +226,16 @@ def test_backend_policy_validation():
         with pytest.raises(ValueError, match=f"^{field} must be"):
             BackendPolicy(**{field: value})
     assert BackendPolicy(timeout=5, backoff=0, max_retries=0).timeout == 5
+
+
+def test_backend_policy_waits_fit_the_platform():
+    # a socket takes a timeout up to TIMEOUT_MAX; time.sleep adds the
+    # monotonic clock to the backoff, which must not pass TIMEOUT_MAX either
+    BackendPolicy(timeout=threading.TIMEOUT_MAX, backoff=threading.TIMEOUT_MAX / 2)
+    with pytest.raises(ValueError, match="^timeout must be at most"):
+        BackendPolicy(timeout=threading.TIMEOUT_MAX * 2)
+    with pytest.raises(ValueError, match="^backoff must be at most"):
+        BackendPolicy(backoff=threading.TIMEOUT_MAX)
 
 
 # mock classifier
@@ -674,6 +711,18 @@ def test_concurrency_cap_is_respected():
             thread.join()
     assert results == ["ok"] * 6
     assert server.max_inflight <= 2
+
+
+def test_the_stub_leaves_no_handler_behind(capsys):
+    # a handler that outlived its stub once printed the traceback of its late
+    # write into the captured stderr of whichever test ran at that moment
+    with StubServer([(200, {"response": "late"})], delay=5.0) as server:
+        policy = BackendPolicy(timeout=0.1, max_retries=0)
+        with pytest.raises(BackendError, match="timed out"):
+            OllamaClient(server.url, policy).complete(GenerationRequest("hi"))
+    assert not [t for t in threading.enumerate() if "process_request_thread" in t.name]
+    assert all(isinstance(error, OSError) for error in server.errors)
+    assert capsys.readouterr().err == ""
 
 
 # kept-alive connections

@@ -1,9 +1,12 @@
 """End-to-end command line behavior, exit codes, and printed contracts."""
 
+import contextlib
+import io
 import json
 import re
 import shlex
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,8 @@ from moprompt import cli
 from moprompt.backends import Backends, MockEmotionClassifier, MockTextGenerator
 from moprompt.cli import ConfigError, build_parser, load_config, main
 from moprompt.runner import RunConfig
-from moprompt.variation import OperatorSuite
+from moprompt.variation import OperatorSuite, load_operator_suite
+from test_backends import SIX_SCORES, StubServer
 
 DIAGONAL_ROWS = "f1,f2\n" + "".join(f"{k / 9!r},{1 - k / 9!r}\n" for k in range(10))
 
@@ -151,6 +155,29 @@ def test_run_closes_its_backends(tmp_path, capsys, monkeypatch):
     assert len(closed) == 1
 
 
+def test_run_fails_when_the_model_server_refuses_every_request(tmp_path, capsys):
+    # Ollama answers a model it does not have with a 404; falling back on it
+    # would run the whole search on fallbacks and exit 0
+    refusal = {"error": "model 'lama2' not found"}
+
+    def reply(path, body):
+        return (404, refusal) if path == "/api/generate" else (200, SIX_SCORES)
+
+    config = {"pair": "love:anger", "backend": "live", "repetitions": 2, "generations": 3,
+              "llm": {"model": "lama2"}, "out_dir": str(tmp_path / "runs")}
+    with StubServer(reply) as server:
+        config["llm"]["base_url"] = server.url
+        config["classifier"] = {"base_url": f"{server.url}/classify"}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, out, _ = run_cli(capsys, "run", "--config", str(path), "--quiet")
+    assert code == 1
+    # each failed repetition names the server's reason, as the repr of its body
+    assert out.count(repr(json.dumps(refusal))) == config["repetitions"]
+    generate_requests = [path for path, _, _ in server.seen if path == "/api/generate"]
+    assert 0 < len(generate_requests) <= config["repetitions"] * RunConfig.mu
+
+
 def test_run_requires_a_pair(capsys):
     code, _, err = run_cli(capsys, "run")
     assert code == 2
@@ -232,41 +259,68 @@ def test_run_rejects_bad_lexicon_file(tmp_path, capsys):
     assert "must be a list of strings" in err
 
 
+# each case's whole error line, naming the offending <section>.<field>
 MALFORMED_OPERATOR_FILES = {
-    "not JSON": ("{crossover", "operators file is not valid JSON"),
+    "not JSON": (
+        "{crossover",
+        "operators file is not valid JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)",
+    ),
     "not an object": ("[]", "operators file must hold a JSON object"),
+    "unknown section": (
+        json.dumps({"selection": {}}), "unknown operators file keys: selection"
+    ),
     "section not an object": (
-        json.dumps({"crossover": "Mix them"}), "crossover template must be a JSON object"
+        json.dumps({"crossover": "Mix them"}), "crossover section must be a JSON object"
+    ),
+    "unknown template key": (
+        json.dumps({"mutation": {"body_template": "{prompt}", "notes": "x"}}),
+        "unknown mutation keys: notes",
     ),
     "missing body_template": (
         json.dumps({"mutation": {"system_instruction": "be brief"}}),
-        "mutation template needs a body_template string",
+        "mutation.body_template must be a string, got None",
     ),
     "body_template not a string": (
         json.dumps({"generation": {"body_template": 5}}),
-        "generation template needs a body_template string",
+        "generation.body_template must be a string, got 5",
+    ),
+    "wrong placeholders": (
+        json.dumps({"crossover": {"body_template": "Mix {parent_a} with {prompt}"}}),
+        "crossover.body_template must use the plain placeholders ['parent_a', 'parent_b'] and "
+        "no others, got 'Mix {parent_a} with {prompt}'",
     ),
     "system_instruction not a string": (
         json.dumps({"generation": {"body_template": "{prompt}", "system_instruction": 1}}),
-        "generation system_instruction must be a string",
+        "generation.system_instruction must be a string, got 1",
     ),
     "bad few_shot_examples": (
         json.dumps({"generation": {"body_template": "{prompt}", "few_shot_examples": [["x"]]}}),
-        "generation few_shot_examples must be a list",
+        "generation.few_shot_examples must be a list of [user, response] string pairs",
     ),
     "instructions not a list": (
         json.dumps({"mutation_instructions": {"id": "a", "text": "b"}}),
         "mutation_instructions must be a list",
     ),
     "instruction not an object": (
-        json.dumps({"mutation_instructions": ["Reword it"]}), "mutation_instructions must be a list"
+        json.dumps({"mutation_instructions": ["Reword it"]}),
+        "mutation_instructions[0] section must be a JSON object",
     ),
     "instruction without text": (
-        json.dumps({"mutation_instructions": [{"id": "a"}]}), "mutation_instructions must be a list"
+        json.dumps({"mutation_instructions": [{"id": "a"}]}),
+        "mutation_instructions[0].text must be a string, got None",
     ),
     "instruction id not a string": (
-        json.dumps({"mutation_instructions": [{"id": 1, "text": "b"}]}),
-        "mutation_instructions must be a list",
+        json.dumps({"mutation_instructions": [{"id": "a", "text": "b"}, {"id": 1, "text": "c"}]}),
+        "mutation_instructions[1].id must be a string, got 1",
+    ),
+    "blank instruction text": (
+        json.dumps({"mutation_instructions": [{"id": "a", "text": " "}]}),
+        "mutation_instructions[0].text must not be blank",
+    ),
+    "no instructions": (
+        json.dumps({"mutation_instructions": []}),
+        "at least one mutation instruction is required",
     ),
 }
 
@@ -281,7 +335,7 @@ def test_run_rejects_malformed_operators_file(tmp_path, capsys, content, message
     path.write_text(json.dumps({"pair": "joy:fear", "operators_file": str(operators)}))
     code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "runs"))
     assert code == 2
-    assert f"error: {message}" in err
+    assert err == f"error: {message}\n"
     assert not (tmp_path / "runs").exists()
 
 
@@ -413,6 +467,15 @@ SILENTLY_ACCEPTED = {
         "llm.base_url must be an http:// or https:// URL with a host, got 'ftp://nowhere'",
     ),
     "huge timeout": ({"policy": {"timeout": 10**400}}, "timeout must be a finite number"),
+    # waits the platform cannot time: they once ended a live run with a traceback
+    "timeout beyond the platform's": (
+        {"policy": {"timeout": 1e300}},
+        f"timeout must be at most {threading.TIMEOUT_MAX!r}, got 1e+300",
+    ),
+    "backoff beyond the platform's": (
+        {"policy": {"backoff": 1e300}},
+        f"backoff must be at most {threading.TIMEOUT_MAX / 2!r}, got 1e+300",
+    ),
     "huge temperature": ({"llm": {"temperature": 10**400}}, "temperature must be a finite number"),
 }
 
@@ -487,6 +550,82 @@ def test_any_json_object_loads_or_is_a_config_error(raw):
         except ConfigError:
             return
     assert isinstance(config, RunConfig)
+
+
+# every key an operators file may hold, as "section.key" inside a section
+OPERATOR_PATHS = (
+    "crossover", "mutation", "generation", "mutation_instructions", "unknown",
+    *(f"{slot}.{key}" for slot in ("crossover", "mutation", "generation")
+      for key in ("body_template", "system_instruction", "few_shot_examples", "unknown")),
+)
+# nothing, or a field that breaks or bends rendering when it ends a slot's body
+BODY_ENDINGS = st.one_of(st.just(""), st.sampled_from(
+    ["{}", "{0}", " {prompt:d}", " {prompt!r}", " {prompt:{w}}", " {prompt.upper}", "{", "}",
+     " {{x}}"]))
+PAIRS = st.lists(st.lists(st.text(max_size=4), min_size=1, max_size=3), max_size=3)
+INSTRUCTIONS = st.lists(
+    st.one_of(EDGE_VALUES, st.fixed_dictionaries(
+        {"id": st.sampled_from(["a", "b", "", 1]), "text": st.sampled_from(["Reword", " ", None])},
+        optional={"unknown": st.just(1)},
+    )),
+    max_size=3,
+)
+
+
+# a valid value for each top-level key of an operators file
+OPERATOR_SECTIONS = {
+    "crossover": {"body_template": "Mix {parent_a} with {parent_b}"},
+    "mutation": {"body_template": "{mutation_prompt}: {prompt}",
+                 "few_shot_examples": [["a", "b"]]},
+    "generation": {"body_template": "{prompt}", "system_instruction": "Be brief"},
+    "mutation_instructions": [{"id": "only", "text": "Reword it"}],
+}
+
+
+@st.composite
+def operator_files(draw):
+    """Some sections of a valid operators file, each template's body with an
+    ending drawn from BODY_ENDINGS, and up to three keys set to edge values."""
+    raw = {key: json.loads(json.dumps(OPERATOR_SECTIONS[key]))
+           for key in draw(st.lists(st.sampled_from(sorted(OPERATOR_SECTIONS)), unique=True))}
+    for slot in set(raw) - {"mutation_instructions"}:
+        raw[slot]["body_template"] += draw(BODY_ENDINGS)
+    for path in draw(st.lists(st.sampled_from(OPERATOR_PATHS), max_size=3, unique=True)):
+        section, _, key = path.rpartition(".")
+        target = raw.setdefault(section, {}) if section else raw
+        if isinstance(target, dict):
+            values = st.text("{}:!.[]0prompt ", max_size=12) if key == "body_template" else (
+                st.one_of(PAIRS, INSTRUCTIONS))
+            target[key] = draw(st.one_of(values, EDGE_VALUES))
+    return raw
+
+
+@settings(max_examples=150, deadline=None)
+@given(operator_files())
+def test_any_operators_file_loads_or_exits_2(raw):
+    with tempfile.TemporaryDirectory() as directory:
+        operators = Path(directory) / "ops.json"
+        operators.write_text(json.dumps(raw))
+        try:
+            suite = load_operator_suite(operators)
+        except ValueError:
+            suite = None
+        config = Path(directory) / "config.json"
+        config.write_text(json.dumps({
+            "pair": "love:anger", "mu": 2, "lambda": 2, "generations": 1, "repetitions": 1,
+            "operators_file": str(operators), "out_dir": str(Path(directory) / "runs"),
+        }))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--quiet", "run", "--config", str(config)])
+    assert code == (2 if suite is None else 0), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if suite is not None:
+        # few-shot pairs given as JSON lists load as tuples, like the defaults'
+        for slot in ("crossover", "mutation", "generation"):
+            examples = getattr(suite, slot).few_shot_examples
+            assert type(examples) is tuple
+            assert all(type(pair) is tuple and len(pair) == 2 for pair in examples)
 
 
 # hv command
@@ -636,12 +775,18 @@ README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encodi
 
 
 def test_readme_config_example_loads(tmp_path):
-    (example,) = re.findall(r"```json\n(.*?)```", README, re.DOTALL)
+    example, operators_example = re.findall(r"```json\n(.*?)```", README, re.DOTALL)
     path = tmp_path / "config.json"
     path.write_text(example)
     config = load_config(str(path), {})
     assert config.pair.slug == "love_vs_anger"
     assert config.selector == "sms_emoa"
+    operators = tmp_path / "ops.json"
+    operators.write_text(operators_example)
+    suite = load_operator_suite(operators)
+    assert suite.mutation.few_shot_examples == (
+        ("Change the following prompt: write a story", "Craft a story"),)
+    assert [instruction.id for instruction in suite.mutation_instructions] == ["rewrite"]
 
 
 def test_readme_command_lines_parse():

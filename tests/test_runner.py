@@ -9,6 +9,7 @@ import moprompt.runner as runner
 from moprompt.backends import (
     BackendError,
     BackendPolicy,
+    BackendRejected,
     Backends,
     GenerationRequest,
     MockEmotionClassifier,
@@ -245,6 +246,18 @@ def test_produce_offspring_downgrades_scoring_failure():
         assert child.fitness == FitnessPoint(0.0, 0.0)
         trailing = child.operator_trace[-1]
         assert trailing.kind == "evaluation" and trailing.fallback
+
+
+def test_produce_offspring_lets_a_refused_scoring_request_through():
+    class RefusingClassifier:
+        def classify_emotions(self, text):
+            raise BackendRejected("emotion classification failed: HTTP Error 403")
+
+    config = small_config(lam=2)
+    backends = Backends(generator=MockTextGenerator(), classifier=RefusingClassifier())
+    parents = Population((make_parent(0, 0.5, 0.5), make_parent(1, 0.4, 0.6)))
+    with pytest.raises(BackendRejected, match="403"):
+        produce_offspring(parents, backends, 0, config, generation=1)
 
 
 # one generation step

@@ -1,11 +1,12 @@
 """Operator templates, completion cleanup, and the three variation steps."""
 
+import dataclasses
 import json
 import random
 
 import pytest
 
-from moprompt.backends import BackendError, MockTextGenerator
+from moprompt.backends import BackendError, BackendRejected, MockTextGenerator
 from moprompt.domain import MAX_PROMPT_CHARS, Prompt
 from moprompt.variation import (
     DEFAULT_CROSSOVER_TEMPLATE,
@@ -44,19 +45,33 @@ class FailingBackend:
 
 
 def test_template_requires_exact_placeholders():
-    with pytest.raises(ValueError, match="placeholders"):
-        OperatorTemplate(kind="crossover", body_template="only {parent_a}")
-    with pytest.raises(ValueError, match="placeholders"):
-        OperatorTemplate(kind="generation", body_template="{prompt} and {extra}")
+    # a template is checked against the suite slot that holds it
+    with pytest.raises(ValueError, match=r"^crossover.body_template must use the plain"):
+        OperatorSuite(crossover=OperatorTemplate(body_template="only {parent_a}"))
+    with pytest.raises(ValueError, match=r"^generation.body_template must use the plain"):
+        OperatorSuite(generation=OperatorTemplate(body_template="{prompt} and {extra}"))
 
 
-def test_template_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="unknown operator kind"):
-        OperatorTemplate(kind="selection", body_template="{prompt}")
+@pytest.mark.parametrize("body", ["{prompt}{}", "{prompt}{0}", "{prompt:d}", "{prompt:{w}}",
+                                  "{prompt:{prompt}}", "{prompt!r}", "{prompt.upper}",
+                                  "{prompt[0]}", "{prompt"])
+def test_template_placeholders_must_be_plain_fields(body):
+    # each of these would raise, or render more than the slot value, mid-run
+    with pytest.raises(ValueError, match=r"^generation.body_template must use the plain"):
+        OperatorSuite(generation=OperatorTemplate(body_template=body))
+
+
+def test_template_checks_its_field_rules():
+    with pytest.raises(ValueError, match=r"^body_template must be a string, got 5$"):
+        OperatorTemplate(body_template=5)
+    with pytest.raises(ValueError, match=r"^system_instruction must be a string"):
+        OperatorTemplate(body_template="{prompt}", system_instruction=None)
+    with pytest.raises(ValueError, match=r"^few_shot_examples must be a list of \[user"):
+        OperatorTemplate(body_template="{prompt}", few_shot_examples=(("only a user turn",),))
 
 
 def test_suite_slots_must_match_kinds():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^crossover.body_template must use the plain"):
         OperatorSuite(crossover=DEFAULT_MUTATION_TEMPLATE)
 
 
@@ -75,9 +90,9 @@ def test_suite_rejects_empty_instruction_pool():
 
 
 def test_mutation_instruction_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^id must not be empty$"):
         MutationInstruction(id="", text="x")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^text must not be blank$"):
         MutationInstruction(id="x", text="   ")
 
 
@@ -252,6 +267,21 @@ def test_generate_text_fallback_scores_empty_text():
     assert record.fallback
 
 
+@pytest.mark.parametrize("operator", [
+    lambda backend: crossover(PARENT_A, PARENT_B, backend),
+    lambda backend: mutate(PARENT_A, backend, random.Random(0)),
+    lambda backend: generate_text(PARENT_A, backend),
+], ids=["crossover", "mutate", "generate_text"])
+def test_operators_let_a_refused_request_through(operator):
+    # a refused request would be refused again, so no operator falls back
+    class RefusingBackend:
+        def complete(self, request):
+            raise BackendRejected("text generation failed: HTTP Error 404")
+
+    with pytest.raises(BackendRejected, match="404"):
+        operator(RefusingBackend())
+
+
 # operator file loading
 
 
@@ -277,17 +307,19 @@ def test_load_operator_suite_overrides_template(tmp_path):
 def test_load_operator_suite_rejects_unknown_keys(tmp_path):
     path = tmp_path / "ops.json"
     path.write_text(json.dumps({"selection": {}}))
-    with pytest.raises(ValueError, match="unknown operator file keys"):
+    with pytest.raises(ValueError, match="^unknown operators file keys: selection$"):
         load_operator_suite(path)
     path.write_text(json.dumps({"mutation": {"body_template": "x", "notes": "y"}}))
-    with pytest.raises(ValueError, match="unknown keys in mutation"):
+    with pytest.raises(ValueError, match="^unknown mutation keys: notes$"):
         load_operator_suite(path)
 
 
 def test_load_operator_suite_checks_placeholders(tmp_path):
     path = tmp_path / "ops.json"
     path.write_text(json.dumps({"generation": {"body_template": "no placeholder"}}))
-    with pytest.raises(ValueError, match="placeholders"):
+    with pytest.raises(ValueError, match=r"^generation.body_template must use the plain "
+                                         r"placeholders \['prompt'\] and no others, "
+                                         r"got 'no placeholder'$"):
         load_operator_suite(path)
 
 
@@ -299,3 +331,14 @@ def test_load_operator_suite_reads_few_shot_examples(tmp_path):
     suite = load_operator_suite(path)
     assert suite.generation.few_shot_examples == (("tell it", "Once, a river."),)
 
+
+
+def test_the_default_templates_load_back_from_json(tmp_path):
+    # JSON gives the few-shot pairs as lists; they load as the defaults' tuples
+    sections = {slot: dataclasses.asdict(getattr(OperatorSuite(), slot))
+                for slot in ("crossover", "mutation", "generation")}
+    path = tmp_path / "ops.json"
+    path.write_text(json.dumps({**sections, "mutation_instructions": [
+        dataclasses.asdict(instruction) for instruction in DEFAULT_MUTATION_INSTRUCTIONS]}))
+    assert load_operator_suite(path) == OperatorSuite()
+    assert isinstance(json.loads(path.read_text())["mutation"]["few_shot_examples"][0], list)
