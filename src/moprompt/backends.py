@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from threading import TIMEOUT_MAX
 from typing import Protocol
 
-from .domain import EmotionLabel, EmotionScores, GeneratedText
+from .domain import EMOTION_LABELS, EmotionLabel, EmotionScores, GeneratedText
 from .rules import check, check_fields, integer, number, read_json_object, strings, text
 
 # token budget of the emotion evaluator; inputs are truncated to fit
@@ -30,6 +30,10 @@ SUBWORDS_PER_WORD = 1.3
 LLM_URL_ENV = "EMO_LLM_URL"
 CLASSIFIER_URL_ENV = "EMO_CLF_URL"
 CLASSIFIER_TOKEN_ENV = "EMO_CLF_TOKEN"
+
+# the longest retry wait, where the doubling backoff stops: time.sleep adds
+# the monotonic clock to a wait, and the sum must stay within TIMEOUT_MAX
+BACKOFF_MAX = TIMEOUT_MAX / 2
 
 
 class BackendError(RuntimeError):
@@ -49,7 +53,7 @@ class BackendPolicy:
     # a socket timeout past TIMEOUT_MAX overflows, as does a sleep whose deadline passes it
     timeout: float = field(default=30.0, metadata=number(positive=True, high=TIMEOUT_MAX))
     max_retries: int = field(default=2, metadata=integer(0))
-    backoff: float = field(default=0.5, metadata=number(high=TIMEOUT_MAX / 2))
+    backoff: float = field(default=0.5, metadata=number(high=BACKOFF_MAX))
     max_concurrent_requests: int = field(default=4, metadata=integer(1))
 
     def __post_init__(self) -> None:
@@ -168,7 +172,7 @@ class MockEmotionClassifier:
 
     def __init__(self, lexicons: dict[EmotionLabel, tuple[str, ...]] | None = None):
         self.lexicons = dict(lexicons) if lexicons is not None else dict(DEFAULT_LEXICONS)
-        for label in EmotionLabel:
+        for label in EMOTION_LABELS:
             self.lexicons.setdefault(label, ())
         self._token_labels: dict[str, list[EmotionLabel]] = {}
         self._phrase_patterns: list[tuple[EmotionLabel, re.Pattern]] = []
@@ -183,16 +187,16 @@ class MockEmotionClassifier:
 
     def classify_emotions(self, text: GeneratedText) -> EmotionScores:
         lowered = truncate_to_token_budget(text.text).lower()
-        counts = dict.fromkeys(EmotionLabel, 0)
+        counts = dict.fromkeys(EMOTION_LABELS, 0)
         lookup = self._token_labels.get
         for token in _TOKEN_RE.findall(lowered):
             for label in lookup(token, ()):
                 counts[label] += 1
         for label, pattern in self._phrase_patterns:
             counts[label] += len(pattern.findall(lowered))
-        raw = {label: 1.0 + counts[label] for label in EmotionLabel}
-        total = sum(raw.values())
-        return EmotionScores({label: raw[label] / total for label in EmotionLabel})
+        # the raw scores are whole numbers, so their sum is exact in either type
+        total = len(EMOTION_LABELS) + sum(counts.values())
+        return EmotionScores({label: (1.0 + counts[label]) / total for label in EMOTION_LABELS})
 
 
 # Fixed wording for mock stories. Deliberately disjoint from every default
@@ -222,6 +226,8 @@ _PROMPT_STOPWORDS = {
 }
 
 _WORD_RE = re.compile(r"[a-zA-Z]+")
+_QUOTED_RE = re.compile(r'"([^"]*)"')
+_PROMPT_LINE_RE = re.compile(r"(?m)^Prompt:\s*(.*)$")
 _MOCK_MAX_PROMPT_TOKENS = 24
 
 
@@ -232,7 +238,7 @@ def _content_words(text: str) -> list[str]:
 
 def _injection_pool() -> tuple[str, ...]:
     pool: list[str] = []
-    for label in EmotionLabel:
+    for label in EMOTION_LABELS:
         pool.extend(DEFAULT_LEXICONS[label])
     pool.extend(_NEUTRAL_WORDS)
     return tuple(pool)
@@ -265,23 +271,23 @@ class MockTextGenerator:
         return self._story(body, rng)
 
     def _merge(self, body: str, rng: random.Random) -> str:
-        quoted = re.findall(r'"([^"]*)"', body)
+        quoted = _QUOTED_RE.findall(body)
         parent_a = quoted[0] if quoted else ""
         parent_b = quoted[1] if len(quoted) > 1 else parent_a
-        merged: list[str] = []
-        for word in parent_a.split() + parent_b.split():
-            lowered = word.lower().strip('"')
-            if lowered and lowered not in merged and rng.random() < 0.9:
-                merged.append(lowered)
-        if not merged:
-            merged = ["write", "a", "short", "story"]
-        merged = _cap_tokens(merged, rng)
-        return " ".join(merged)
+        # an insertion-ordered set of the words kept so far. A quoted parent
+        # holds no '"', and no whitespace character is case-ignorable, so a
+        # final sigma lowers alike in the joined parents and in its own word
+        merged: dict[str, None] = {}
+        for word in f"{parent_a} {parent_b}".lower().split():
+            if word not in merged and rng.random() < 0.9:
+                merged[word] = None
+        tokens = _cap_tokens(list(merged) or ["write", "a", "short", "story"], rng)
+        return " ".join(tokens)
 
     def _rewrite(self, body: str, rng: random.Random) -> str:
-        targets = re.findall(r"(?m)^Prompt:\s*(.*)$", body)
+        targets = _PROMPT_LINE_RE.findall(body)
         target = targets[-1].strip() if targets else "write a short story"
-        tokens = [w.strip('"') for w in target.split() if w.strip('"')]
+        tokens = [token for word in target.split() if (token := word.strip('"'))]
         if not tokens:
             tokens = ["write", "a", "short", "story"]
         if len(tokens) > 3 and rng.random() < 0.2:

@@ -21,7 +21,7 @@ from .backends import BackendPolicy, LlmSettings
 from .domain import FitnessPoint, ObjectivePair, Prompt
 from .moea import DEFAULT_REFERENCE, hv_subset_select, hypervolume_2d
 from .report import ReportError, discover_runs, load_run
-from .rules import check, read_json_object, section, strings, text
+from .rules import build, check, read_json_object, section, strings, text
 from .runner import (
     BACKEND_KINDS,
     HV_MODES,
@@ -80,11 +80,11 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
                                text(optional=True))
         backend = BackendConfig(
             kind=fields.pop("backend", "mock"),
-            llm=LlmSettings(**{k: v for k, v in llm.items() if k != "base_url"}),
+            llm=build(LlmSettings, {k: v for k, v in llm.items() if k != "base_url"}, "llm"),
             llm_base_url=llm.get("base_url"),
             classifier_base_url=classifier.get("base_url"),
             classifier_token=classifier.get("token"),
-            policy=BackendPolicy(**policy),
+            policy=build(BackendPolicy, policy, "policy"),
             lexicon_file=fields.pop("lexicon_file", None),
         )
         return RunConfig(

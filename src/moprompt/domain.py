@@ -35,6 +35,10 @@ class EmotionLabel(str, Enum):
             raise ValueError(f"unknown emotion label: {name!r}") from None
 
 
+# the labels in canonical order; a tuple iterates without the enum's machinery
+EMOTION_LABELS = tuple(EmotionLabel)
+
+
 @dataclass(frozen=True)
 class Prompt:
     """A non-empty instruction used to ask the model for a text.
@@ -76,7 +80,7 @@ class EmotionScores:
 
     def __post_init__(self) -> None:
         clean: dict[EmotionLabel, float] = {}
-        for label in EmotionLabel:
+        for label in EMOTION_LABELS:
             if label not in self.scores:
                 raise ValueError(f"missing score for {label.value}")
             value = float(self.scores[label])
@@ -96,7 +100,7 @@ class EmotionScores:
 
     def as_dict(self) -> dict[str, float]:
         """Scores keyed by label name, in canonical label order."""
-        return {label.value: self.scores[label] for label in EmotionLabel}
+        return {label.value: self.scores[label] for label in EMOTION_LABELS}
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,10 @@ class FitnessPoint:
     f2: float
 
     def __post_init__(self) -> None:
-        for name, value in (("f1", self.f1), ("f2", self.f2)):
+        f1, f2 = self.f1, self.f2
+        if type(f1) is float and type(f2) is float and 0.0 <= f1 <= 1.0 and 0.0 <= f2 <= 1.0:
+            return  # the common case, which passes the checks below (NaN fails a comparison)
+        for name, value in (("f1", f1), ("f2", f2)):
             if not isinstance(value, (int, float)) or math.isnan(value):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             if not 0.0 <= value <= 1.0:

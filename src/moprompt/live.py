@@ -26,8 +26,8 @@ import urllib.error
 import urllib.parse
 import urllib.request
 
-from .backends import (BackendError, BackendPolicy, BackendRejected, GenerationRequest,
-                       truncate_to_token_budget)
+from .backends import (BACKOFF_MAX, BackendError, BackendPolicy, BackendRejected,
+                       GenerationRequest, truncate_to_token_budget)
 from .domain import EmotionLabel, EmotionScores, GeneratedText
 from .rules import check_base_url, check_token
 
@@ -65,7 +65,7 @@ def _call_with_retries(policy: BackendPolicy, attempt, describe: str):
             logger.debug("%s failed (attempt %d): %s", describe, attempt_index + 1, exc)
             if delay > 0:
                 time.sleep(delay)
-            delay *= 2
+            delay = min(delay * 2, BACKOFF_MAX)
 
 
 class _Connections:

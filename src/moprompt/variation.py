@@ -15,6 +15,7 @@ import logging
 import re
 import string
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 from .backends import (
     BackendError,
@@ -51,6 +52,12 @@ class OperatorTemplate:
         check_fields(self)
         # JSON gives the pairs as lists
         object.__setattr__(self, "few_shot_examples", tuple(map(tuple, self.few_shot_examples)))
+
+    @cached_property
+    def few_shot_prefix(self) -> str:
+        """The few-shot examples as user/response blocks, each followed by a blank line."""
+        return "".join(f"### User:\n{user}\n\n### Response:\n{response}\n\n"
+                       for user, response in self.few_shot_examples)
 
 
 @dataclass(frozen=True)
@@ -184,13 +191,7 @@ def render_prompt_body(template: OperatorTemplate, slots: dict[str, str]) -> str
     body = template.body_template.format(**slots)
     if not template.few_shot_examples:
         return body
-    blocks: list[str] = []
-    for user, response in template.few_shot_examples:
-        blocks.append(f"### User:\n{user}")
-        blocks.append(f"### Response:\n{response}")
-    blocks.append(f"### User:\n{body}")
-    blocks.append("### Response:")
-    return "\n\n".join(blocks)
+    return f"{template.few_shot_prefix}### User:\n{body}\n\n### Response:"
 
 
 _LABEL_PREFIX_RE = re.compile(
@@ -198,6 +199,7 @@ _LABEL_PREFIX_RE = re.compile(
     re.IGNORECASE,
 )
 _QUOTE_PAIRS = {'"': '"', "'": "'", "“": "”", "‘": "’"}
+_PARAGRAPH_BREAK_RE = re.compile(r"\n\s*\n")
 
 
 def clean_completion(raw: str, max_chars: int = MAX_PROMPT_CHARS) -> str:
@@ -215,15 +217,16 @@ def clean_completion(raw: str, max_chars: int = MAX_PROMPT_CHARS) -> str:
         if lines and lines[-1].strip().startswith("```"):
             lines = lines[:-1]
         text = "\n".join(lines).strip()
-    paragraphs = [p.strip() for p in re.split(r"\n\s*\n", text) if p.strip()]
-    if not paragraphs:
-        return ""
-    text = re.sub(r"\s+", " ", paragraphs[0])
+    if "\n" in text:  # else the text is one paragraph
+        # stripped, text starts with its first non-empty paragraph
+        text = _PARAGRAPH_BREAK_RE.split(text, maxsplit=1)[0]
+    # collapse whitespace: str.split splits at the characters that \s matches
+    text = " ".join(text.split())
     for _ in range(4):
-        stripped = _LABEL_PREFIX_RE.sub("", text).strip()
-        if stripped == text:
+        prefix = _LABEL_PREFIX_RE.match(text)
+        if not prefix:
             break
-        text = stripped
+        text = text[prefix.end():].strip()
     while len(text) >= 2 and text[0] in _QUOTE_PAIRS and text[-1] == _QUOTE_PAIRS[text[0]]:
         text = text[1:-1].strip()
     if len(text) > max_chars:

@@ -6,20 +6,41 @@ off a full dominance matrix, domination counts test every ordered pair,
 subset selection enumerates every combination, and the classifier oracle
 runs one regex per lexicon word. The line oracle encodes a whole
 individual with json.dumps, which the runner's survivor writer must match
-byte for byte.
+byte for byte. The mock generator and completion cleaner are the package's
+earlier straightforward versions, copied as they were, which the faster
+ones must match reply for reply.
 None of it shares code with the package under test beyond the value types,
-the classifier's truncation rule and the record schema (individual_to_dict).
+the classifier's truncation rule, the record schema (individual_to_dict)
+and the mock generator's word lists.
 The token estimate and the dominance predicate live here because only the
 tests use them.
 """
 
 import json
+import logging
 import math
+import random
 import re
 from itertools import combinations
 
-from moprompt.backends import SUBWORDS_PER_WORD, truncate_to_token_budget
-from moprompt.domain import EmotionLabel, EmotionScores, FitnessPoint, Individual
+from moprompt.backends import (
+    _INJECTION_POOL,
+    _MOCK_MAX_PROMPT_TOKENS,
+    _NEUTRAL_WORDS,
+    _PROMPT_STOPWORDS,
+    _STORY_CLOSERS,
+    _STORY_OPENERS,
+    SUBWORDS_PER_WORD,
+    GenerationRequest,
+    truncate_to_token_budget,
+)
+from moprompt.domain import (
+    MAX_PROMPT_CHARS,
+    EmotionLabel,
+    EmotionScores,
+    FitnessPoint,
+    Individual,
+)
 from moprompt.runner import individual_to_dict
 
 
@@ -140,3 +161,125 @@ def estimate_tokens(text: str) -> int:
 def encode_individual_oracle(ind: Individual) -> str:
     """One gen_k.jsonl line, without its newline."""
     return json.dumps(individual_to_dict(ind), ensure_ascii=False)
+
+
+_WORD_RE = re.compile(r"[a-zA-Z]+")
+
+
+def _content_words(text: str) -> list[str]:
+    words = [w.lower() for w in _WORD_RE.findall(text)]
+    return [w for w in words if len(w) >= 3 and w not in _PROMPT_STOPWORDS]
+
+
+class MockTextGeneratorOracle:
+    """Seeded stand-in for the live model.
+
+    The reply is a pure function of (system, prompt body, seed). The request
+    body decides the task: prompt-combination requests merge the two quoted
+    parent prompts, prompt-rewrite requests edit the embedded prompt and
+    inject a word from a fixed pool, and anything else is treated as a story
+    request whose reply echoes the prompt's content words. Replies are never
+    empty.
+    """
+
+    def __init__(self, seed: int = 0):
+        self.seed = seed
+
+    def complete(self, request: GenerationRequest) -> str:
+        rng = random.Random(f"{self.seed}|{request.system}|{request.prompt_body}")
+        body = request.prompt_body
+        if "Mutation Prompt:" in body:
+            return self._rewrite(body, rng)
+        if "One prompt is:" in body:
+            return self._merge(body, rng)
+        return self._story(body, rng)
+
+    def _merge(self, body: str, rng: random.Random) -> str:
+        quoted = re.findall(r'"([^"]*)"', body)
+        parent_a = quoted[0] if quoted else ""
+        parent_b = quoted[1] if len(quoted) > 1 else parent_a
+        merged: list[str] = []
+        for word in parent_a.split() + parent_b.split():
+            lowered = word.lower().strip('"')
+            if lowered and lowered not in merged and rng.random() < 0.9:
+                merged.append(lowered)
+        if not merged:
+            merged = ["write", "a", "short", "story"]
+        merged = _cap_tokens(merged, rng)
+        return " ".join(merged)
+
+    def _rewrite(self, body: str, rng: random.Random) -> str:
+        targets = re.findall(r"(?m)^Prompt:\s*(.*)$", body)
+        target = targets[-1].strip() if targets else "write a short story"
+        tokens = [w.strip('"') for w in target.split() if w.strip('"')]
+        if not tokens:
+            tokens = ["write", "a", "short", "story"]
+        if len(tokens) > 3 and rng.random() < 0.2:
+            tokens.pop(rng.randrange(len(tokens)))
+        injected = rng.choice(_INJECTION_POOL)
+        tokens.insert(rng.randrange(len(tokens) + 1), injected)
+        tokens = _cap_tokens(tokens, rng)
+        return " ".join(tokens)
+
+    def _story(self, body: str, rng: random.Random) -> str:
+        words = _content_words(body)
+        opener = rng.choice(_STORY_OPENERS)
+        closer = rng.choice(_STORY_CLOSERS)
+        filler = rng.choice(_NEUTRAL_WORDS)
+        if words:
+            middle = ", ".join(words)
+            return (
+                f"{opener}, the telling spoke of {middle}. "
+                f"A {filler} stood witness through it all. {closer}."
+            )
+        return f"{opener}, a {filler} waited alone. {closer}."
+
+
+def _cap_tokens(tokens: list[str], rng: random.Random) -> list[str]:
+    if len(tokens) <= _MOCK_MAX_PROMPT_TOKENS:
+        return tokens
+    keep = sorted(rng.sample(range(len(tokens)), _MOCK_MAX_PROMPT_TOKENS))
+    return [tokens[i] for i in keep]
+
+
+logger = logging.getLogger(__name__)
+
+_LABEL_PREFIX_RE = re.compile(
+    r"^(?:new prompt|prompt|response|answer|output|assistant|user|story)\s*[:\-]\s*",
+    re.IGNORECASE,
+)
+_QUOTE_PAIRS = {'"': '"', "'": "'", "“": "”", "‘": "’"}
+
+
+def clean_completion_oracle(raw: str, max_chars: int = MAX_PROMPT_CHARS) -> str:
+    """Normalize a raw completion into a single instruction line.
+
+    Strips code fences, keeps the first non-empty paragraph, removes leading
+    role or label markers and enclosing quotes, collapses whitespace, and
+    truncates at the last sentence boundary inside the character budget.
+    Returns an empty string when nothing survives.
+    """
+    text = raw.strip()
+    if text.startswith("```"):
+        lines = text.split("\n")
+        lines = lines[1:]
+        if lines and lines[-1].strip().startswith("```"):
+            lines = lines[:-1]
+        text = "\n".join(lines).strip()
+    paragraphs = [p.strip() for p in re.split(r"\n\s*\n", text) if p.strip()]
+    if not paragraphs:
+        return ""
+    text = re.sub(r"\s+", " ", paragraphs[0])
+    for _ in range(4):
+        stripped = _LABEL_PREFIX_RE.sub("", text).strip()
+        if stripped == text:
+            break
+        text = stripped
+    while len(text) >= 2 and text[0] in _QUOTE_PAIRS and text[-1] == _QUOTE_PAIRS[text[0]]:
+        text = text[1:-1].strip()
+    if len(text) > max_chars:
+        cut = text[:max_chars]
+        boundary = max(cut.rfind(mark) for mark in ".!?")
+        text = cut[: boundary + 1] if boundary > 0 else cut
+        logger.info("truncated completion to %d characters", len(text))
+    return text.strip()

@@ -11,7 +11,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import moprompt.backends as backends
@@ -30,7 +30,8 @@ from moprompt.backends import (
 )
 from moprompt.live import HttpEmotionClassifier, OllamaClient, parse_classifier_response
 from moprompt.domain import EmotionLabel, GeneratedText
-from oracles import classify_oracle, estimate_tokens
+from moprompt.variation import OperatorSuite, render_prompt_body
+from oracles import MockTextGeneratorOracle, classify_oracle, estimate_tokens
 
 
 class StubServer:
@@ -426,6 +427,50 @@ def test_mock_generator_merge_unions_parent_words():
     assert len(out) == len(set(out))
 
 
+# prompt text that exercises the mock's tokenizing: quotes, repeats, case
+# folds that change length or depend on the next letter (final sigma), and
+# every whitespace character, paragraph breaks among them
+_WHITESPACE = [chr(code) for code in range(0x3001) if chr(code).isspace()]
+_PROMPT_WORDS = st.one_of(
+    st.sampled_from(["love", "Love", "LOVE", "rage", "the", "a", "story", '"quoted"', '"', "“x”",
+                     "ΟΔΟΣ", "ΑΒ", "Σ", "ς", "İ", "İstanbul", "Straße", "\u212a", "tears,",
+                     "Prompt:", "Mutation Prompt:", "One prompt is:"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6),
+)
+_SEPARATORS = st.one_of(st.sampled_from(["\n", "\n\n", " \n \n"]), st.sampled_from(_WHITESPACE))
+PROMPT_TEXTS = st.lists(st.tuples(_PROMPT_WORDS, _SEPARATORS), max_size=40).map(
+    lambda parts: "".join(word + sep for word, sep in parts))
+MANY_WORDS = " ".join(f"w{i}" for i in range(30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["crossover", "mutation", "generation", "raw"]),
+       first=PROMPT_TEXTS, second=PROMPT_TEXTS, seed=st.integers(0, 3))
+@example(kind="crossover", first='love "love" LOVE love rage', second="rage Rage", seed=0)
+@example(kind="crossover", first=MANY_WORDS, second=MANY_WORDS.upper(), seed=1)
+@example(kind="crossover", first="", second="", seed=0)
+@example(kind="crossover", first="a\tb\rc\x0bd", second="e\n\nf", seed=2)
+@example(kind="crossover", first="ΟΔΟΣ ΑΒ", second="İ İstanbul", seed=0)
+@example(kind="mutation", first='"quoted" words "" here "', second="rewrite it", seed=0)
+@example(kind="mutation", first=MANY_WORDS, second="shorten", seed=3)
+@example(kind="mutation", first="", second="", seed=0)
+@example(kind="mutation", first="x\n\nPrompt: \t\r\x0b spaced", second="go", seed=1)
+@example(kind="generation", first="ΟΔΟΣ ΑΒ İ about love and rage\n\nand joy", second="", seed=0)
+@example(kind="raw", first="Prompt:\nPrompt: last one", second="", seed=0)
+def test_mock_generator_matches_its_oracle(kind, first, second, seed):
+    if kind == "raw":  # a body that no template rendered
+        request = GenerationRequest(first, system=second)
+    else:
+        template = getattr(OperatorSuite(), kind)
+        slots = {"crossover": {"parent_a": first, "parent_b": second},
+                 "mutation": {"mutation_prompt": second, "prompt": first},
+                 "generation": {"prompt": first}}[kind]
+        request = GenerationRequest(render_prompt_body(template, slots),
+                                    template.system_instruction)
+    expected = MockTextGeneratorOracle(seed).complete(request)
+    assert MockTextGenerator(seed).complete(request) == expected
+
+
 # response parsing
 
 
@@ -569,6 +614,22 @@ def test_retry_backoff_doubles(monkeypatch):
         OllamaClient("http://127.0.0.1:1", policy).complete(GenerationRequest("hi"))
     assert len(calls) == 4
     assert delays == [0.1, 0.2, 0.4]
+
+
+def test_retry_waits_stay_within_the_backoff_bound(monkeypatch):
+    # doubled without a cap, the second wait could not be timed by time.sleep
+    delays = []
+
+    def refused(*args, **kwargs):
+        raise ConnectionRefusedError("connection refused")
+
+    monkeypatch.setattr(live, "_post_json", refused)
+    monkeypatch.setattr(live.time, "sleep", delays.append)
+    policy = BackendPolicy(max_retries=3, backoff=threading.TIMEOUT_MAX / 2)
+    with pytest.raises(BackendError, match="^text generation failed after 4 attempts: "):
+        OllamaClient("http://127.0.0.1:1", policy).complete(GenerationRequest("hi"))
+    assert len(delays) == 3
+    assert all(delay <= threading.TIMEOUT_MAX / 2 for delay in delays)
 
 
 def test_zero_backoff_never_sleeps(monkeypatch):

@@ -461,22 +461,23 @@ SILENTLY_ACCEPTED = {
     "out_dir": ({"out_dir": ""}, "out_dir must not be empty"),
     "llm.base_url": ({"llm": {"base_url": ""}}, "llm.base_url must not be empty"),
     "classifier.token": ({"classifier": {"token": ""}}, "classifier.token must not be empty"),
-    "llm.model": ({"llm": {"model": ""}}, "model must not be empty"),
+    "llm.model": ({"llm": {"model": ""}}, "llm.model must not be empty"),
     "mock backend URL": (
         {"backend": "mock", "llm": {"base_url": "ftp://nowhere"}},
         "llm.base_url must be an http:// or https:// URL with a host, got 'ftp://nowhere'",
     ),
-    "huge timeout": ({"policy": {"timeout": 10**400}}, "timeout must be a finite number"),
+    "huge timeout": ({"policy": {"timeout": 10**400}}, "policy.timeout must be a finite number"),
     # waits the platform cannot time: they once ended a live run with a traceback
     "timeout beyond the platform's": (
         {"policy": {"timeout": 1e300}},
-        f"timeout must be at most {threading.TIMEOUT_MAX!r}, got 1e+300",
+        f"policy.timeout must be at most {threading.TIMEOUT_MAX!r}, got 1e+300",
     ),
     "backoff beyond the platform's": (
         {"policy": {"backoff": 1e300}},
-        f"backoff must be at most {threading.TIMEOUT_MAX / 2!r}, got 1e+300",
+        f"policy.backoff must be at most {threading.TIMEOUT_MAX / 2!r}, got 1e+300",
     ),
-    "huge temperature": ({"llm": {"temperature": 10**400}}, "temperature must be a finite number"),
+    "huge temperature": ({"llm": {"temperature": 10**400}},
+                         "llm.temperature must be a finite number"),
 }
 
 

@@ -5,6 +5,8 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moprompt.backends import BackendError, BackendRejected, MockTextGenerator
 from moprompt.domain import MAX_PROMPT_CHARS, Prompt
@@ -22,6 +24,7 @@ from moprompt.variation import (
     mutate,
     render_prompt_body,
 )
+from oracles import clean_completion_oracle
 
 
 class EchoBackend:
@@ -113,6 +116,7 @@ def test_render_with_few_shot_builds_dialogue_blocks():
         {"mutation_prompt": "Shorten it", "prompt": "write a long story"},
     )
     blocks = body.split("\n\n")
+    assert len(blocks) == 6
     assert blocks[0] == "### User:\nChange the following prompt: provide a 3 sentence story"
     assert blocks[1] == "### Response:\nCraft a three-sentence story"
     assert blocks[-2] == "### User:\nMutation Prompt: Shorten it\nPrompt: write a long story\nNew Prompt:"
@@ -120,6 +124,34 @@ def test_render_with_few_shot_builds_dialogue_blocks():
 
 
 # completion cleanup
+
+_WHITESPACE = [chr(code) for code in range(0x3001) if chr(code).isspace()]
+# pieces of a raw completion: fences, label markers, quotes, sentence marks,
+# words whose case folds change length, and every whitespace character
+COMPLETION_PIECES = st.one_of(
+    st.sampled_from(["```", "```text\n", "Prompt:", "new prompt -", "ANSWER :", "Story:", "User-",
+                     '"', "'", "“", "”", "‘", "’", ".", "!", "?", "\n\n", " \n\t\n ",
+                     "write", "a", "tale", "ΟΔΟΣ", "İ", "Straße"]),
+    st.sampled_from(_WHITESPACE),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=5),
+)
+COMPLETIONS = st.lists(COMPLETION_PIECES, max_size=30).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw=COMPLETIONS, max_chars=st.sampled_from([MAX_PROMPT_CHARS, 12, 2]))
+@example(raw="write write a tale", max_chars=MAX_PROMPT_CHARS)
+@example(raw=" ".join(f"w{i}" for i in range(30)), max_chars=MAX_PROMPT_CHARS)
+@example(raw="", max_chars=MAX_PROMPT_CHARS)
+@example(raw="a\tb\rc\x0bd\x0ce", max_chars=MAX_PROMPT_CHARS)
+@example(raw="\n\n  \n\nfirst\tpart\r\n \nsecond", max_chars=MAX_PROMPT_CHARS)
+@example(raw="Prompt: Answer - “‘a quoted tale’”", max_chars=MAX_PROMPT_CHARS)
+@example(raw='New Prompt: "ΟΔΟΣ ΑΒ İ"', max_chars=MAX_PROMPT_CHARS)
+@example(raw="```", max_chars=MAX_PROMPT_CHARS)
+@example(raw="```python write a tale", max_chars=MAX_PROMPT_CHARS)
+@example(raw="One. Two three four", max_chars=12)
+def test_clean_completion_matches_its_oracle(raw, max_chars):
+    assert clean_completion(raw, max_chars) == clean_completion_oracle(raw, max_chars)
 
 
 def test_clean_completion_passthrough():
