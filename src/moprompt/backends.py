@@ -111,8 +111,10 @@ class Backends(AbstractContextManager):
 
 def truncate_to_token_budget(text: str, budget: int = CLASSIFIER_TOKEN_BUDGET) -> str:
     """Drop trailing words until the estimated subword count fits the budget."""
-    words = text.split()
     limit = int(budget / SUBWORDS_PER_WORD)
+    if len(text) <= limit:
+        return text  # at most limit characters hold at most limit words
+    words = text.split()
     if len(words) <= limit:
         return text
     return " ".join(words[:limit])

@@ -202,8 +202,18 @@ class Individual:
         crowding: float | None = None,
         contribution: float | None = None,
     ) -> "Individual":
+        """This individual with the given selection fields; itself when each
+        field is already the same as written (same type and repr, so 0.0
+        and -0.0, or 1 and 1.0, differ while nan matches nan)."""
+        if (_same(rank, self.rank) and _same(crowding, self.crowding)
+                and _same(contribution, self.contribution)):
+            return self  # frozen, so sharing is safe
         return Individual(self.prompt, self.text, self.fitness, self.id, self.parent_ids,
                           self.operator_trace, rank, crowding, contribution)
+
+
+def _same(a, b) -> bool:
+    return a is b or (type(a) is type(b) and repr(a) == repr(b))
 
 
 @dataclass(frozen=True)

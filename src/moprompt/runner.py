@@ -8,9 +8,11 @@ a fully reproducible output tree: per-generation population records, a
 hypervolume series per repetition, the final Pareto front, and a summary.
 
 A survivor's record changes from one generation to the next only in its
-selection fields (rank, crowding, contribution), so each survivor's other
-JSON is encoded once per repetition and reused while it survives. A
-repetition holds one population plus one (generation, hypervolume,
+selection fields (rank, crowding, contribution), and most survivors keep
+even those: selection hands such a survivor on as the same object, and its
+encoded line is written again as it is. So each survivor is encoded once
+per repetition, and only a change of its selection fields is formatted
+again. A repetition holds one population plus one (generation, hypervolume,
 fallback count) row per generation, not every generation's population.
 """
 
@@ -379,15 +381,17 @@ def individual_from_dict(data: dict) -> Individual:
 _INF = float("inf")
 
 
-def _line_pieces(ind: Individual) -> tuple[str, str]:
-    """The JSON of ind's line before and after its three selection fields
-    (rank, crowding, contribution), cut from the json.dumps of
-    individual_to_dict."""
-    items = list(individual_to_dict(ind).items())
-    cut = [key for key, _ in items].index("rank")
-    head = json.dumps(dict(items[:cut]), ensure_ascii=False)[:-1]
-    tail = json.dumps(dict(items[cut + 3:]), ensure_ascii=False)[1:]
-    return head, tail
+# a survivor's written line: the individual it encodes, the line, and the
+# offsets where its selection fields (rank, crowding, contribution) start and end
+_Line = tuple[Individual, str, int, int]
+
+
+def _encode_line(ind: Individual) -> _Line:
+    """ind's line, the json.dumps of individual_to_dict. A '"' inside a JSON
+    string is always escaped, so the two markers can only be keys."""
+    line = json.dumps(individual_to_dict(ind), ensure_ascii=False) + "\n"
+    start = line.index(', "rank": ')
+    return ind, line, start, line.index(', "parent_ids": ', start)
 
 
 def _json_number(value: float | None) -> str:
@@ -404,23 +408,34 @@ def _json_number(value: float | None) -> str:
 
 
 def _write_generation(
-    rep_dir: Path, record: GenerationRecord, pieces: dict[int, tuple[str, str]]
-) -> dict[int, tuple[str, str]]:
+    rep_dir: Path, record: GenerationRecord, lines: dict[int, _Line]
+) -> dict[int, _Line]:
     """Write the generation's survivors, one json.dumps(individual_to_dict)
-    line each, and return the head and tail pieces of exactly these
-    survivors by id. pieces holds those of the previous generation of the
-    same repetition (ids restart in every repetition), which survivors
-    reuse; only their selection fields are formatted again."""
+    line each, and return the lines of exactly these survivors by id.
+
+    lines holds those of the previous generation of the same repetition
+    (ids restart in every repetition). A survivor carried over as the same
+    object writes its line again as it is; one with new selection fields
+    has only the text between them formatted again; a new one is encoded
+    once.
+    """
     path = rep_dir / f"gen_{record.generation_index}.jsonl"
-    current: dict[int, tuple[str, str]] = {}
+    current: dict[int, _Line] = {}
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for ind in record.population:
-            head, tail = current[ind.id] = pieces.get(ind.id) or _line_pieces(ind)
-            handle.write(
-                f'{head}, "rank": {_json_number(ind.rank)}, '
-                f'"crowding": {_json_number(ind.crowding)}, '
-                f'"contribution": {_json_number(ind.contribution)}, {tail}\n'
-            )
+            cached = lines.get(ind.id)
+            if cached is None:
+                cached = _encode_line(ind)
+            elif cached[0] is not ind:
+                _, line, start, end = cached
+                fields = (
+                    f', "rank": {_json_number(ind.rank)}, '
+                    f'"crowding": {_json_number(ind.crowding)}, '
+                    f'"contribution": {_json_number(ind.contribution)}'
+                )
+                cached = (ind, line[:start] + fields + line[end:], start, start + len(fields))
+            current[ind.id] = cached
+            handle.write(cached[1])
     return current
 
 
@@ -526,14 +541,14 @@ def _run_repetition(
     population = initialize(config, backends, pool)
     record = _record(0, population, population)
     rows: list[tuple[int, float, int]] = []
-    pieces: dict[int, tuple[str, str]] = {}
+    lines: dict[int, _Line] = {}
     for generation in range(config.generations + 1):
         if generation:
             population, record = step(
                 population, config, backends, config.seed + rep, generation=generation, pool=pool
             )
         rows.append((generation, record.hypervolume, record.fallback_count))
-        pieces = _write_generation(rep_dir, record, pieces)
+        lines = _write_generation(rep_dir, record, lines)
         if progress:
             progress(rep, record)
     _write_hypervolume_series(rep_dir, rows)

@@ -6,12 +6,12 @@ off a full dominance matrix, domination counts test every ordered pair,
 subset selection enumerates every combination, and the classifier oracle
 runs one regex per lexicon word. The line oracle encodes a whole
 individual with json.dumps, which the runner's survivor writer must match
-byte for byte. The mock generator and completion cleaner are the package's
-earlier straightforward versions, copied as they were, which the faster
-ones must match reply for reply.
+byte for byte. The mock generator, completion cleaner and token-budget
+truncation are the package's earlier straightforward versions, copied as
+they were, which the faster ones must match reply for reply.
 None of it shares code with the package under test beyond the value types,
-the classifier's truncation rule, the record schema (individual_to_dict)
-and the mock generator's word lists.
+the classifier's token budget, the record schema (individual_to_dict) and
+the mock generator's word lists.
 The token estimate and the dominance predicate live here because only the
 tests use them.
 """
@@ -30,9 +30,9 @@ from moprompt.backends import (
     _PROMPT_STOPWORDS,
     _STORY_CLOSERS,
     _STORY_OPENERS,
+    CLASSIFIER_TOKEN_BUDGET,
     SUBWORDS_PER_WORD,
     GenerationRequest,
-    truncate_to_token_budget,
 )
 from moprompt.domain import (
     MAX_PROMPT_CHARS,
@@ -137,10 +137,19 @@ def crowding_oracle(points: list[FitnessPoint]) -> list[float]:
     return result
 
 
+def truncate_to_token_budget_oracle(text: str, budget: int = CLASSIFIER_TOKEN_BUDGET) -> str:
+    """Drop trailing words until the estimated subword count fits the budget."""
+    words = text.split()
+    limit = int(budget / SUBWORDS_PER_WORD)
+    if len(words) <= limit:
+        return text
+    return " ".join(words[:limit])
+
+
 def classify_oracle(text: str, lexicons: dict) -> EmotionScores:
     """Keyword-count emotion scores with one whole-word regex per lexicon
     entry: raw score 1 + matches per label, normalized to sum to 1."""
-    lowered = truncate_to_token_budget(text).lower()
+    lowered = truncate_to_token_budget_oracle(text).lower()
     raw = {}
     for label in EmotionLabel:
         count = sum(
@@ -154,7 +163,7 @@ def classify_oracle(text: str, lexicons: dict) -> EmotionScores:
 
 def estimate_tokens(text: str) -> int:
     """Conservative subword count estimate from whitespace tokens, the one
-    truncate_to_token_budget keeps within its budget."""
+    truncate_to_token_budget_oracle keeps within its budget."""
     return math.ceil(len(text.split()) * SUBWORDS_PER_WORD)
 
 

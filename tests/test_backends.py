@@ -31,7 +31,12 @@ from moprompt.backends import (
 from moprompt.live import HttpEmotionClassifier, OllamaClient, parse_classifier_response
 from moprompt.domain import EmotionLabel, GeneratedText
 from moprompt.variation import OperatorSuite, render_prompt_body
-from oracles import MockTextGeneratorOracle, classify_oracle, estimate_tokens
+from oracles import (
+    MockTextGeneratorOracle,
+    classify_oracle,
+    estimate_tokens,
+    truncate_to_token_budget_oracle,
+)
 
 
 class StubServer:
@@ -189,6 +194,37 @@ def test_truncation_threshold():
 def test_truncation_preserves_short_text_exactly():
     text = "a short  text with   odd spacing"
     assert truncate_to_token_budget(text) == text
+
+
+_WHITESPACE = [chr(code) for code in range(0x3001) if chr(code).isspace()]
+_ONE_CHAR_WORDS = [word + space for word in ("a", "é", "情") for space in _WHITESPACE]
+_LONGER = ["bc" + space for space in _WHITESPACE] + _WHITESPACE
+
+
+@st.composite
+def budget_texts(draw):
+    """380-800 characters, mostly one-character words each followed by one
+    whitespace character, so that texts fall on either side of the
+    393-word limit; a few two-character words and whitespace runs mixed in."""
+    tokens = draw(st.lists(st.sampled_from(_ONE_CHAR_WORDS), min_size=190, max_size=420))
+    for _ in range(draw(st.integers(0, 8))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        tokens[i] = draw(st.sampled_from(_LONGER)) + tokens[i]
+    return "".join(tokens)[:800]
+
+
+_AT_LIMIT = " ".join(["a"] * 393)
+
+
+@settings(max_examples=100, deadline=None)
+@given(budget_texts())
+@example(_AT_LIMIT)
+@example(_AT_LIMIT + " ")
+@example(_AT_LIMIT + " a")
+@example("\u3000" + _AT_LIMIT + "\u2028a\u3000")
+def test_truncation_matches_its_oracle(text):
+    assert 380 <= len(text) <= 800
+    assert truncate_to_token_budget(text) == truncate_to_token_budget_oracle(text)
 
 
 # settings validation
@@ -430,7 +466,6 @@ def test_mock_generator_merge_unions_parent_words():
 # prompt text that exercises the mock's tokenizing: quotes, repeats, case
 # folds that change length or depend on the next letter (final sigma), and
 # every whitespace character, paragraph breaks among them
-_WHITESPACE = [chr(code) for code in range(0x3001) if chr(code).isspace()]
 _PROMPT_WORDS = st.one_of(
     st.sampled_from(["love", "Love", "LOVE", "rage", "the", "a", "story", '"quoted"', '"', "“x”",
                      "ΟΔΟΣ", "ΑΒ", "Σ", "ς", "İ", "İstanbul", "Straße", "\u212a", "tears,",

@@ -170,6 +170,48 @@ def test_individual_with_selection():
     assert ind.rank is None  # original untouched
 
 
+SELECTED = Individual(
+    prompt=Prompt("p"), text=GeneratedText(""), fitness=FitnessPoint(0.3, 0.3), id=4
+)
+
+
+@pytest.mark.parametrize("fields", [
+    (None, None, None),
+    (0, 0.0, None),
+    (2, -0.0, -0.0),
+    (1, math.inf, None),
+    (3, None, math.nan),
+    (0, None, -math.inf),
+    (7, 0.25, 5e-324),
+])
+def test_with_selection_keeps_an_individual_whose_fields_read_the_same(fields):
+    tagged = SELECTED.with_selection(*fields)
+    # fresh objects of the same type and repr, nan included
+    again = tuple(None if v is None else type(v)(repr(v)) for v in fields)
+    assert tagged.with_selection(*again) is tagged
+
+
+@pytest.mark.parametrize("before, after", [
+    ((0, 0.0, None), (0, -0.0, None)),
+    ((0, -0.0, None), (0, 0.0, None)),
+    ((0, None, 0.0), (0, None, -0.0)),
+    ((0, None, -0.0), (0, None, 0.0)),
+    ((1, None, None), (1.0, None, None)),
+    ((1.0, None, None), (1, None, None)),
+    ((0, 1.0, None), (0, None, 1.0)),
+    ((0, None, None), (1, None, None)),
+    ((0, 0.5, None), (0, 0.25, None)),
+    ((0, None, math.nan), (0, None, math.inf)),
+    ((0, math.inf, None), (0, None, None)),
+])
+def test_with_selection_builds_a_new_individual_when_a_field_changes(before, after):
+    tagged = SELECTED.with_selection(*before)
+    changed = tagged.with_selection(*after)
+    assert changed is not tagged
+    assert [repr(v) for v in (changed.rank, changed.crowding, changed.contribution)] == [
+        repr(v) for v in after]
+
+
 def test_population_behaves_like_sequence():
     members = tuple(
         Individual(

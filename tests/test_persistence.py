@@ -1,16 +1,23 @@
-"""The output tree's bytes: a recorded fingerprint, and every survivor line
+"""The output tree's bytes: recorded fingerprints, and every survivor line
 against the oracle encoding."""
 
 import hashlib
 import itertools
+import random
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moprompt.backends import Backends, MockEmotionClassifier, MockTextGenerator
+from moprompt.backends import (
+    DEFAULT_LEXICONS,
+    Backends,
+    MockEmotionClassifier,
+    MockTextGenerator,
+)
 from moprompt.domain import (
     FitnessPoint,
     GeneratedText,
@@ -21,6 +28,7 @@ from moprompt.domain import (
     Prompt,
 )
 from moprompt.runner import (
+    DEFAULT_SEED_PROMPTS,
     GenerationRecord,
     RunConfig,
     _write_generation,
@@ -66,6 +74,53 @@ def test_mock_tree_matches_recorded_fingerprint(tmp_path, selector):
     assert tree_sha256(tmp_path) == TREE_FINGERPRINTS[selector]
 
 
+# sha256 of a small converging run, recorded before unchanged survivors were
+# carried across generations as the same object with the same written line
+CONVERGED_FINGERPRINT = "5c0ce5ae88889815d5b34ec280709dc6251fac3c31ab38ae025dcc9eea58b2bf"
+
+
+def converged_config(out_dir: Path) -> RunConfig:
+    """A small run whose seed prompts are saturated with the pair's own
+    lexicon words, so most survivors keep their rank and contribution from
+    one generation to the next."""
+    pool = list(DEFAULT_LEXICONS[PAIR.first]) + list(DEFAULT_LEXICONS[PAIR.second])
+    rng = random.Random("converged-seed-prompts")
+    prompts: dict[str, None] = {}
+    while len(prompts) < 40:
+        instruction = rng.choice(DEFAULT_SEED_PROMPTS[:2]).text
+        prompts[f"{instruction} about {' '.join(rng.sample(pool, rng.randint(13, 16)))}"] = None
+    return RunConfig(
+        pair=PAIR, mu=40, lam=8, generations=6, repetitions=1, seed=7,
+        selector="sms_emoa", hv_mode="exact", out_dir=str(out_dir),
+        seed_prompts=tuple(Prompt(p) for p in prompts),
+    )
+
+
+def selection_fields(ind: Individual) -> tuple[str, str, str]:
+    return repr(ind.rank), repr(ind.crowding), repr(ind.contribution)
+
+
+def test_converged_tree_matches_recorded_fingerprint(tmp_path):
+    config = converged_config(tmp_path)
+    previous: dict[int, Individual] = {}
+    kept = []
+
+    def progress(rep, record):
+        nonlocal previous
+        current = {m.id: m for m in record.population}
+        if record.generation_index > 1:  # founders carry no selection fields
+            same = [m for i, m in current.items()
+                    if i in previous and selection_fields(previous[i]) == selection_fields(m)]
+            assert all(previous[m.id] is m for m in same)
+            kept.append(len(same))
+        previous = current
+
+    assert run_experiment(config, build_backends(config), progress=progress).successes == 1
+    # most survivors leave selection as they entered it, as the same object
+    assert len(kept) == 5 and min(kept) > config.mu // 2
+    assert tree_sha256(tmp_path) == CONVERGED_FINGERPRINT
+
+
 # every written line against the oracle
 
 INF, NAN = float("inf"), float("nan")
@@ -73,8 +128,12 @@ INF, NAN = float("inf"), float("nan")
 TRICKY = st.sampled_from(
     ['"', "\\", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "\u2028", "é", "情", "😀"]
 )
+# the writer cuts a line at these two keys, so strings hold them too
+KEYS = st.sampled_from([', "rank": ', ', "parent_ids": '])
 # lone surrogates cannot be written as UTF-8 at all
-texts = st.text(alphabet=TRICKY | st.characters(blacklist_categories=("Cs",)), max_size=20)
+texts = st.lists(
+    TRICKY | KEYS | st.characters(blacklist_categories=("Cs",)), max_size=20
+).map("".join)
 specials = st.sampled_from([None, INF, -0.0, 0.0, 5e-324, NAN])
 crowdings = st.one_of(specials, st.floats(min_value=0.0))
 contributions = st.one_of(specials, st.just(-INF), st.floats())
@@ -105,27 +164,64 @@ def lines_of(path: Path) -> list[str]:
     return path.read_bytes().decode("utf-8").split("\n")
 
 
-@settings(max_examples=100, deadline=None)
+def copy_value(value):
+    """A distinct object of the same type and repr where one can be made."""
+    return value if value is None else type(value)(repr(value))
+
+
+KINDS = ["dropped", "carried", "reselected", "rebuilt", "flipped", "changed"]
+DIAGNOSTICS = st.sampled_from([("crowding",), ("contribution",), ("crowding", "contribution")])
+ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_written_lines_equal_the_oracle_encoding(data):
-    first = [data.draw(individuals(i)) for i in range(data.draw(st.integers(1, 4)))]
-    survivors = [
-        member.with_selection(data.draw(st.integers(min_value=0)),
-                              data.draw(crowdings), data.draw(contributions))
-        for member in first if data.draw(st.booleans())
-    ]
+    first, second, expected = [], [], []
+    for ident, kind in enumerate(data.draw(st.lists(st.sampled_from(KINDS), min_size=1,
+                                                    max_size=5))):
+        member = data.draw(individuals(ident))
+        if kind == "flipped":  # a zero of one sign now and of the other next
+            names = data.draw(DIAGNOSTICS)
+            member = replace(member, **{name: data.draw(ZEROS) for name in names})
+        first.append(member)
+        fields = {"rank": member.rank, "crowding": member.crowding,
+                  "contribution": member.contribution}
+        if kind == "dropped":
+            continue
+        if kind == "carried":
+            survivor = member
+        elif kind == "reselected":  # repr-equal values hand on the same object
+            survivor = member.with_selection(**{k: copy_value(v) for k, v in fields.items()})
+            assert survivor is member
+        elif kind == "rebuilt":  # an equal individual that is another object
+            survivor = replace(member)
+        else:
+            if kind == "flipped":
+                fields.update({name: -fields[name] for name in names})
+            else:
+                fields = {"rank": data.draw(ranks), "crowding": data.draw(crowdings),
+                          "contribution": data.draw(contributions)}
+            survivor = member.with_selection(**fields)
+        second.append(survivor)
+        # the oracle encodes an individual built with the intended fields,
+        # so neither with_selection nor the writer may drop a change
+        expected.append(replace(member, **fields))
     newcomers = [
         data.draw(individuals(len(first) + i)) for i in range(data.draw(st.integers(0, 2)))
     ]
+    order = data.draw(st.permutations(range(len(second) + len(newcomers))))
+    second = [(second + newcomers)[i] for i in order]
+    expected = [(expected + newcomers)[i] for i in order]
     with tempfile.TemporaryDirectory() as tmp:
-        pieces: dict = {}
-        for generation, members in enumerate((first, survivors + newcomers)):
+        lines: dict = {}
+        for generation, (members, encoded) in enumerate(((first, first), (second, expected))):
             record = GenerationRecord(generation, Population(tuple(members)), 0.0, 0)
-            pieces = _write_generation(Path(tmp), record, pieces)
+            lines = _write_generation(Path(tmp), record, lines)
             assert lines_of(Path(tmp) / f"gen_{generation}.jsonl") == [
-                encode_individual_oracle(member) for member in members
+                encode_individual_oracle(member) for member in encoded
             ] + [""]
-            assert sorted(pieces) == sorted(member.id for member in members)
+            assert sorted(lines) == sorted(member.id for member in members)
 
 
 class CountingGenerator:
