@@ -5,7 +5,7 @@ overrides, report rebuilds comparison tables from finished run directories,
 and hv computes hypervolumes for a CSV of points. Exit codes: 0 on success,
 1 for runtime failures (no successful repetition, unreadable run data),
 2 for configuration and usage errors (an output directory that cannot be
-created among them).
+created, or report CSVs that cannot be written, among them).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .backends import BackendPolicy, LlmSettings
 from .domain import FitnessPoint, ObjectivePair, Prompt
-from .moea import DEFAULT_REFERENCE, hv_subset_select, hypervolume_2d
+from .moea import hv_subset_select, hypervolume_2d
 from .report import ReportError, discover_runs, load_run
 from .rules import build, check, read_json_object, section, strings, text
 from .runner import (
@@ -194,13 +194,22 @@ def cmd_report(args) -> int:
                 }
             )
     print(_format_table(rows))
-    _write_csv(root / "report.csv", _REPORT_COLUMNS, (_report_cells(row, repr) for row in rows))
-    _write_csv(
-        root / "curves.csv", ("problem", "selector", "repetition", "generation", "hypervolume"),
-        ([report.problem, report.selector, curve.repetition, generation, repr(hv)]
-         for report in reports for curve in report.curves
-         for generation, hv in enumerate(curve.hypervolumes)),
-    )
+    tables = {
+        "report.csv": (_REPORT_COLUMNS, (_report_cells(row, repr) for row in rows)),
+        "curves.csv": (
+            ("problem", "selector", "repetition", "generation", "hypervolume"),
+            ([report.problem, report.selector, curve.repetition, generation, repr(hv)]
+             for report in reports for curve in report.curves
+             for generation, hv in enumerate(curve.hypervolumes)),
+        ),
+    }
+    for name, (header, cells) in tables.items():
+        path = root / name
+        try:
+            _write_csv(path, header, cells)
+        except OSError as exc:
+            print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     return 0
 
 
@@ -214,7 +223,8 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def _read_points_csv(path: str) -> list[FitnessPoint]:
     points = []
-    with open(path, encoding="utf-8", newline="") as handle:
+    # utf-8-sig drops the byte order mark spreadsheet programs write
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         for row_number, row in enumerate(csv.reader(handle), start=1):
             if not row or not "".join(row).strip():
                 continue
@@ -248,15 +258,15 @@ def cmd_hv(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    total = hypervolume_2d(points, DEFAULT_REFERENCE)
+    total = hypervolume_2d(points)
     print(f"hypervolume {total:.12f}")
     if args.subset is not None:
         try:
-            selected = hv_subset_select(points, args.subset, DEFAULT_REFERENCE, args.mode)
+            selected = hv_subset_select(points, args.subset, args.mode)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        subset_hv = hypervolume_2d([points[i] for i in selected], DEFAULT_REFERENCE)
+        subset_hv = hypervolume_2d([points[i] for i in selected])
         print("selected " + " ".join(str(i) for i in selected))
         print(f"subset_hypervolume {subset_hv:.12f}")
     return 0

@@ -139,7 +139,7 @@ class FitnessPoint:
         if type(f1) is float and type(f2) is float and 0.0 <= f1 <= 1.0 and 0.0 <= f2 <= 1.0:
             return  # the common case, which passes the checks below (NaN fails a comparison)
         for name, value in (("f1", f1), ("f2", f2)):
-            if not isinstance(value, (int, float)) or math.isnan(value):
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} out of [0, 1]: {value}")

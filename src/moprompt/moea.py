@@ -9,10 +9,10 @@ over the points in descending f1 order, so survivor selection scales as
 O(n log n) in the candidate count up to the subset selection that runs
 when the Pareto front alone overflows.
 
-The hypervolume routines are exact 2-D algorithms. With both objectives
-maximized and a reference point at or below every point, the hypervolume of
-a set is the area of the union of the axis-aligned rectangles spanned by the
-reference point and each point.
+The hypervolume routines are exact 2-D algorithms. Both objectives are
+maximized and the reference point is the origin, which lies at or below
+every FitnessPoint, so the hypervolume of a set is the area of the union of
+the axis-aligned rectangles spanned by the origin and each point.
 """
 
 from __future__ import annotations
@@ -23,19 +23,6 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .domain import FitnessPoint
-
-DEFAULT_REFERENCE = (0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class Front:
-    """One layer of the non-dominated partition. rank 0 is the Pareto front."""
-
-    rank: int
-    indices: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.indices)
 
 
 @dataclass(frozen=True)
@@ -53,8 +40,11 @@ class SelectionOutcome:
     diagnostics: tuple[float, ...]
 
 
-def nondominated_sort(points: list[FitnessPoint]) -> list[Front]:
+def nondominated_sort(points: list[FitnessPoint]) -> list[tuple[int, ...]]:
     """Partition points into fronts by non-dominated rank in O(n log n).
+
+    Returns one tuple of point indices per front, in rank order: the front
+    at position 0 is the Pareto front.
 
     Sort-and-sweep for two objectives (Jensen 2003): points are visited by
     descending f1, then descending f2, so every point that can dominate the
@@ -79,7 +69,7 @@ def nondominated_sort(points: list[FitnessPoint]) -> list[Front]:
         else:
             front_keys[rank] = key
             members[rank].append(i)
-    return [Front(rank=rank, indices=tuple(sorted(m))) for rank, m in enumerate(members)]
+    return [tuple(sorted(m)) for m in members]
 
 
 def _domination_counts(points: list[FitnessPoint]) -> list[int]:
@@ -121,8 +111,6 @@ def crowding_distance(points: list[FitnessPoint]) -> list[float]:
     objective with zero range contributes nothing.
     """
     n = len(points)
-    if n == 0:
-        return []
     if n <= 2:
         return [float("inf")] * n
     distance = [0.0] * n
@@ -144,30 +132,19 @@ def crowding_distance(points: list[FitnessPoint]) -> list[float]:
     return distance
 
 
-def _check_reference(points: list[FitnessPoint], ref: tuple[float, float]) -> None:
-    for i, p in enumerate(points):
-        if p.f1 < ref[0] or p.f2 < ref[1]:
-            raise ValueError(
-                f"point {i} at ({p.f1}, {p.f2}) lies below reference {ref}"
-            )
+def hypervolume_2d(points: list[FitnessPoint]) -> float:
+    """Exact hypervolume of a point set with respect to the origin.
 
-
-def hypervolume_2d(points: list[FitnessPoint], ref: tuple[float, float]) -> float:
-    """Exact hypervolume of a point set with respect to a reference point.
-
-    Sweep over points sorted by descending f1, adding the horizontal strip
-    each point contributes above the best f2 seen so far. O(n log n); the
-    empty set has hypervolume 0. Points below the reference in either
-    coordinate are an error.
+    The origin lies at or below every FitnessPoint. Sweep over points sorted
+    by descending f1, adding the horizontal strip each point contributes
+    above the best f2 seen so far. O(n log n); the empty set has
+    hypervolume 0.
     """
-    _check_reference(points, ref)
-    if not points:
-        return 0.0
     area = 0.0
-    best_f2 = ref[1]
+    best_f2 = 0.0
     for f1, f2 in sorted(((p.f1, p.f2) for p in points), key=lambda c: -c[0]):
         if f2 > best_f2:
-            area += (f1 - ref[0]) * (f2 - best_f2)
+            area += f1 * (f2 - best_f2)
             best_f2 = f2
     return area
 
@@ -194,7 +171,7 @@ def _staircase(
     return stair, duplicated
 
 
-def hv_contributions(points: list[FitnessPoint], ref: tuple[float, float]) -> list[float]:
+def hv_contributions(points: list[FitnessPoint]) -> list[float]:
     """Exclusive hypervolume contribution of each point.
 
     For a mutually nondominated set this is hv(S) - hv(S without i). Every
@@ -203,27 +180,21 @@ def hv_contributions(points: list[FitnessPoint], ref: tuple[float, float]) -> li
     area they would expose. Computed from the sorted staircase of maximal
     points in O(n log n) total.
     """
-    _check_reference(points, ref)
-    n = len(points)
-    contributions = [0.0] * n
+    contributions = [0.0] * len(points)
     stair, duplicated = _staircase(points)
     for position, index in enumerate(stair):
         if position in duplicated:
             continue
         p = points[index]
-        right_f1 = points[stair[position + 1]].f1 if position + 1 < len(stair) else ref[0]
-        below_f2 = points[stair[position - 1]].f2 if position > 0 else ref[1]
+        right_f1 = points[stair[position + 1]].f1 if position + 1 < len(stair) else 0.0
+        below_f2 = points[stair[position - 1]].f2 if position > 0 else 0.0
         contributions[index] = (p.f1 - right_f1) * (p.f2 - below_f2)
     return contributions
 
 
-def hv_subset_select(
-    points: list[FitnessPoint],
-    k: int,
-    ref: tuple[float, float],
-    mode: str = "greedy",
-) -> list[int]:
-    """Choose k of the given points to (approximately) maximize hypervolume.
+def hv_subset_select(points: list[FitnessPoint], k: int, mode: str = "greedy") -> list[int]:
+    """Choose k of the given points to (approximately) maximize hypervolume
+    with respect to the origin.
 
     greedy mode repeatedly discards a point of minimal exclusive contribution
     (lowest index among ties) until k remain. exact mode solves the 2-D
@@ -237,26 +208,23 @@ def hv_subset_select(
         raise ValueError(f"subset size must be at least 1, got {k}")
     if k > n:
         raise ValueError(f"cannot select {k} of {n} points")
-    _check_reference(points, ref)
-    if k == n:
-        return list(range(n))
     if mode == "greedy":
-        return _greedy_subset(points, k, ref)
+        return _greedy_subset(points, k)
     if mode == "exact":
-        return _exact_subset(points, k, ref)
+        return _exact_subset(points, k)
     raise ValueError(f"unknown subset selection mode: {mode!r}")
 
 
-def _greedy_subset(points: list[FitnessPoint], k: int, ref: tuple[float, float]) -> list[int]:
+def _greedy_subset(points: list[FitnessPoint], k: int) -> list[int]:
     remaining = list(range(len(points)))
     while len(remaining) > k:
-        contribs = hv_contributions([points[i] for i in remaining], ref)
+        contribs = hv_contributions([points[i] for i in remaining])
         drop = min(range(len(remaining)), key=lambda t: (contribs[t], remaining[t]))
         remaining.pop(drop)
     return remaining
 
 
-def _exact_subset(points: list[FitnessPoint], k: int, ref: tuple[float, float]) -> list[int]:
+def _exact_subset(points: list[FitnessPoint], k: int) -> list[int]:
     # the staircase holds one index per distinct maximal coordinate, lowest first
     stair, _ = _staircase(points)
     m = len(stair)
@@ -267,13 +235,13 @@ def _exact_subset(points: list[FitnessPoint], k: int, ref: tuple[float, float]) 
                 break
             chosen.add(index)
         return sorted(chosen)
-    xs = [points[i].f1 - ref[0] for i in stair]
+    xs = [points[i].f1 for i in stair]
     ys = [points[i].f2 for i in stair]
     # best[j][t]: max area selecting j staircase points, the last being t
     best = [[float("-inf")] * m for _ in range(k + 1)]
     back: list[list[int]] = [[-1] * m for _ in range(k + 1)]
     for t in range(m):
-        best[1][t] = xs[t] * (ys[t] - ref[1])
+        best[1][t] = xs[t] * ys[t]
     for j in range(2, k + 1):
         for t in range(j - 1, m):
             for u in range(j - 2, t):
@@ -301,8 +269,8 @@ def _select_by_fronts(
 
     Sorts the candidates into fronts, records each one's rank and its
     diagnose() value within its front, then takes whole fronts in rank
-    order. From the front that does not fit, pick_overflow(front, need,
-    diagnostics) chooses the need indices that fill mu.
+    order. From the front that does not fit, pick_overflow(rank, front,
+    need, diagnostics) chooses the need indices that fill mu.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -311,20 +279,20 @@ def _select_by_fronts(
     fronts = nondominated_sort(candidates)
     ranks = [0] * len(candidates)
     diagnostics = [0.0] * len(candidates)
-    for front in fronts:
-        values = diagnose([candidates[i] for i in front.indices])
-        for i, value in zip(front.indices, values):
-            ranks[i] = front.rank
+    for rank, front in enumerate(fronts):
+        values = diagnose([candidates[i] for i in front])
+        for i, value in zip(front, values):
+            ranks[i] = rank
             diagnostics[i] = value
     selected: list[int] = []
-    for front in fronts:
+    for rank, front in enumerate(fronts):
         need = mu - len(selected)
         if need == 0:
             break
         if len(front) > need:
-            selected.extend(pick_overflow(front, need, diagnostics))
+            selected.extend(pick_overflow(rank, front, need, diagnostics))
             break
-        selected.extend(front.indices)
+        selected.extend(front)
     return SelectionOutcome(tuple(selected), tuple(ranks), tuple(diagnostics))
 
 
@@ -333,8 +301,10 @@ def nsga2_select(candidates: list[FitnessPoint], mu: int) -> SelectionOutcome:
     overflowing front truncated by descending crowding distance (ties toward
     the lower index)."""
 
-    def by_crowding(front: Front, need: int, crowding: list[float]) -> list[int]:
-        return sorted(front.indices, key=lambda i: (-crowding[i], i))[:need]
+    def by_crowding(
+        rank: int, front: tuple[int, ...], need: int, crowding: list[float]
+    ) -> list[int]:
+        return sorted(front, key=lambda i: (-crowding[i], i))[:need]
 
     return _select_by_fronts(candidates, mu, crowding_distance, by_crowding)
 
@@ -342,7 +312,6 @@ def nsga2_select(candidates: list[FitnessPoint], mu: int) -> SelectionOutcome:
 def sms_emoa_select(
     candidates: list[FitnessPoint],
     mu: int,
-    ref: tuple[float, float] = DEFAULT_REFERENCE,
     mode: str = "greedy",
 ) -> SelectionOutcome:
     """Hypervolume-based survivor selection.
@@ -356,16 +325,13 @@ def sms_emoa_select(
     candidate count; the subset selection costs what its mode costs.
     """
 
-    def by_hypervolume(front: Front, need: int, contribution: list[float]) -> list[int]:
-        if front.rank == 0:  # only when the Pareto front alone exceeds mu
-            local_pick = hv_subset_select([candidates[i] for i in front.indices], need, ref, mode)
-            return [front.indices[t] for t in local_pick]
+    def by_hypervolume(
+        rank: int, front: tuple[int, ...], need: int, contribution: list[float]
+    ) -> list[int]:
+        if rank == 0:  # only when the Pareto front alone exceeds mu
+            local_pick = hv_subset_select([candidates[i] for i in front], need, mode)
+            return [front[t] for t in local_pick]
         domination_count = _domination_counts(candidates)
-        order = sorted(
-            front.indices, key=lambda i: (domination_count[i], -contribution[i], i)
-        )
-        return order[:need]
+        return sorted(front, key=lambda i: (domination_count[i], -contribution[i], i))[:need]
 
-    return _select_by_fronts(
-        candidates, mu, lambda points: hv_contributions(points, ref), by_hypervolume
-    )
+    return _select_by_fronts(candidates, mu, hv_contributions, by_hypervolume)

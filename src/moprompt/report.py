@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .domain import FitnessPoint
-from .moea import DEFAULT_REFERENCE, hypervolume_2d
+from .moea import hypervolume_2d
 from .runner import _stats
 
 _GEN_FILE_RE = re.compile(r"^gen_(\d+)\.jsonl$")
@@ -90,8 +90,8 @@ def load_run(run_dir: Path) -> RunReport:
 
     Only repetitions the summary marks ok are loaded; their records must all
     be present and parseable, else a ReportError lists the bad files. A
-    summary or record that parses as JSON but has the wrong shape counts as
-    unparseable.
+    summary or record that parses as JSON but has the wrong shape or a
+    wrong-typed field counts as unparseable.
     """
     run_dir = Path(run_dir)
     bad: list[str] = []
@@ -105,6 +105,11 @@ def load_run(run_dir: Path) -> RunReport:
     results = summary.get("results", []) if isinstance(summary, dict) else None
     if not isinstance(results, list) or not all(isinstance(r, dict) for r in results):
         raise unreadable
+    for key, kind in (("pair", str), ("selector", str), ("generations", int)):
+        value = summary.get(key)
+        if key in summary and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise unreadable
+    expected_last = summary.get("generations")
     curves: list[RepetitionCurve] = []
     for result in results:
         if result.get("status") != "ok":
@@ -119,7 +124,6 @@ def load_run(run_dir: Path) -> RunReport:
                 match = _GEN_FILE_RE.match(path.name)
                 if match:
                     gen_files[int(match.group(1))] = path
-        expected_last = summary.get("generations")
         complete = bool(gen_files) and sorted(gen_files) == list(range(max(gen_files) + 1))
         if complete and expected_last is not None:
             complete = max(gen_files) == expected_last
@@ -134,7 +138,7 @@ def load_run(run_dir: Path) -> RunReport:
             except (OSError, ValueError):
                 bad.append(str(path))
                 break
-            series.append(hypervolume_2d(points, DEFAULT_REFERENCE))
+            series.append(hypervolume_2d(points))
         else:
             curves.append(RepetitionCurve(repetition=rep, hypervolumes=tuple(series)))
     if bad:

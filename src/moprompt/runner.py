@@ -52,13 +52,7 @@ from .domain import (
     Prompt,
     extract_fitness,
 )
-from .moea import (
-    DEFAULT_REFERENCE,
-    hypervolume_2d,
-    nondominated_sort,
-    nsga2_select,
-    sms_emoa_select,
-)
+from .moea import hypervolume_2d, nondominated_sort, nsga2_select, sms_emoa_select
 from .rules import check_fields, choice, integer, text, token, url
 
 logger = logging.getLogger(__name__)
@@ -206,7 +200,7 @@ def _record(generation: int, population: Population, evaluated) -> GenerationRec
     return GenerationRecord(
         generation_index=generation,
         population=population,
-        hypervolume=hypervolume_2d(population.fitness_points(), DEFAULT_REFERENCE),
+        hypervolume=hypervolume_2d(population.fitness_points()),
         fallback_count=sum(
             1 for ind in evaluated for record in ind.operator_trace if record.fallback
         ),
@@ -332,7 +326,7 @@ def step(
         outcome = nsga2_select(points, config.mu)
         diagnostic = "crowding"
     else:
-        outcome = sms_emoa_select(points, config.mu, DEFAULT_REFERENCE, config.hv_mode)
+        outcome = sms_emoa_select(points, config.mu, config.hv_mode)
         diagnostic = "contribution"
     population = Population(tuple(
         candidates[i].with_selection(rank=outcome.ranks[i], **{diagnostic: outcome.diagnostics[i]})
@@ -449,8 +443,7 @@ def _write_hypervolume_series(rep_dir: Path, rows: list[tuple[int, float, int]])
 def _write_pareto_front(
     rep_dir: Path, config: RunConfig, repetition: int, final: Population
 ) -> None:
-    fronts = nondominated_sort(final.fitness_points())
-    front0 = fronts[0].indices if fronts else ()
+    front0 = nondominated_sort(final.fitness_points())[0]
     payload = {
         "pair": config.pair.slug,
         "selector": config.selector,

@@ -640,6 +640,14 @@ def test_hv_command_golden(tmp_path, capsys):
     assert out == "hypervolume 0.444444444444\n"
 
 
+def test_hv_ignores_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "points.csv"
+    path.write_bytes("0.5,0.5\n0.2,0.9\n".encode("utf-8-sig"))
+    code, out, _ = run_cli(capsys, "hv", "--points", str(path))
+    assert code == 0
+    assert out == "hypervolume 0.330000000000\n"
+
+
 def test_hv_subset_golden(tmp_path, capsys):
     path = tmp_path / "points.csv"
     path.write_text("1.0,0.0\n0.5,0.5\n0.0,1.0\n0.4,0.4\n")
@@ -746,6 +754,25 @@ def test_report_lists_wrong_shaped_files(finished_runs, capsys, name, content):
     assert code == 1
     assert "unreadable run data" in err
     assert str(target) in err
+
+
+def test_report_lists_a_summary_with_a_wrong_typed_field(finished_runs, capsys):
+    target = finished_runs / "joy_vs_fear" / "nsga2" / "summary.json"
+    summary = json.loads(target.read_text())
+    target.write_text(json.dumps({**summary, "selector": None}))
+    code, _, err = run_cli(capsys, "report", "--run", str(finished_runs))
+    assert code == 1
+    assert "unreadable run data" in err
+    assert str(target) in err
+    assert "Traceback" not in err
+
+
+def test_report_exits_2_when_a_csv_cannot_be_written(finished_runs, capsys):
+    (finished_runs / "report.csv").mkdir()
+    code, _, err = run_cli(capsys, "report", "--run", str(finished_runs))
+    assert code == 2
+    assert err.startswith(f"error: cannot write {finished_runs / 'report.csv'}: ")
+    assert not (finished_runs / "curves.csv").exists()
 
 
 def test_report_lists_a_summary_that_is_not_utf8(finished_runs, capsys):

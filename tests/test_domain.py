@@ -102,6 +102,11 @@ def test_fitness_point_bounds():
         FitnessPoint(0.5, 1.1)
     with pytest.raises(ValueError):
         FitnessPoint(float("nan"), 0.5)
+    with pytest.raises(ValueError, match="real number"):
+        FitnessPoint(True, False)
+    with pytest.raises(ValueError, match="real number"):
+        FitnessPoint(0.5, True)
+    assert FitnessPoint(1, 0).as_tuple() == (1, 0)
 
 
 def test_extract_fitness_love_anger_example():

@@ -99,21 +99,19 @@ def test_dominates_irreflexive(p):
 def test_sort_single_point():
     fronts = nondominated_sort(points_of((0.3, 0.3)))
     assert len(fronts) == 1
-    assert fronts[0].indices == (0,)
-    assert fronts[0].rank == 0
+    assert fronts[0] == (0,)
 
 
 def test_sort_chain():
     pts = points_of((0.9, 0.9), (0.5, 0.5), (0.1, 0.1))
     fronts = nondominated_sort(pts)
-    assert [f.indices for f in fronts] == [(0,), (1,), (2,)]
+    assert fronts == [(0,), (1,), (2,)]
 
 
 def test_sort_duplicates_share_a_front():
     pts = points_of((0.5, 0.5), (0.5, 0.5), (0.2, 0.2))
     fronts = nondominated_sort(pts)
-    assert fronts[0].indices == (0, 1)
-    assert fronts[1].indices == (2,)
+    assert fronts == [(0, 1), (2,)]
 
 
 def test_sort_empty():
@@ -124,14 +122,14 @@ def test_sort_matches_oracle_on_random_sets():
     rng = random.Random(7)
     for trial in range(60):
         pts = random_points(rng, rng.randrange(1, 60), grid=8 if trial % 2 else None)
-        fronts = [list(f.indices) for f in nondominated_sort(pts)]
+        fronts = [list(f) for f in nondominated_sort(pts)]
         assert fronts == sort_oracle(pts)
 
 
 @settings(deadline=None)
 @given(tied_points())
 def test_sort_matches_oracle_with_ties_and_duplicates(pts):
-    assert [list(f.indices) for f in nondominated_sort(pts)] == sort_oracle(pts)
+    assert [list(f) for f in nondominated_sort(pts)] == sort_oracle(pts)
 
 
 @settings(deadline=None)
@@ -144,9 +142,8 @@ def test_sort_partitions_input():
     rng = random.Random(3)
     pts = random_points(rng, 40)
     fronts = nondominated_sort(pts)
-    seen = [i for front in fronts for i in front.indices]
+    seen = [i for front in fronts for i in front]
     assert sorted(seen) == list(range(40))
-    assert [front.rank for front in fronts] == list(range(len(fronts)))
 
 
 # crowding distance
@@ -187,32 +184,25 @@ def test_crowding_matches_oracle():
 
 
 def test_hv_empty_and_single():
-    assert hypervolume_2d([], ORIGIN) == 0.0
-    assert hypervolume_2d(points_of((0.8, 0.5)), ORIGIN) == pytest.approx(0.40, abs=1e-15)
+    assert hypervolume_2d([]) == 0.0
+    assert hypervolume_2d(points_of((0.8, 0.5))) == pytest.approx(0.40, abs=1e-15)
 
 
 def test_hv_three_point_example():
     pts = points_of((1.0, 0.0), (0.0, 1.0), (0.5, 0.5))
-    assert hypervolume_2d(pts, ORIGIN) == pytest.approx(0.25, abs=1e-15)
+    assert hypervolume_2d(pts) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_hv_diagonal_ten_points():
     pts = [FitnessPoint(k / 9, 1 - k / 9) for k in range(10)]
-    assert hypervolume_2d(pts, ORIGIN) == pytest.approx(4 / 9, abs=1e-12)
-
-
-def test_hv_rejects_points_below_reference():
-    with pytest.raises(ValueError):
-        hypervolume_2d(points_of((0.4, 0.4)), (0.5, 0.0))
-    with pytest.raises(ValueError):
-        hypervolume_2d(points_of((0.4, 0.4)), (0.0, 0.5))
+    assert hypervolume_2d(pts) == pytest.approx(4 / 9, abs=1e-12)
 
 
 def test_hv_matches_oracle_on_random_sets():
     rng = random.Random(23)
     for trial in range(60):
         pts = random_points(rng, rng.randrange(1, 30), grid=6 if trial % 3 == 0 else None)
-        assert hypervolume_2d(pts, ORIGIN) == pytest.approx(
+        assert hypervolume_2d(pts) == pytest.approx(
             hypervolume_oracle(pts, ORIGIN), abs=1e-12
         )
 
@@ -221,31 +211,31 @@ def test_hv_matches_oracle_on_random_sets():
 def test_hv_permutation_invariant(pts):
     shuffled = list(pts)
     random.Random(0).shuffle(shuffled)
-    assert hypervolume_2d(pts, ORIGIN) == pytest.approx(
-        hypervolume_2d(shuffled, ORIGIN), abs=1e-12
+    assert hypervolume_2d(pts) == pytest.approx(
+        hypervolume_2d(shuffled), abs=1e-12
     )
 
 
 @given(st.lists(point_strategy, min_size=1, max_size=30), point_strategy)
 def test_hv_monotone_under_addition(pts, extra):
-    base = hypervolume_2d(pts, ORIGIN)
-    assert hypervolume_2d(pts + [extra], ORIGIN) >= base - 1e-12
+    base = hypervolume_2d(pts)
+    assert hypervolume_2d(pts + [extra]) >= base - 1e-12
 
 
 @given(st.lists(point_strategy, min_size=2, max_size=20))
 def test_hv_ignores_dominated_points(pts):
     fronts = nondominated_sort(pts)
-    front0 = [pts[i] for i in fronts[0].indices]
-    assert hypervolume_2d(pts, ORIGIN) == pytest.approx(
-        hypervolume_2d(front0, ORIGIN), abs=1e-12
+    front0 = [pts[i] for i in fronts[0]]
+    assert hypervolume_2d(pts) == pytest.approx(
+        hypervolume_2d(front0), abs=1e-12
     )
 
 
 @given(st.lists(point_strategy, min_size=1, max_size=15), st.floats(0.1, 1.0))
 def test_hv_scale_covariance(pts, scale):
     scaled = [FitnessPoint(p.f1 * scale, p.f2 * scale) for p in pts]
-    assert hypervolume_2d(scaled, ORIGIN) == pytest.approx(
-        hypervolume_2d(pts, ORIGIN) * scale * scale, rel=1e-9, abs=1e-12
+    assert hypervolume_2d(scaled) == pytest.approx(
+        hypervolume_2d(pts) * scale * scale, rel=1e-9, abs=1e-12
     )
 
 
@@ -254,19 +244,19 @@ def test_hv_scale_covariance(pts, scale):
 
 def test_contributions_example():
     pts = points_of((1.0, 0.0), (0.5, 0.5), (0.0, 1.0))
-    assert hv_contributions(pts, ORIGIN) == pytest.approx([0.0, 0.25, 0.0], abs=1e-15)
+    assert hv_contributions(pts) == pytest.approx([0.0, 0.25, 0.0], abs=1e-15)
 
 
 def test_contributions_duplicates_are_zero():
     pts = points_of((0.5, 0.5), (0.5, 0.5), (0.8, 0.1))
-    contribs = hv_contributions(pts, ORIGIN)
+    contribs = hv_contributions(pts)
     assert contribs[0] == 0.0 and contribs[1] == 0.0
     assert contribs[2] > 0.0
 
 
 def test_contributions_dominated_are_zero():
     pts = points_of((0.9, 0.9), (0.2, 0.2), (0.5, 0.5))
-    contribs = hv_contributions(pts, ORIGIN)
+    contribs = hv_contributions(pts)
     assert contribs[1] == 0.0 and contribs[2] == 0.0
     assert contribs[0] == pytest.approx(0.81)
 
@@ -278,14 +268,14 @@ def test_contributions_match_leave_one_out_oracle():
     for trial in range(30):
         raw = random_points(rng, rng.randrange(1, 15), grid=7 if trial % 2 else None)
         pts = [raw[i] for i in sort_oracle(raw)[0]]
-        got = hv_contributions(pts, ORIGIN)
+        got = hv_contributions(pts)
         want = contributions_oracle(pts, ORIGIN)
         assert got == pytest.approx(want, abs=1e-12)
 
 
 @given(st.lists(point_strategy, min_size=1, max_size=25))
 def test_contributions_sum_bounded_by_hv(pts):
-    assert sum(hv_contributions(pts, ORIGIN)) <= hypervolume_2d(pts, ORIGIN) + 1e-12
+    assert sum(hv_contributions(pts)) <= hypervolume_2d(pts) + 1e-12
 
 
 # subset selection
@@ -294,11 +284,11 @@ def test_contributions_sum_bounded_by_hv(pts):
 def test_subset_select_validates_k():
     pts = points_of((0.5, 0.5), (0.6, 0.2))
     with pytest.raises(ValueError):
-        hv_subset_select(pts, 0, ORIGIN)
+        hv_subset_select(pts, 0)
     with pytest.raises(ValueError):
-        hv_subset_select(pts, 3, ORIGIN)
+        hv_subset_select(pts, 3)
     with pytest.raises(ValueError):
-        hv_subset_select(pts, 1, ORIGIN, mode="fancy")
+        hv_subset_select(pts, 1, mode="fancy")
 
 
 @pytest.mark.parametrize("mode", ["greedy", "exact"])
@@ -306,18 +296,18 @@ def test_subset_select_validates_k():
 def test_subset_select_rejects_sizes_below_one(mode, k):
     pts = points_of((0.5, 0.5), (0.6, 0.2), (0.2, 0.6))
     with pytest.raises(ValueError, match=f"^subset size must be at least 1, got {k}$"):
-        hv_subset_select(pts, k, ORIGIN, mode)
+        hv_subset_select(pts, k, mode)
 
 
 def test_subset_select_k_equals_n():
     pts = points_of((0.5, 0.5), (0.6, 0.2))
-    assert hv_subset_select(pts, 2, ORIGIN, "greedy") == [0, 1]
-    assert hv_subset_select(pts, 2, ORIGIN, "exact") == [0, 1]
+    assert hv_subset_select(pts, 2, "greedy") == [0, 1]
+    assert hv_subset_select(pts, 2, "exact") == [0, 1]
 
 
 def test_subset_exact_four_point_example():
     pts = points_of((1.0, 0.0), (0.5, 0.5), (0.0, 1.0), (0.4, 0.4))
-    assert hv_subset_select(pts, 3, ORIGIN, "exact") == [0, 1, 2]
+    assert hv_subset_select(pts, 3, "exact") == [0, 1, 2]
 
 
 def test_subset_exact_matches_enumeration():
@@ -326,8 +316,8 @@ def test_subset_exact_matches_enumeration():
         n = rng.randrange(2, 11)
         k = rng.randrange(1, min(n, 5) + 1)
         pts = random_points(rng, n, grid=9 if rng.random() < 0.5 else None)
-        selected = hv_subset_select(pts, k, ORIGIN, "exact")
-        got = hypervolume_2d([pts[i] for i in selected], ORIGIN)
+        selected = hv_subset_select(pts, k, "exact")
+        got = hypervolume_2d([pts[i] for i in selected])
         want, _ = best_subset_oracle(pts, k, ORIGIN)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -339,10 +329,10 @@ def test_subset_exact_at_least_greedy():
         k = rng.randrange(1, n + 1)
         pts = random_points(rng, n)
         greedy = hypervolume_2d(
-            [pts[i] for i in hv_subset_select(pts, k, ORIGIN, "greedy")], ORIGIN
+            [pts[i] for i in hv_subset_select(pts, k, "greedy")]
         )
         exact = hypervolume_2d(
-            [pts[i] for i in hv_subset_select(pts, k, ORIGIN, "exact")], ORIGIN
+            [pts[i] for i in hv_subset_select(pts, k, "exact")]
         )
         assert exact >= greedy - 1e-12
 
@@ -351,13 +341,13 @@ def test_subset_select_deterministic():
     rng = random.Random(53)
     pts = random_points(rng, 15)
     for mode in ("greedy", "exact"):
-        first = hv_subset_select(pts, 6, ORIGIN, mode)
-        assert first == hv_subset_select(pts, 6, ORIGIN, mode)
+        first = hv_subset_select(pts, 6, mode)
+        assert first == hv_subset_select(pts, 6, mode)
 
 
 def test_subset_greedy_drops_duplicates_first():
     pts = points_of((0.5, 0.5), (0.5, 0.5), (0.9, 0.2), (0.2, 0.9))
-    kept = hv_subset_select(pts, 3, ORIGIN, "greedy")
+    kept = hv_subset_select(pts, 3, "greedy")
     # one of the duplicate pair must be gone
     assert kept.count(0) + kept.count(1) == 1
 
@@ -406,7 +396,7 @@ def test_nsga2_keeps_front0_when_it_fits():
         fronts = nondominated_sort(pts)
         outcome = nsga2_select(pts, mu)
         if len(fronts[0]) <= mu:
-            assert set(fronts[0].indices) <= set(outcome.selected)
+            assert set(fronts[0]) <= set(outcome.selected)
         assert len(outcome.selected) == mu
         assert len(set(outcome.selected)) == mu
 
@@ -428,8 +418,8 @@ def test_sms_requires_enough_candidates():
 def test_sms_overflowing_front0_uses_subset_selection():
     # five nondominated points, keep 3; the extremes plus the bulge win
     pts = points_of((1.0, 0.0), (0.8, 0.55), (0.55, 0.8), (0.0, 1.0), (0.3, 0.9))
-    outcome = sms_emoa_select(pts, 3, ORIGIN, "exact")
-    got = hypervolume_2d([pts[i] for i in outcome.selected], ORIGIN)
+    outcome = sms_emoa_select(pts, 3, "exact")
+    got = hypervolume_2d([pts[i] for i in outcome.selected])
     want, _ = best_subset_oracle(pts, 3, ORIGIN)
     assert got == pytest.approx(want, abs=1e-12)
     assert len(outcome.selected) == 3
@@ -444,7 +434,7 @@ def test_sms_fronts_fit_then_domination_count_order():
         (0.9, 0.5), (0.5, 0.9),
         (0.45, 0.45), (0.58, 0.38), (0.38, 0.58), (0.40, 0.40),
     )
-    outcome = sms_emoa_select(pts, 4, ORIGIN, "greedy")
+    outcome = sms_emoa_select(pts, 4, "greedy")
     assert outcome.selected == (0, 1, 3, 4)
     assert outcome.ranks == (0, 0, 1, 1, 1, 2)
 
@@ -456,9 +446,9 @@ def test_sms_keeps_front0_when_it_fits():
             pts = random_points(rng, 20)
             mu = 10
             fronts = nondominated_sort(pts)
-            outcome = sms_emoa_select(pts, mu, ORIGIN, mode)
+            outcome = sms_emoa_select(pts, mu, mode)
             if len(fronts[0]) <= mu:
-                assert set(fronts[0].indices) <= set(outcome.selected)
+                assert set(fronts[0]) <= set(outcome.selected)
             assert len(outcome.selected) == mu
 
 
@@ -466,7 +456,7 @@ def test_sms_deterministic():
     rng = random.Random(73)
     pts = random_points(rng, 30)
     for mode in ("greedy", "exact"):
-        assert sms_emoa_select(pts, 10, ORIGIN, mode) == sms_emoa_select(pts, 10, ORIGIN, mode)
+        assert sms_emoa_select(pts, 10, mode) == sms_emoa_select(pts, 10, mode)
 
 
 def test_selectors_never_prefer_dominated_over_dominator():
@@ -479,13 +469,13 @@ def test_selectors_never_prefer_dominated_over_dominator():
         mu = 10
         for select in (
             lambda p: nsga2_select(p, mu),
-            lambda p: sms_emoa_select(p, mu, ORIGIN, "greedy"),
-            lambda p: sms_emoa_select(p, mu, ORIGIN, "exact"),
+            lambda p: sms_emoa_select(p, mu, "greedy"),
+            lambda p: sms_emoa_select(p, mu, "exact"),
         ):
             outcome = select(pts)
             chosen = set(outcome.selected)
             if len(fronts[0]) <= mu:
-                assert set(fronts[0].indices) <= chosen
+                assert set(fronts[0]) <= chosen
 
 
 @settings(deadline=None)
@@ -500,9 +490,7 @@ def test_scale_preserves_dominance_relations(pts, scale):
         values = {getattr(p, axis) for p in pts}
         assume(len({v * scale for v in values}) == len(values))
     scaled = [FitnessPoint(p.f1 * scale, p.f2 * scale) for p in pts]
-    base_fronts = [f.indices for f in nondominated_sort(pts)]
-    scaled_fronts = [f.indices for f in nondominated_sort(scaled)]
-    assert base_fronts == scaled_fronts
+    assert nondominated_sort(pts) == nondominated_sort(scaled)
 
 
 def sms_fill_oracle(points, mu, ref):
@@ -532,5 +520,5 @@ def test_sms_fill_matches_oracle_selector(pts, data):
     mu = data.draw(st.integers(1, len(pts)))
     assume(len(sort_oracle(pts)[0]) <= mu)
     for mode in ("greedy", "exact"):
-        outcome = sms_emoa_select(pts, mu, ORIGIN, mode)
+        outcome = sms_emoa_select(pts, mu, mode)
         assert outcome.selected == sms_fill_oracle(pts, mu, ORIGIN)

@@ -86,7 +86,9 @@ def test_load_run_reports_corrupt_records(finished_run, tmp_path):
     assert excinfo.value.bad_files == [str(target)]
 
 
-@pytest.mark.parametrize("record", [{"fitness": [0.5]}, [1, 2], {"fitness": 0.5}, {"id": 3}])
+@pytest.mark.parametrize("record", [
+    {"fitness": [0.5]}, [1, 2], {"fitness": 0.5}, {"id": 3}, {"fitness": [True, 0.5]},
+])
 def test_load_run_reports_wrong_shaped_records(finished_run, tmp_path, record):
     dst = copy_run(finished_run, tmp_path / "corrupt")
     target = dst / "rep_0" / "gen_1.jsonl"
@@ -102,6 +104,13 @@ def test_load_run_reports_wrong_shaped_records(finished_run, tmp_path, record):
     {"results": [{"repetition": 0, "status": "ok"}, "ok"]},
     {"results": [{"status": "ok"}]},
     {"results": [{"repetition": "0", "status": "ok"}]},
+    {"pair": None, "results": [{"repetition": 0, "status": "ok"}]},
+    {"selector": None, "results": [{"repetition": 0, "status": "ok"}]},
+    {"selector": ["nsga2"], "results": [{"repetition": 0, "status": "ok"}]},
+    {"generations": "2", "results": [{"repetition": 0, "status": "ok"}]},
+    {"generations": 2.0, "results": [{"repetition": 0, "status": "ok"}]},
+    {"generations": True, "results": [{"repetition": 0, "status": "ok"}]},
+    {"generations": None, "results": [{"repetition": 0, "status": "ok"}]},
 ])
 def test_load_run_reports_corrupt_summary(finished_run, tmp_path, summary):
     dst = copy_run(finished_run, tmp_path / "corrupt")

@@ -397,7 +397,7 @@ def test_run_experiment_series_consistent_with_population_files(tmp_path):
             for line in rep_dir.joinpath(f"gen_{gen}.jsonl").read_text().splitlines()
         ]
         points = [ind.fitness for ind in individuals]
-        assert float(hv) == hypervolume_2d(points, (0.0, 0.0))
+        assert float(hv) == hypervolume_2d(points)
 
 
 def test_run_experiment_lineage_closure(tmp_path):
