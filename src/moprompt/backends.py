@@ -26,6 +26,8 @@ from .rules import check, check_fields, integer, number, read_json_object, strin
 CLASSIFIER_TOKEN_BUDGET = 512
 # conservative subword estimate per whitespace token
 SUBWORDS_PER_WORD = 1.3
+# the most whitespace words whose estimated subwords fit the budget
+_WORD_LIMIT = int(CLASSIFIER_TOKEN_BUDGET / SUBWORDS_PER_WORD)
 
 LLM_URL_ENV = "EMO_LLM_URL"
 CLASSIFIER_URL_ENV = "EMO_CLF_URL"
@@ -62,7 +64,7 @@ class BackendPolicy:
 
 @dataclass(frozen=True)
 class LlmSettings:
-    """Decoding defaults applied to every request a run issues."""
+    """Decoding settings that the generation client sends with every request."""
 
     model: str = field(default="llama2", metadata=text())
     temperature: float = field(default=0.7, metadata=number())
@@ -75,12 +77,10 @@ class LlmSettings:
 
 @dataclass(frozen=True)
 class GenerationRequest:
-    """One completion request: the rendered prompt, its system instruction
-    and the run's decoding settings."""
+    """One completion request: the rendered prompt and its system instruction."""
 
     prompt_body: str
     system: str = ""
-    llm: LlmSettings = field(default_factory=LlmSettings)
 
 
 class TextGenerationBackend(Protocol):
@@ -109,15 +109,14 @@ class Backends(AbstractContextManager):
         self.close()
 
 
-def truncate_to_token_budget(text: str, budget: int = CLASSIFIER_TOKEN_BUDGET) -> str:
-    """Drop trailing words until the estimated subword count fits the budget."""
-    limit = int(budget / SUBWORDS_PER_WORD)
-    if len(text) <= limit:
-        return text  # at most limit characters hold at most limit words
+def truncate_to_token_budget(text: str) -> str:
+    """Drop trailing words until the estimated subword count fits CLASSIFIER_TOKEN_BUDGET."""
+    if len(text) <= _WORD_LIMIT:
+        return text  # at most _WORD_LIMIT characters hold at most that many words
     words = text.split()
-    if len(words) <= limit:
+    if len(words) <= _WORD_LIMIT:
         return text
-    return " ".join(words[:limit])
+    return " ".join(words[:_WORD_LIMIT])
 
 
 # Keyword lexicons behind the mock classifier. One list per emotion; the

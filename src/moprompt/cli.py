@@ -5,7 +5,7 @@ overrides, report rebuilds comparison tables from finished run directories,
 and hv computes hypervolumes for a CSV of points. Exit codes: 0 on success,
 1 for runtime failures (no successful repetition, unreadable run data),
 2 for configuration and usage errors (an output directory that cannot be
-created, or report CSVs that cannot be written, among them).
+created, or a summary.json or report CSV that cannot be written, among them).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .backends import BackendPolicy, LlmSettings
+from .backends import BackendPolicy, LlmSettings, load_lexicons
 from .domain import FitnessPoint, ObjectivePair, Prompt
 from .moea import hv_subset_select, hypervolume_2d
 from .report import ReportError, discover_runs, load_run
@@ -56,8 +56,9 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
     Unknown keys anywhere in the file are rejected. Omitted fields keep the
     reference defaults. Each field is checked by the rule its dataclass
-    declares (`moprompt.rules`), and the operators file is read here, so a
-    bad config fails before a run starts.
+    declares (`moprompt.rules`), and the operators and lexicon files are
+    read here, so a bad config fails before a run starts, whatever the
+    backend.
     """
     try:
         raw = read_json_object(path, "config file") if path is not None else {}
@@ -76,8 +77,8 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         if "seed_prompts" in fields:
             prompts = check("seed_prompts", fields.pop("seed_prompts"), strings())
             fields["seed_prompts"] = tuple(Prompt(p) for p in prompts)
-        operators_file = check("operators_file", fields.pop("operators_file", None),
-                               text(optional=True))
+        operators_file, lexicon_file = (check(name, fields.pop(name, None), text(optional=True))
+                                        for name in ("operators_file", "lexicon_file"))
         backend = BackendConfig(
             kind=fields.pop("backend", "mock"),
             llm=build(LlmSettings, {k: v for k, v in llm.items() if k != "base_url"}, "llm"),
@@ -85,7 +86,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             classifier_base_url=classifier.get("base_url"),
             classifier_token=classifier.get("token"),
             policy=build(BackendPolicy, policy, "policy"),
-            lexicon_file=fields.pop("lexicon_file", None),
+            lexicons=load_lexicons(lexicon_file) if lexicon_file else None,
         )
         return RunConfig(
             pair=pair,
@@ -121,7 +122,12 @@ def cmd_run(args) -> int:
         except OSError as exc:
             print(f"error: cannot create output directory: {exc}", file=sys.stderr)
             return 2
-        summary = run_experiment(config, backends, progress=progress)
+        try:
+            summary = run_experiment(config, backends, progress=progress)
+        except OSError as exc:  # summary.json; a repetition's write error fails only it
+            path = exc.filename or config.run_dir / "summary.json"  # a failed write names none
+            print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     for result in summary.results:
         if result.status == "ok":
             print(

@@ -27,7 +27,7 @@ import urllib.parse
 import urllib.request
 
 from .backends import (BACKOFF_MAX, BackendError, BackendPolicy, BackendRejected,
-                       GenerationRequest, truncate_to_token_budget)
+                       GenerationRequest, LlmSettings, truncate_to_token_budget)
 from .domain import EmotionLabel, EmotionScores, GeneratedText
 from .rules import check_base_url, check_token
 
@@ -175,8 +175,8 @@ class _Client:
     """What both clients share: request slots, the kept-alive connections to
     their one URL, and calls retried under the policy."""
 
-    def __init__(self, url: str, policy: BackendPolicy | None):
-        self.policy = policy or BackendPolicy()
+    def __init__(self, url: str, policy: BackendPolicy):
+        self.policy = policy
         self._slots = threading.BoundedSemaphore(self.policy.max_concurrent_requests)
         self._connections = _Connections(url, self.policy.timeout)
 
@@ -201,16 +201,19 @@ class OllamaClient(_Client):
 
     Sends the system instruction and prompt per request rather than baking
     them into a server-side model definition, so one running model serves
-    every operator.
+    every operator. Every request carries the model and decoding settings
+    of llm.
     """
 
-    def __init__(self, base_url: str, policy: BackendPolicy | None = None):
+    def __init__(self, base_url: str, policy: BackendPolicy = BackendPolicy(),
+                 llm: LlmSettings = LlmSettings()):
         check_base_url(base_url, "llm.base_url")
         self.base_url = base_url.rstrip("/")
+        self.llm = llm
         super().__init__(f"{self.base_url}/api/generate", policy)
 
     def complete(self, request: GenerationRequest) -> str:
-        llm = request.llm
+        llm = self.llm
         body = json.dumps({
             "model": llm.model,
             "prompt": request.prompt_body,
@@ -245,12 +248,8 @@ class HttpEmotionClassifier(_Client):
     Labels are matched by name, case-insensitively, in any order.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        token: str | None = None,
-        policy: BackendPolicy | None = None,
-    ):
+    def __init__(self, base_url: str, token: str | None = None,
+                 policy: BackendPolicy = BackendPolicy()):
         check_base_url(base_url, "classifier.base_url")
         check_token(token)
         self.base_url = base_url

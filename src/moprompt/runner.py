@@ -40,9 +40,9 @@ from .backends import (
     LlmSettings,
     MockEmotionClassifier,
     MockTextGenerator,
-    load_lexicons,
 )
 from .domain import (
+    EmotionLabel,
     FitnessPoint,
     GeneratedText,
     Individual,
@@ -83,7 +83,8 @@ DEFAULT_SEED_PROMPTS = tuple(
 @dataclass(frozen=True)
 class BackendConfig:
     """Which backends a run talks to and how. URLs and the token are checked
-    here for either kind, so a bad one fails when the config loads."""
+    here for either kind, so a bad one fails when the config loads. lexicons
+    are the mock classifier's keyword lists (`load_lexicons`), None the defaults."""
 
     kind: str = field(default="mock", metadata=choice(BACKEND_KINDS, name="backend"))
     llm: LlmSettings = field(default_factory=LlmSettings)
@@ -91,7 +92,7 @@ class BackendConfig:
     classifier_base_url: str | None = field(default=None, metadata=url("classifier.base_url"))
     classifier_token: str | None = field(default=None, metadata=token("classifier.token"))
     policy: BackendPolicy = field(default_factory=BackendPolicy)
-    lexicon_file: str | None = field(default=None, metadata=text(optional=True))
+    lexicons: dict[EmotionLabel, tuple[str, ...]] | None = None
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -170,14 +171,14 @@ def build_backends(config: RunConfig) -> Backends:
 
     Live URLs come from the config or the EMO_LLM_URL / EMO_CLF_URL
     environment variables; EMO_CLF_TOKEN supplies an optional bearer token.
-    The HTTP clients are imported here, so a mock run never loads them.
+    The generation client is given the run's decoding settings. The HTTP
+    clients are imported here, so a mock run never loads them.
     """
     bc = config.backend
     if bc.kind == "mock":
-        lexicons = load_lexicons(bc.lexicon_file) if bc.lexicon_file else None
         return Backends(
             generator=MockTextGenerator(seed=config.seed),
-            classifier=MockEmotionClassifier(lexicons=lexicons),
+            classifier=MockEmotionClassifier(lexicons=bc.lexicons),
         )
     llm_url = bc.llm_base_url or os.environ.get(LLM_URL_ENV)
     clf_url = bc.classifier_base_url or os.environ.get(CLASSIFIER_URL_ENV)
@@ -189,7 +190,7 @@ def build_backends(config: RunConfig) -> Backends:
     from .live import HttpEmotionClassifier, OllamaClient
 
     return Backends(
-        generator=OllamaClient(llm_url, policy=bc.policy),
+        generator=OllamaClient(llm_url, policy=bc.policy, llm=bc.llm),
         classifier=HttpEmotionClassifier(clf_url, token=token, policy=bc.policy),
     )
 
@@ -228,9 +229,8 @@ def initialize(
 
     def make(k: int) -> Individual:
         prompt = config.seed_prompts[k]
-        text, gen_record = variation.generate_text(
-            prompt, backends.generator, suite=config.operators, llm=config.backend.llm
-        )
+        text, gen_record = variation.generate_text(prompt, backends.generator,
+                                                   suite=config.operators)
         scores = backends.classifier.classify_emotions(text)
         return Individual(
             prompt=prompt,
@@ -276,15 +276,12 @@ def produce_offspring(
         ia, ib = rng.sample(range(len(parent_list)), 2)
         parent_a, parent_b = parent_list[ia], parent_list[ib]
         child, cross_record = variation.crossover(
-            parent_a.prompt, parent_b.prompt, backends.generator,
-            suite=config.operators, llm=config.backend.llm,
+            parent_a.prompt, parent_b.prompt, backends.generator, suite=config.operators
         )
-        mutated, mut_record = variation.mutate(
-            child, backends.generator, rng, suite=config.operators, llm=config.backend.llm
-        )
-        text, gen_record = variation.generate_text(
-            mutated, backends.generator, suite=config.operators, llm=config.backend.llm
-        )
+        mutated, mut_record = variation.mutate(child, backends.generator, rng,
+                                               suite=config.operators)
+        text, gen_record = variation.generate_text(mutated, backends.generator,
+                                                   suite=config.operators)
         trace = [cross_record, mut_record, gen_record]
         try:
             scores = backends.classifier.classify_emotions(text)

@@ -6,7 +6,8 @@ under a randomly drawn rewrite instruction. A third template turns a prompt
 into the story text that gets scored. Raw completions are post-processed
 into a single clean instruction line; when a backend fails or returns
 nothing usable, each operator falls back to a deterministic default and
-marks the step in the returned trace record.
+marks the step in the returned trace record. A request holds only the
+rendered prompt and its system instruction; the client holds the decoding settings.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .backends import (
     BackendError,
     BackendRejected,
     GenerationRequest,
-    LlmSettings,
     TextGenerationBackend,
     truncate_to_token_budget,
 )
@@ -237,20 +237,18 @@ def clean_completion(raw: str, max_chars: int = MAX_PROMPT_CHARS) -> str:
     return text.strip()
 
 
-def _apply(kind: str, suite: OperatorSuite | None, slots: dict[str, str], backend,
-           llm: LlmSettings | None, result, fallback, note: str, **record):
+def _apply(kind: str, suite: OperatorSuite, slots: dict[str, str], backend, result, fallback,
+           note: str, **record):
     """The shared path of the three operators: render the template in the
     suite's kind slot with slots, ask the backend, and turn the reply into a
-    value with result. When the
-    backend fails, or result returns None for an unusable reply, the value is
-    fallback() and the record is marked; note says what the fallback does.
-    A refused request (BackendRejected) propagates instead. record holds
-    further OperatorRecord fields."""
-    template = getattr(suite or OperatorSuite(), kind)
+    value with result. When the backend fails, or result returns None for an
+    unusable reply, the value is fallback() and the record is marked; note
+    says what the fallback does. A refused request (BackendRejected)
+    propagates instead. record holds further OperatorRecord fields."""
+    template = getattr(suite, kind)
     request = GenerationRequest(
         prompt_body=render_prompt_body(template, slots),
         system=template.system_instruction,
-        llm=llm or LlmSettings(),
     )
     raw = ""
     try:
@@ -275,8 +273,7 @@ def crossover(
     parent_a: Prompt,
     parent_b: Prompt,
     backend: TextGenerationBackend,
-    suite: OperatorSuite | None = None,
-    llm: LlmSettings | None = None,
+    suite: OperatorSuite = OperatorSuite(),
 ) -> tuple[Prompt, OperatorRecord]:
     """Combine two parent prompts into a child prompt via the backend.
 
@@ -285,7 +282,7 @@ def crossover(
     """
     return _apply(
         "crossover", suite, {"parent_a": parent_a.text, "parent_b": parent_b.text}, backend,
-        llm, _cleaned_prompt, lambda: Prompt(min(parent_a.text, parent_b.text)),
+        _cleaned_prompt, lambda: Prompt(min(parent_a.text, parent_b.text)),
         "copying a parent",
     )
 
@@ -294,19 +291,17 @@ def mutate(
     prompt: Prompt,
     backend: TextGenerationBackend,
     rng,
-    suite: OperatorSuite | None = None,
-    llm: LlmSettings | None = None,
+    suite: OperatorSuite = OperatorSuite(),
 ) -> tuple[Prompt, OperatorRecord]:
     """Rewrite a prompt under a uniformly drawn mutation instruction.
 
     On backend failure or an unusable completion the prompt is returned
     unchanged and the trace marks the fallback.
     """
-    suite = suite or OperatorSuite()
     instruction = suite.mutation_instructions[rng.randrange(len(suite.mutation_instructions))]
     return _apply(
         "mutation", suite, {"mutation_prompt": instruction.text, "prompt": prompt.text},
-        backend, llm, _cleaned_prompt, lambda: Prompt(prompt.text), "keeping prompt",
+        backend, _cleaned_prompt, lambda: Prompt(prompt.text), "keeping prompt",
         instruction_id=instruction.id,
     )
 
@@ -314,14 +309,13 @@ def mutate(
 def generate_text(
     prompt: Prompt,
     backend: TextGenerationBackend,
-    suite: OperatorSuite | None = None,
-    llm: LlmSettings | None = None,
+    suite: OperatorSuite = OperatorSuite(),
 ) -> tuple[GeneratedText, OperatorRecord]:
     """Produce the story text for a prompt, truncated to the evaluator's
     token budget. Backend failure yields empty text plus a fallback record;
     the empty text still gets evaluated downstream."""
     return _apply(
-        "generation", suite, {"prompt": prompt.text}, backend, llm,
+        "generation", suite, {"prompt": prompt.text}, backend,
         lambda raw: GeneratedText(truncate_to_token_budget(raw.strip())),
         lambda: GeneratedText(""), "scoring empty text",
     )

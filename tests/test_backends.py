@@ -554,7 +554,7 @@ def test_ollama_client_request_shape():
 def test_ollama_client_sends_the_request_settings():
     llm = LlmSettings(model="mistral", temperature=0.2, context_window=1024, max_output_tokens=64)
     with StubServer([(200, {"response": "x"})]) as server:
-        OllamaClient(server.url).complete(GenerationRequest("hi", llm=llm))
+        OllamaClient(server.url, llm=llm).complete(GenerationRequest("hi"))
     _, _, body = server.seen[0]
     assert body["model"] == "mistral"
     assert body["options"] == {"temperature": 0.2, "num_ctx": 1024, "num_predict": 64}

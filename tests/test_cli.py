@@ -155,6 +155,41 @@ def test_run_closes_its_backends(tmp_path, capsys, monkeypatch):
     assert len(closed) == 1
 
 
+def test_run_exits_2_when_the_summary_cannot_be_written(tmp_path, capsys):
+    summary = tmp_path / "love_vs_anger" / "nsga2" / "summary.json"
+    summary.mkdir(parents=True)
+    code, out, err = run_cli(
+        capsys, "run", "--pair", "love:anger", "--out", str(tmp_path),
+        "--reps", "1", "--gens", "1", "--quiet",
+    )
+    assert code == 2
+    assert err == f"error: cannot write {summary}: Is a directory\n"
+    assert "rep 0 done final " not in out
+
+
+def test_live_run_sends_the_configured_llm_settings(tmp_path, capsys):
+    def reply(path, body):
+        return (200, {"response": "a story"}) if path == "/api/generate" else (200, SIX_SCORES)
+
+    llm = {"model": "mistral", "temperature": 0.2, "context_window": 1024,
+           "max_output_tokens": 64}
+    config = {"pair": "love:anger", "backend": "live", "mu": 2, "lambda": 2, "generations": 1,
+              "repetitions": 1, "llm": llm, "out_dir": str(tmp_path / "runs")}
+    with StubServer(reply) as server:
+        config["llm"]["base_url"] = server.url
+        config["classifier"] = {"base_url": f"{server.url}/classify"}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, "run", "--config", str(path), "--quiet")
+    assert code == 0, err
+    bodies = [body for path, _, body in server.seen if path == "/api/generate"]
+    # two founders' stories, then crossover, mutation and story for two offspring
+    assert len(bodies) == 2 + 3 * 2
+    for body in bodies:
+        assert body["model"] == "mistral"
+        assert body["options"] == {"temperature": 0.2, "num_ctx": 1024, "num_predict": 64}
+
+
 def test_run_fails_when_the_model_server_refuses_every_request(tmp_path, capsys):
     # Ollama answers a model it does not have with a 404; falling back on it
     # would run the whole search on fallbacks and exit 0
@@ -252,11 +287,22 @@ def test_run_rejects_non_integer_fields(tmp_path, capsys, field, value):
 def test_run_rejects_bad_lexicon_file(tmp_path, capsys):
     lexicon = tmp_path / "lex.json"
     lexicon.write_text(json.dumps({"joy": "delight"}))
+    # the file is read when the config loads, whatever the backend; nothing
+    # listens on port 1, so a live run that started would fall back and exit 1
+    closed = "http://127.0.0.1:1"
+    live = {"backend": "live", "llm": {"base_url": closed}, "classifier": {"base_url": closed},
+            "repetitions": 1, "policy": {"max_retries": 0}}
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"pair": "joy:fear", "lexicon_file": str(lexicon)}))
-    code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "runs"))
-    assert code == 2
-    assert "must be a list of strings" in err
+    for backend, lexicon_file in (({}, lexicon), ({}, tmp_path / "absent.json"),
+                                  (live, lexicon), (live, tmp_path / "absent.json")):
+        path.write_text(json.dumps({"pair": "joy:fear", "lexicon_file": str(lexicon_file),
+                                    **backend}))
+        code, out, err = run_cli(capsys, "run", "--config", str(path),
+                                 "--out", str(tmp_path / "runs"))
+        assert code == 2, (backend, lexicon_file, out)
+        assert ("must be a list of strings" if lexicon_file == lexicon
+                else "error: cannot read lexicon file") in err
+        assert not (tmp_path / "runs").exists()
 
 
 # each case's whole error line, naming the offending <section>.<field>

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "moprompt"
 # modules only the live clients need; OpenSSL alone costs megabytes of RSS
 HTTP_STACK = ("http.client", "urllib.request", "email.parser", "ssl")
@@ -30,6 +32,17 @@ def test_package_imports_only_the_standard_library():
     for path in modules:
         outside = sorted(set(imported_roots(path)) - allowed)
         assert not outside, f"{path.name} imports {outside}"
+
+
+def test_every_module_parses_as_python_3_10():
+    # pyproject.toml claims requires-python >= 3.10; syntax newer than that,
+    # such as except* or a type alias, fails here on any later interpreter
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    modules = sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    assert len(modules) > 10
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
 def loaded_http_modules(script: str, *args: str) -> list[str]:
