@@ -54,7 +54,9 @@ def _call_with_retries(policy: BackendPolicy, attempt, describe: str):
     for attempt_index in range(policy.max_retries + 1):
         try:
             return attempt()
-        except (OSError, http.client.HTTPException, ValueError, KeyError, TypeError) as exc:
+        # RecursionError: a reply nested deeper than the parser can follow
+        except (OSError, http.client.HTTPException, ValueError, KeyError, TypeError,
+                RecursionError) as exc:
             if not _is_transient(exc):  # a refused status, or a malformed reply
                 cls = BackendRejected if isinstance(exc, urllib.error.HTTPError) else BackendError
                 raise cls(f"{describe} failed: {exc}") from exc

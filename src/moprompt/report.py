@@ -5,6 +5,14 @@ per-generation records instead of trusting the stored summaries: fitness
 points are reloaded from gen_*.jsonl, hypervolumes are recomputed, and the
 statistics are rebuilt, so a reported table is always consistent with the
 data on disk.
+
+A survivor carried into the next generation is written again byte for byte,
+so most lines of a gen_*.jsonl repeat a line of the file before it. Each
+repetition's load keeps the lines of the previous generation's file with the
+points parsed from them: a repeated line reuses its point, and so is parsed
+once per repetition, while every distinct line is still stripped, parsed
+and checked in full. A reused line moves from that memo into the current
+generation's, so the loader holds about one generation's lines at a time.
 """
 
 from __future__ import annotations
@@ -68,21 +76,29 @@ def discover_runs(root: Path) -> list[Path]:
     return sorted(p.parent for p in Path(root).rglob("summary.json"))
 
 
-def _load_points(path: Path) -> list[FitnessPoint]:
+def _load_points(path: Path, previous: dict) -> tuple[list[FitnessPoint], dict]:
+    """The points of one gen_*.jsonl, and the memo from each raw line to its
+    point. A line in previous, the memo of the generation before, moves out
+    of it with its point; any other non-blank line is parsed and checked."""
     points = []
+    memo: dict[str, FitnessPoint] = {}
     with open(path, encoding="utf-8") as handle:
         for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            try:
-                points.append(FitnessPoint(*data["fitness"]))
-            except (KeyError, TypeError):
-                raise ValueError("record without a two-number fitness") from None
+            point = previous.pop(line, None)
+            if point is None:
+                stripped = line.strip()
+                if not stripped:
+                    continue
+                data = json.loads(stripped)
+                try:
+                    point = FitnessPoint(*data["fitness"])
+                except (KeyError, TypeError):
+                    raise ValueError("record without a two-number fitness") from None
+            memo[line] = point
+            points.append(point)
     if not points:
         raise ValueError("no individuals in record")
-    return points
+    return points, memo
 
 
 def load_run(run_dir: Path) -> RunReport:
@@ -100,7 +116,7 @@ def load_run(run_dir: Path) -> RunReport:
     try:
         with open(summary_path, encoding="utf-8") as handle:
             summary = json.load(handle)
-    except (OSError, ValueError):  # ValueError: not JSON, or not UTF-8
+    except (OSError, ValueError, RecursionError):  # ValueError: not JSON, or not UTF-8
         raise unreadable from None
     results = summary.get("results", []) if isinstance(summary, dict) else None
     if not isinstance(results, list) or not all(isinstance(r, dict) for r in results):
@@ -131,11 +147,12 @@ def load_run(run_dir: Path) -> RunReport:
             bad.append(str(rep_dir))
             continue
         series: list[float] = []
+        memo: dict[str, FitnessPoint] = {}
         for generation in sorted(gen_files):
             path = gen_files[generation]
             try:
-                points = _load_points(path)
-            except (OSError, ValueError):
+                points, memo = _load_points(path, memo)
+            except (OSError, ValueError, RecursionError):  # RecursionError: nested too deeply
                 bad.append(str(path))
                 break
             series.append(hypervolume_2d(points))

@@ -157,7 +157,9 @@ def check_token(value: str | None) -> None:
 
 
 def read_json_object(path, what: str) -> dict:
-    """The JSON object in the file at path, or a ValueError that names it as what."""
+    """The JSON object in the file at path, or a ValueError that names it as
+    what. A value nested too deeply to parse, or a string that is not valid
+    Unicode, is such an error."""
     try:
         with open(path, encoding="utf-8") as handle:
             content = handle.read()
@@ -165,8 +167,15 @@ def read_json_object(path, what: str) -> dict:
         raise ValueError(f"cannot read {what}: {exc}") from exc
     try:
         raw = json.loads(content)
+        # JSON may escape a lone surrogate, which no text written later can hold
+        json.dumps(raw, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"{what} holds a string that is not valid Unicode: "
+                         f"{exc.object[exc.start:exc.end]!r}") from None
     except ValueError as exc:
         raise ValueError(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"{what} is not valid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise ValueError(f"{what} must hold a JSON object")
     return raw

@@ -6,9 +6,10 @@ off a full dominance matrix, domination counts test every ordered pair,
 subset selection enumerates every combination, and the classifier oracle
 runs one regex per lexicon word. The line oracle encodes a whole
 individual with json.dumps, which the runner's survivor writer must match
-byte for byte. The mock generator, completion cleaner and token-budget
-truncation are the package's earlier straightforward versions, copied as
-they were, which the faster ones must match reply for reply.
+byte for byte. The mock generator, completion cleaner, token-budget
+truncation and record loader are the package's earlier straightforward
+versions, copied as they were, which the faster ones must match reply for
+reply and point for point.
 None of it shares code with the package under test beyond the value types,
 the classifier's token budget, the record schema (individual_to_dict) and
 the mock generator's word lists.
@@ -170,6 +171,25 @@ def estimate_tokens(text: str) -> int:
 def encode_individual_oracle(ind: Individual) -> str:
     """One gen_k.jsonl line, without its newline."""
     return json.dumps(individual_to_dict(ind), ensure_ascii=False)
+
+
+def load_points_oracle(path) -> list[FitnessPoint]:
+    """The fitness points of one gen_k.jsonl, every non-blank line parsed and
+    checked; a ValueError for a file with a bad record or none."""
+    points = []
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            data = json.loads(line)
+            try:
+                points.append(FitnessPoint(*data["fitness"]))
+            except (KeyError, TypeError):
+                raise ValueError("record without a two-number fitness") from None
+    if not points:
+        raise ValueError("no individuals in record")
+    return points
 
 
 _WORD_RE = re.compile(r"[a-zA-Z]+")

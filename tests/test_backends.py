@@ -5,6 +5,7 @@ import contextlib
 import http.server
 import json
 import math
+import random
 import socket
 import sys
 import threading
@@ -19,6 +20,7 @@ import moprompt.live as live
 from moprompt.backends import (
     BackendError,
     BackendPolicy,
+    BackendRejected,
     CLASSIFIER_TOKEN_BUDGET,
     DEFAULT_LEXICONS,
     GenerationRequest,
@@ -29,8 +31,8 @@ from moprompt.backends import (
     truncate_to_token_budget,
 )
 from moprompt.live import HttpEmotionClassifier, OllamaClient, parse_classifier_response
-from moprompt.domain import EmotionLabel, GeneratedText
-from moprompt.variation import OperatorSuite, render_prompt_body
+from moprompt.domain import EmotionLabel, GeneratedText, Prompt
+from moprompt.variation import OperatorSuite, mutate, render_prompt_body
 from oracles import (
     MockTextGeneratorOracle,
     classify_oracle,
@@ -632,6 +634,23 @@ def test_ollama_client_does_not_retry_a_lone_surrogate():
         with pytest.raises(BackendError, match="not valid Unicode"):
             OllamaClient(server.url, policy).complete(GenerationRequest("hi"))
     assert len(server.seen) == 1
+
+
+def test_a_reply_nested_too_deeply_is_a_malformed_reply():
+    # json.loads gives up with RecursionError, so the body is as malformed as
+    # any other: not retried, not refused, and the operator falls back
+    nested = b'{"response": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+    with StubServer([(200, nested)]) as server:
+        client = OllamaClient(server.url, BackendPolicy(max_retries=2, backoff=0.0))
+        with pytest.raises(BackendError, match="^text generation failed: ") as info:
+            client.complete(GenerationRequest("hi"))
+        assert not isinstance(info.value, BackendRejected)
+        child, record = mutate(Prompt("write a story"), client, random.Random(0))
+        classifier = HttpEmotionClassifier(server.url, policy=BackendPolicy(max_retries=2))
+        with pytest.raises(BackendError, match="^emotion classification failed: "):
+            classifier.classify_emotions(GeneratedText("a story"))
+    assert child.text == "write a story" and record.fallback
+    assert len(server.seen) == 3
 
 
 def test_retry_backoff_doubles(monkeypatch):

@@ -554,6 +554,41 @@ def test_run_names_a_lexicon_file_that_is_not_json(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+# a JSON value nested deeper than the parser can follow
+TOO_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def test_run_rejects_a_config_nested_too_deeply(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"pair": "joy:fear", "seed_prompts": ' + TOO_DEEP + "}")
+    code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert err == "error: config file is not valid JSON: nested too deeply\n"
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("kind, content", [
+    ("config", {"seed_prompts": ["write a story \ud800"]}),
+    ("operators", {"mutation_instructions": [{"id": "a", "text": "Reword \udfff"}]}),
+    ("lexicon", {"joy": ["delight", "\ud800"]}),
+])
+def test_run_rejects_a_string_that_is_not_valid_unicode(tmp_path, capsys, kind, content):
+    # json.loads accepts a lone surrogate escape, which no story or file can hold
+    config = {"pair": "joy:fear"}
+    if kind == "config":
+        config.update(content)
+    else:
+        other = tmp_path / f"{kind}.json"
+        other.write_text(json.dumps(content))
+        config[f"{kind}_file"] = str(other)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert err.startswith(f"error: {kind} file holds a string that is not valid Unicode: ")
+    assert not (tmp_path / "runs").exists()
+
+
 # every key a config file may hold, as "section.key" inside a section
 CONFIG_PATHS = (
     "pair", "mu", "lambda", "generations", "repetitions", "selector", "hv_mode", "seed",
@@ -800,6 +835,17 @@ def test_report_lists_wrong_shaped_files(finished_runs, capsys, name, content):
     assert code == 1
     assert "unreadable run data" in err
     assert str(target) in err
+
+
+@pytest.mark.parametrize("name", ["summary.json", "rep_0/gen_1.jsonl"])
+def test_report_lists_a_file_nested_too_deeply(finished_runs, capsys, name):
+    target = finished_runs / "joy_vs_fear" / "nsga2" / name
+    target.write_text(TOO_DEEP + "\n")
+    code, _, err = run_cli(capsys, "report", "--run", str(finished_runs))
+    assert code == 1
+    assert "unreadable run data" in err
+    assert str(target) in err
+    assert "Traceback" not in err
 
 
 def test_report_lists_a_summary_with_a_wrong_typed_field(finished_runs, capsys):

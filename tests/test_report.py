@@ -1,12 +1,18 @@
 """Report loading recomputes curves from raw records and flags gaps."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moprompt.domain import ObjectivePair
+from moprompt.moea import hypervolume_2d
 from moprompt.report import ReportError, discover_runs, load_run
 from moprompt.runner import RunConfig, build_backends, run_experiment
+from oracles import load_points_oracle
 
 PAIR = ObjectivePair.parse("joy:fear")
 
@@ -146,3 +152,78 @@ def test_load_run_with_no_ok_repetitions(tmp_path):
     (tmp_path / "summary.json").write_text(json.dumps(summary))
     with pytest.raises(ReportError, match="no successful repetitions"):
         load_run(tmp_path)
+
+
+RECORDS = st.builds(
+    lambda f1, f2, prompt: json.dumps({"fitness": [f1, f2], "prompt": prompt},
+                                      ensure_ascii=False).encode(),
+    st.floats(0, 1), st.floats(0, 1), st.text(max_size=4),
+)
+
+
+@st.composite
+def repetition(draw, generations: int) -> list[bytes]:
+    """The bytes of one repetition's gen_*.jsonl files. Each line is a new
+    record, a line of the file before (carried), a line of an older file
+    (re-selected), a blank or whitespace-only line, or a carried line with
+    one byte changed; each ends in LF or CRLF, and a file's last line may
+    end in neither."""
+    files: list[list[bytes]] = []
+    for _ in range(generations + 1):
+        previous = files[-1] if files else []
+        older = [line for lines in files[:-1] for line in lines]
+        lines = []
+        for _ in range(draw(st.integers(0, 8))):
+            kind = draw(st.sampled_from(["new", "carried", "reselected", "blank", "corrupt"]))
+            if kind == "carried" and previous:
+                line = draw(st.sampled_from(previous))
+            elif kind == "reselected" and older:
+                line = draw(st.sampled_from(older))
+            elif kind == "blank":
+                line = draw(st.sampled_from([b"", b" ", b"\t  "]))
+            elif kind == "corrupt" and previous:
+                line = bytearray(draw(st.sampled_from(previous)))
+                if line:  # a byte moved by 1 to 255 places: a digit, JSON or UTF-8 broken
+                    at = draw(st.integers(0, len(line) - 1))
+                    line[at] = (line[at] + draw(st.integers(1, 255))) % 256
+                line = bytes(line)
+            else:
+                line = draw(RECORDS)
+            lines.append(line)
+        files.append(lines)
+    endings = st.sampled_from([b"\n", b"\r\n"])
+    return [b"".join(line + draw(endings) for line in lines[:-1])
+            + (lines[-1] + draw(st.sampled_from([b"", b"\n", b"\r\n"])) if lines else b"")
+            for lines in files]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda generations: st.lists(
+    repetition(generations), min_size=1, max_size=2)))
+def test_load_run_matches_the_line_by_line_oracle(reps):
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = Path(tmp)
+        summary = {"generations": len(reps[0]) - 1,
+                   "results": [{"repetition": rep, "status": "ok"} for rep in range(len(reps))]}
+        (run_dir / "summary.json").write_text(json.dumps(summary))
+        bad, curves = [], []
+        for rep, contents in enumerate(reps):
+            (run_dir / f"rep_{rep}").mkdir()
+            series = []
+            for generation, content in enumerate(contents):
+                path = run_dir / f"rep_{rep}" / f"gen_{generation}.jsonl"
+                path.write_bytes(content)
+                if len(series) < generation:
+                    continue  # an earlier file of this repetition is bad
+                try:
+                    series.append(hypervolume_2d(load_points_oracle(path)))
+                except ValueError:
+                    bad.append(str(path))
+            if len(series) == len(contents):
+                curves.append(tuple(series))
+        if bad:
+            with pytest.raises(ReportError) as excinfo:
+                load_run(run_dir)
+            assert excinfo.value.bad_files == bad
+        else:
+            assert [c.hypervolumes for c in load_run(run_dir).curves] == curves
