@@ -29,7 +29,7 @@ import urllib.request
 from .backends import (BACKOFF_MAX, BackendError, BackendPolicy, BackendRejected,
                        GenerationRequest, LlmSettings, truncate_to_token_budget)
 from .domain import EmotionLabel, EmotionScores, GeneratedText
-from .rules import check_base_url, check_token
+from .rules import check, check_base_url, check_token, items, number, text, utf8
 
 logger = logging.getLogger(__name__)
 
@@ -233,13 +233,7 @@ class OllamaClient(_Client):
 def _response_text(reply) -> str:
     if "response" not in reply:
         raise ValueError(f"no 'response' field in reply: {sorted(reply)}")
-    text = str(reply["response"])
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        # JSON may escape a lone surrogate, which no file can hold
-        raise ValueError(f"reply text is not valid Unicode: {exc}") from exc
-    return text
+    return check("reply text", reply["response"], text(empty=True, then=utf8))
 
 
 class HttpEmotionClassifier(_Client):
@@ -268,15 +262,13 @@ def parse_classifier_response(body) -> EmotionScores:
     """Turn the service's label/score list into EmotionScores.
 
     Accepts either a flat list of {"label", "score"} objects or the common
-    singly-nested variant. A missing emotion is a parse failure.
+    singly-nested variant. A missing emotion, a label that is not a string
+    and a score that is not a number are parse failures.
     """
-    entries = body
-    if isinstance(entries, list) and entries and isinstance(entries[0], list):
-        entries = entries[0]
-    if not isinstance(entries, list):
-        raise ValueError(f"expected a list of label/score objects, got {type(body).__name__}")
+    entries = body[0] if isinstance(body, list) and body and isinstance(body[0], list) else body
     scores: dict[EmotionLabel, float] = {}
-    for entry in entries:
-        label = EmotionLabel.parse(str(entry["label"]))
-        scores[label] = float(entry["score"])
+    for entry in check("reply", entries, items(lambda item: isinstance(item, dict),
+                                               "a list of label/score objects")):
+        label = EmotionLabel.parse(check("reply label", entry["label"], text()))
+        scores[label] = check("reply score", entry["score"], number())
     return EmotionScores(scores)

@@ -4,7 +4,7 @@ The report path deliberately recomputes everything from the raw
 per-generation records instead of trusting the stored summaries: fitness
 points are reloaded from gen_*.jsonl, hypervolumes are recomputed, and the
 statistics are rebuilt, so a reported table is always consistent with the
-data on disk.
+data on disk. `moprompt.rules` reads and checks `summary.json`.
 
 A survivor carried into the next generation is written again byte for byte,
 so most lines of a gen_*.jsonl repeat a line of the file before it. Each
@@ -24,9 +24,11 @@ from pathlib import Path
 
 from .domain import FitnessPoint
 from .moea import hypervolume_2d
+from .rules import check, integer, items, read_json_object, text
 from .runner import _stats
 
-_GEN_FILE_RE = re.compile(r"^gen_(\d+)\.jsonl$")
+# exactly the names the writer gives: no leading zero, only ASCII digits
+_GEN_FILE_RE = re.compile(r"gen_(0|[1-9][0-9]*)\.jsonl")
 
 
 class ReportError(Exception):
@@ -112,32 +114,26 @@ def load_run(run_dir: Path) -> RunReport:
     run_dir = Path(run_dir)
     bad: list[str] = []
     summary_path = run_dir / "summary.json"
-    unreadable = ReportError(f"unreadable summary in {run_dir}", [str(summary_path)])
     try:
-        with open(summary_path, encoding="utf-8") as handle:
-            summary = json.load(handle)
-    except (OSError, ValueError, RecursionError):  # ValueError: not JSON, or not UTF-8
-        raise unreadable from None
-    results = summary.get("results", []) if isinstance(summary, dict) else None
-    if not isinstance(results, list) or not all(isinstance(r, dict) for r in results):
-        raise unreadable
-    for key, kind in (("pair", str), ("selector", str), ("generations", int)):
-        value = summary.get(key)
-        if key in summary and (isinstance(value, bool) or not isinstance(value, kind)):
-            raise unreadable
+        summary = read_json_object(summary_path, "summary")
+        results = check("results", summary.get("results", []),
+                        items(lambda result: isinstance(result, dict), "a list of objects"))
+        for key, rule in (("pair", text(empty=True)), ("selector", text(empty=True)),
+                          ("generations", integer())):
+            if key in summary:
+                check(key, summary[key], rule)
+        repetitions = [check("repetition", result.get("repetition"), integer())
+                       for result in results if result.get("status") == "ok"]
+    except ValueError:
+        raise ReportError(f"unreadable summary in {run_dir}", [str(summary_path)]) from None
     expected_last = summary.get("generations")
     curves: list[RepetitionCurve] = []
-    for result in results:
-        if result.get("status") != "ok":
-            continue
-        rep = result.get("repetition")
-        if isinstance(rep, bool) or not isinstance(rep, int):
-            raise unreadable
+    for rep in repetitions:
         rep_dir = run_dir / f"rep_{rep}"
         gen_files: dict[int, Path] = {}
         if rep_dir.is_dir():
             for path in rep_dir.iterdir():
-                match = _GEN_FILE_RE.match(path.name)
+                match = _GEN_FILE_RE.fullmatch(path.name)
                 if match:
                     gen_files[int(match.group(1))] = path
         complete = bool(gen_files) and sorted(gen_files) == list(range(max(gen_files) + 1))

@@ -1,12 +1,13 @@
-"""Declared checks for config values, and the one JSON file reader.
+"""Declared checks for the JSON values the program reads, and its JSON file reader.
 
 A config dataclass gives each field its rule in the field's metadata, as in
 `mu: int = field(default=10, metadata=integer(1))`, and calls
 `check_fields(self)`. The config keys that `load_config` converts before a
-dataclass sees them apply their rule there with `check`. A rule may carry
-the field's name in the config file (`lambda`, `llm.base_url`). `section`
-and `build` read a JSON object by the same rules. Only the standard
-library is imported, so checking a config loads no HTTP code.
+dataclass sees them apply their rule there with `check`, as do the report
+reading `summary.json` and the live clients reading a reply. A rule may
+carry the field's name in the config file (`lambda`, `llm.base_url`).
+`section` and `build` read a JSON object by the same rules. Only the
+standard library is imported, so checking a config loads no HTTP code.
 """
 
 from __future__ import annotations
@@ -60,6 +61,15 @@ def text(optional: bool = False, name: str | None = None, then=None, empty: bool
         return then(value) if then else None
 
     return {"problem": problem, "name": name}
+
+
+def utf8(value: str) -> str | None:
+    """A then rule for text that a UTF-8 file can hold."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as exc:  # JSON may escape a lone surrogate
+        return f"is not valid Unicode: {exc}"
+    return None
 
 
 def choice(options: tuple[str, ...], name: str | None = None) -> dict:

@@ -52,7 +52,7 @@ from .domain import (
     Prompt,
     extract_fitness,
 )
-from .moea import hypervolume_2d, nondominated_sort, nsga2_select, sms_emoa_select
+from .moea import hypervolume_2d, nsga2_select, sms_emoa_select
 from .rules import check_fields, choice, integer, text, token, url
 
 logger = logging.getLogger(__name__)
@@ -440,12 +440,12 @@ def _write_hypervolume_series(rep_dir: Path, rows: list[tuple[int, float, int]])
 def _write_pareto_front(
     rep_dir: Path, config: RunConfig, repetition: int, final: Population
 ) -> None:
-    front0 = nondominated_sort(final.fitness_points())[0]
+    # selection keeps whole fronts in rank order, so front 0 is the rank-0 survivors
     payload = {
         "pair": config.pair.slug,
         "selector": config.selector,
         "repetition": repetition,
-        "individuals": [individual_to_dict(final[i]) for i in front0],
+        "individuals": [individual_to_dict(ind) for ind in final if ind.rank == 0],
     }
     _write_json(rep_dir / "pareto_front.json", payload)
 

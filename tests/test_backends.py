@@ -653,6 +653,36 @@ def test_a_reply_nested_too_deeply_is_a_malformed_reply():
     assert len(server.seen) == 3
 
 
+def test_a_response_that_is_not_a_string_is_a_malformed_reply():
+    # not read as the text "None" or "5": not retried, not refused, and the
+    # operator falls back
+    for reply in ({"response": None}, 5, [1]):
+        with StubServer([(200, reply)]) as server:
+            client = OllamaClient(server.url, BackendPolicy(max_retries=2, backoff=0.0))
+            with pytest.raises(BackendError, match="^text generation failed: ") as info:
+                client.complete(GenerationRequest("hi"))
+            assert not isinstance(info.value, BackendRejected)
+            assert len(server.seen) == 1
+            child, record = mutate(Prompt("write a story"), client, random.Random(0))
+        assert child.text == "write a story" and record.fallback
+
+
+@pytest.mark.parametrize("reply", [
+    # joy's 0.2 sent as a string
+    [dict(entry, score=str(entry["score"])) if entry["label"] == "joy" else entry
+     for entry in SIX_SCORES],
+    # joy's 1 sent as true, which float() would read as 1.0
+    [{"label": label.value, "score": True if label is EmotionLabel.JOY else 0.0}
+     for label in EmotionLabel],
+])
+def test_a_score_that_is_not_a_number_is_a_malformed_reply(reply):
+    with StubServer([(200, reply)]) as server:
+        client = HttpEmotionClassifier(server.url, policy=BackendPolicy(max_retries=2, backoff=0.0))
+        with pytest.raises(BackendError, match="^emotion classification failed: reply score "):
+            client.classify_emotions(GeneratedText("a story"))
+    assert len(server.seen) == 1
+
+
 def test_retry_backoff_doubles(monkeypatch):
     calls = []
     delays = []

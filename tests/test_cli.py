@@ -859,6 +859,19 @@ def test_report_lists_a_summary_with_a_wrong_typed_field(finished_runs, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key", ["pair", "selector"])
+def test_report_lists_a_summary_string_that_is_not_valid_unicode(finished_runs, capsys, key):
+    # JSON may escape a lone surrogate, which no printed table or CSV can hold
+    target = finished_runs / "joy_vs_fear" / "nsga2" / "summary.json"
+    summary = json.loads(target.read_text())
+    target.write_text(json.dumps({**summary, key: "\ud800"}))
+    code, out, err = run_cli(capsys, "report", "--run", str(finished_runs))
+    assert code == 1
+    assert "unreadable run data" in err
+    assert str(target) in err
+    assert "Traceback" not in out + err
+
+
 def test_report_exits_2_when_a_csv_cannot_be_written(finished_runs, capsys):
     (finished_runs / "report.csv").mkdir()
     code, _, err = run_cli(capsys, "report", "--run", str(finished_runs))

@@ -83,6 +83,17 @@ def copy_run(finished_run, dst):
     return dst
 
 
+def test_load_run_reads_only_the_generation_files_the_writer_names(finished_run, tmp_path):
+    dst = copy_run(finished_run, tmp_path / "aliases")
+    expected = load_run(dst).curves
+    # a leading zero, a non-ASCII digit, a trailing newline: none is a name
+    # the writer gives, so none may stand in for gen_1.jsonl or add a generation
+    for rep in range(2):
+        for name in ("gen_01.jsonl", "gen_\u0661.jsonl", "gen_1.jsonl\n", "gen_04.jsonl"):
+            (dst / f"rep_{rep}" / name).write_text("not json\n")
+    assert load_run(dst).curves == expected
+
+
 def test_load_run_reports_corrupt_records(finished_run, tmp_path):
     dst = copy_run(finished_run, tmp_path / "corrupt")
     target = dst / "rep_0" / "gen_1.jsonl"

@@ -1,9 +1,12 @@
 """Generational loop: initialization, offspring, elitism, output tree."""
 
 import json
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moprompt.runner as runner
 from moprompt.backends import (
@@ -40,7 +43,7 @@ from moprompt.runner import (
     step,
 )
 from moprompt.variation import MutationInstruction, OperatorSuite
-from oracles import hypervolume_oracle
+from oracles import hypervolume_oracle, sort_oracle
 from test_backends import StubServer
 
 PAIR = ObjectivePair.parse("love:anger")
@@ -382,6 +385,24 @@ def test_run_experiment_writes_output_tree(tmp_path):
     assert [r["status"] for r in payload["results"]] == ["ok", "ok"]
     assert payload["final"]["best"] >= payload["final"]["worst"]
     assert payload["running_max"]["best"] >= payload["final"]["best"] - 1e-12
+
+
+@settings(max_examples=45, deadline=None)
+@given(st.sampled_from([("nsga2", "greedy"), ("sms_emoa", "greedy"), ("sms_emoa", "exact")]),
+       st.integers(2, 10), st.integers(0, 20), st.integers(1, 3), st.integers(0, 1000))
+def test_pareto_front_holds_front_0_of_the_last_generation(selection, mu, lam, generations,
+                                                            seed):
+    selector, hv_mode = selection
+    with tempfile.TemporaryDirectory() as tmp:
+        config = RunConfig(pair=PAIR, mu=mu, lam=lam, generations=generations, repetitions=1,
+                           selector=selector, hv_mode=hv_mode, seed=seed, out_dir=tmp)
+        run_experiment(config, build_backends(config))
+        rep_dir = config.run_dir / "rep_0"
+        lines = rep_dir.joinpath(f"gen_{generations}.jsonl").read_text(encoding="utf-8")
+        records = [json.loads(line) for line in lines.splitlines()]
+        front = json.loads(rep_dir.joinpath("pareto_front.json").read_text(encoding="utf-8"))
+    front0 = sort_oracle([FitnessPoint(*record["fitness"]) for record in records])[0]
+    assert front["individuals"] == [records[i] for i in front0]
 
 
 def test_run_experiment_series_consistent_with_population_files(tmp_path):
