@@ -262,13 +262,15 @@ def parse_classifier_response(body) -> EmotionScores:
     """Turn the service's label/score list into EmotionScores.
 
     Accepts either a flat list of {"label", "score"} objects or the common
-    singly-nested variant. A missing emotion, a label that is not a string
-    and a score that is not a number are parse failures.
+    singly-nested variant. A missing or repeated emotion, a label that is
+    not a string and a score that is not a number are parse failures.
     """
     entries = body[0] if isinstance(body, list) and body and isinstance(body[0], list) else body
     scores: dict[EmotionLabel, float] = {}
     for entry in check("reply", entries, items(lambda item: isinstance(item, dict),
                                                "a list of label/score objects")):
         label = EmotionLabel.parse(check("reply label", entry["label"], text()))
+        if label in scores:
+            raise ValueError(f"reply label {label.value} is given twice")
         scores[label] = check("reply score", entry["score"], number())
     return EmotionScores(scores)

@@ -4,7 +4,10 @@ The report path deliberately recomputes everything from the raw
 per-generation records instead of trusting the stored summaries: fitness
 points are reloaded from gen_*.jsonl, hypervolumes are recomputed, and the
 statistics are rebuilt, so a reported table is always consistent with the
-data on disk. `moprompt.rules` reads and checks `summary.json`.
+data on disk. `moprompt.rules` reads and checks `summary.json`, which alone
+gives a run's layout: the ok repetitions and the last generation name the
+gen_*.jsonl files to read, and any other file in the run directory, such as
+one an earlier, longer run into the same directory left, is never opened.
 
 A survivor carried into the next generation is written again byte for byte,
 so most lines of a gen_*.jsonl repeat a line of the file before it. Each
@@ -18,7 +21,6 @@ generation's, so the loader holds about one generation's lines at a time.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,9 +28,6 @@ from .domain import FitnessPoint
 from .moea import hypervolume_2d
 from .rules import check, integer, items, read_json_object, text
 from .runner import _stats
-
-# exactly the names the writer gives: no leading zero, only ASCII digits
-_GEN_FILE_RE = re.compile(r"gen_(0|[1-9][0-9]*)\.jsonl")
 
 
 class ReportError(Exception):
@@ -106,46 +105,37 @@ def _load_points(path: Path, previous: dict) -> tuple[list[FitnessPoint], dict]:
 def load_run(run_dir: Path) -> RunReport:
     """Recompute one run's curves and statistics from its gen_*.jsonl files.
 
-    Only repetitions the summary marks ok are loaded; their records must all
-    be present and parseable, else a ReportError lists the bad files. A
-    summary or record that parses as JSON but has the wrong shape or a
-    wrong-typed field counts as unparseable.
+    summary.json alone gives the layout: for each repetition it marks ok,
+    rep_<r>/gen_0.jsonl through gen_<generations>.jsonl are read by name, and
+    no other file is opened. A summary that lacks pair, selector, generations
+    or results, gives one a wrong type, or lists a repetition twice is
+    unreadable. The first missing or unparseable record of a repetition ends
+    it, and a ReportError lists every such file. A record that parses as JSON
+    but has the wrong shape or a wrong-typed field counts as unparseable.
     """
     run_dir = Path(run_dir)
     bad: list[str] = []
     summary_path = run_dir / "summary.json"
     try:
         summary = read_json_object(summary_path, "summary")
-        results = check("results", summary.get("results", []),
+        pair = check("pair", summary.get("pair"), text(empty=True))
+        selector = check("selector", summary.get("selector"), text(empty=True))
+        generations = check("generations", summary.get("generations"), integer(0))
+        results = check("results", summary.get("results"),
                         items(lambda result: isinstance(result, dict), "a list of objects"))
-        for key, rule in (("pair", text(empty=True)), ("selector", text(empty=True)),
-                          ("generations", integer())):
-            if key in summary:
-                check(key, summary[key], rule)
-        repetitions = [check("repetition", result.get("repetition"), integer())
+        repetitions = [check("repetition", result.get("repetition"), integer(0))
                        for result in results if result.get("status") == "ok"]
+        if len(set(repetitions)) != len(repetitions):
+            raise ValueError("a repetition is listed twice")
     except ValueError:
         raise ReportError(f"unreadable summary in {run_dir}", [str(summary_path)]) from None
-    expected_last = summary.get("generations")
     curves: list[RepetitionCurve] = []
     for rep in repetitions:
         rep_dir = run_dir / f"rep_{rep}"
-        gen_files: dict[int, Path] = {}
-        if rep_dir.is_dir():
-            for path in rep_dir.iterdir():
-                match = _GEN_FILE_RE.fullmatch(path.name)
-                if match:
-                    gen_files[int(match.group(1))] = path
-        complete = bool(gen_files) and sorted(gen_files) == list(range(max(gen_files) + 1))
-        if complete and expected_last is not None:
-            complete = max(gen_files) == expected_last
-        if not complete:
-            bad.append(str(rep_dir))
-            continue
         series: list[float] = []
         memo: dict[str, FitnessPoint] = {}
-        for generation in sorted(gen_files):
-            path = gen_files[generation]
+        for generation in range(generations + 1):
+            path = rep_dir / f"gen_{generation}.jsonl"
             try:
                 points, memo = _load_points(path, memo)
             except (OSError, ValueError, RecursionError):  # RecursionError: nested too deeply
@@ -158,8 +148,4 @@ def load_run(run_dir: Path) -> RunReport:
         raise ReportError(f"missing or corrupt records in {run_dir}", bad)
     if not curves:
         raise ReportError(f"no successful repetitions recorded in {run_dir}", [str(summary_path)])
-    return RunReport(
-        problem=summary.get("pair", run_dir.parent.name),
-        selector=summary.get("selector", run_dir.name),
-        curves=tuple(curves),
-    )
+    return RunReport(problem=pair, selector=selector, curves=tuple(curves))

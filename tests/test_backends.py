@@ -683,6 +683,18 @@ def test_a_score_that_is_not_a_number_is_a_malformed_reply(reply):
     assert len(server.seen) == 1
 
 
+def test_a_reply_that_names_an_emotion_twice_is_a_malformed_reply():
+    # the later joy would replace the earlier one, and the six would sum to 1
+    reply = [{"label": "joy", "score": 0.9}] + SIX_SCORES
+    with StubServer([(200, reply)]) as server:
+        client = HttpEmotionClassifier(server.url, policy=BackendPolicy(max_retries=2, backoff=0.0))
+        with pytest.raises(BackendError, match="^emotion classification failed: reply label joy "
+                                               "is given twice") as info:
+            client.classify_emotions(GeneratedText("a story"))
+        assert not isinstance(info.value, BackendRejected)
+    assert len(server.seen) == 1
+
+
 def test_retry_backoff_doubles(monkeypatch):
     calls = []
     delays = []

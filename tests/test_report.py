@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moprompt import cli
 from moprompt.domain import ObjectivePair
 from moprompt.moea import hypervolume_2d
 from moprompt.report import ReportError, discover_runs, load_run
@@ -53,23 +54,6 @@ def test_load_run_missing_summary(tmp_path):
         load_run(tmp_path)
 
 
-def test_load_run_reports_missing_generation_files(finished_run, tmp_path):
-    root, _, _ = finished_run
-    src = root / "joy_vs_fear" / "nsga2"
-    dst = tmp_path / "broken"
-    dst.mkdir()
-    (dst / "summary.json").write_text((src / "summary.json").read_text())
-    for rep in range(2):
-        rep_dir = dst / f"rep_{rep}"
-        rep_dir.mkdir()
-        for path in (src / f"rep_{rep}").glob("gen_*.jsonl"):
-            rep_dir.joinpath(path.name).write_text(path.read_text())
-    (dst / "rep_1" / "gen_2.jsonl").unlink()
-    with pytest.raises(ReportError) as excinfo:
-        load_run(dst)
-    assert excinfo.value.bad_files == [str(dst / "rep_1")]
-
-
 def copy_run(finished_run, dst):
     root, _, _ = finished_run
     src = root / "joy_vs_fear" / "nsga2"
@@ -81,6 +65,30 @@ def copy_run(finished_run, dst):
         for path in (src / f"rep_{rep}").glob("gen_*.jsonl"):
             rep_dir.joinpath(path.name).write_text(path.read_text())
     return dst
+
+
+def test_load_run_reports_missing_generation_files(finished_run, tmp_path):
+    dst = copy_run(finished_run, tmp_path / "broken")
+    (dst / "rep_1" / "gen_2.jsonl").unlink()
+    with pytest.raises(ReportError) as excinfo:
+        load_run(dst)
+    assert excinfo.value.bad_files == [str(dst / "rep_1" / "gen_2.jsonl")]
+
+
+def test_load_run_ignores_the_files_of_an_earlier_longer_run(tmp_path, capsys):
+    for generations in (4, 2):
+        config = RunConfig(pair=PAIR, mu=4, lam=6, generations=generations, repetitions=2,
+                           seed=3, out_dir=str(tmp_path))
+        run_experiment(config, build_backends(config))
+    run_dir = tmp_path / "joy_vs_fear" / "nsga2"
+    assert (run_dir / "rep_1" / "gen_4.jsonl").exists()
+    summary = json.loads((run_dir / "summary.json").read_text())
+    report = load_run(run_dir)
+    assert [len(c.hypervolumes) for c in report.curves] == [3, 3]
+    assert report.final_stats == summary["final"]
+    assert report.running_max_stats == summary["running_max"]
+    assert cli.main(["report", "--run", str(tmp_path)]) == 0
+    assert "joy_vs_fear" in capsys.readouterr().out
 
 
 def test_load_run_reads_only_the_generation_files_the_writer_names(finished_run, tmp_path):
@@ -128,6 +136,11 @@ def test_load_run_reports_wrong_shaped_records(finished_run, tmp_path, record):
     {"generations": 2.0, "results": [{"repetition": 0, "status": "ok"}]},
     {"generations": True, "results": [{"repetition": 0, "status": "ok"}]},
     {"generations": None, "results": [{"repetition": 0, "status": "ok"}]},
+    {"results": [{"repetition": 0, "status": "ok"}]},
+    {"pair": "joy_vs_fear", "selector": "nsga2", "generations": 3,
+     "results": [{"repetition": 0, "status": "ok"}, {"repetition": 0, "status": "ok"}]},
+    {"pair": "joy_vs_fear", "selector": "nsga2", "generations": -1,
+     "results": [{"repetition": 0, "status": "ok"}]},
 ])
 def test_load_run_reports_corrupt_summary(finished_run, tmp_path, summary):
     dst = copy_run(finished_run, tmp_path / "corrupt")
@@ -159,7 +172,8 @@ def test_load_run_skips_failed_repetitions(tmp_path):
 
 
 def test_load_run_with_no_ok_repetitions(tmp_path):
-    summary = {"results": [{"repetition": 0, "status": "failed"}]}
+    summary = {"pair": "joy_vs_fear", "selector": "nsga2", "generations": 1,
+               "results": [{"repetition": 0, "status": "failed"}]}
     (tmp_path / "summary.json").write_text(json.dumps(summary))
     with pytest.raises(ReportError, match="no successful repetitions"):
         load_run(tmp_path)
@@ -214,7 +228,7 @@ def repetition(draw, generations: int) -> list[bytes]:
 def test_load_run_matches_the_line_by_line_oracle(reps):
     with tempfile.TemporaryDirectory() as tmp:
         run_dir = Path(tmp)
-        summary = {"generations": len(reps[0]) - 1,
+        summary = {"pair": "joy_vs_fear", "selector": "nsga2", "generations": len(reps[0]) - 1,
                    "results": [{"repetition": rep, "status": "ok"} for rep in range(len(reps))]}
         (run_dir / "summary.json").write_text(json.dumps(summary))
         bad, curves = [], []
