@@ -123,24 +123,44 @@ def test_load_run_reports_wrong_shaped_records(finished_run, tmp_path, record):
     assert excinfo.value.bad_files == [str(target)]
 
 
+MISSING = object()
+
+
+def summary_with(**fields):
+    """A summary that loads against finished_run, with fields replaced or, as MISSING, removed."""
+    summary = {"pair": "joy_vs_fear", "selector": "nsga2", "generations": 3,
+               "results": [{"repetition": 0, "status": "ok"}]}
+    summary.update(fields)
+    return {key: value for key, value in summary.items() if value is not MISSING}
+
+
+def test_load_run_reads_the_summary_the_corrupt_cases_start_from(finished_run, tmp_path):
+    dst = copy_run(finished_run, tmp_path / "base")
+    (dst / "summary.json").write_text(json.dumps(summary_with()))
+    assert [curve.repetition for curve in load_run(dst).curves] == [0]
+
+
 @pytest.mark.parametrize("summary", [
     [1, 2],
-    {"results": {"repetition": 0, "status": "ok"}},
-    {"results": [{"repetition": 0, "status": "ok"}, "ok"]},
-    {"results": [{"status": "ok"}]},
-    {"results": [{"repetition": "0", "status": "ok"}]},
-    {"pair": None, "results": [{"repetition": 0, "status": "ok"}]},
-    {"selector": None, "results": [{"repetition": 0, "status": "ok"}]},
-    {"selector": ["nsga2"], "results": [{"repetition": 0, "status": "ok"}]},
-    {"generations": "2", "results": [{"repetition": 0, "status": "ok"}]},
-    {"generations": 2.0, "results": [{"repetition": 0, "status": "ok"}]},
-    {"generations": True, "results": [{"repetition": 0, "status": "ok"}]},
-    {"generations": None, "results": [{"repetition": 0, "status": "ok"}]},
-    {"results": [{"repetition": 0, "status": "ok"}]},
-    {"pair": "joy_vs_fear", "selector": "nsga2", "generations": 3,
-     "results": [{"repetition": 0, "status": "ok"}, {"repetition": 0, "status": "ok"}]},
-    {"pair": "joy_vs_fear", "selector": "nsga2", "generations": -1,
-     "results": [{"repetition": 0, "status": "ok"}]},
+    summary_with(results={"repetition": 0, "status": "ok"}),
+    summary_with(results=[{"repetition": 0, "status": "ok"}, "ok"]),
+    summary_with(results=[{"status": "ok"}]),
+    summary_with(results=[{"repetition": "0", "status": "ok"}]),
+    summary_with(pair=None),
+    summary_with(selector=None),
+    summary_with(selector=["nsga2"]),
+    summary_with(generations="2"),
+    summary_with(generations=2.0),
+    summary_with(generations=True),
+    summary_with(generations=None),
+    summary_with(pair=MISSING, selector=MISSING, generations=MISSING),
+    summary_with(results=[{"repetition": 0, "status": "ok"}, {"repetition": 0, "status": "ok"}]),
+    summary_with(generations=-1),
+    summary_with(pair=MISSING),
+    summary_with(selector=MISSING),
+    summary_with(generations=MISSING),
+    summary_with(results=MISSING),
+    summary_with(results=[{"repetition": -1, "status": "ok"}]),
 ])
 def test_load_run_reports_corrupt_summary(finished_run, tmp_path, summary):
     dst = copy_run(finished_run, tmp_path / "corrupt")
