@@ -10,9 +10,9 @@ hypervolume series per repetition, the final Pareto front, and a summary.
 A survivor's record changes from one generation to the next only in its
 selection fields (rank, crowding, contribution), and most survivors keep
 even those: selection hands such a survivor on as the same object, and its
-encoded line is written again as it is. So each survivor is encoded once
-per repetition, and only a change of its selection fields is formatted
-again. A repetition holds one population plus one (generation, hypervolume,
+encoded line is written again as it is. A survivor is encoded when it
+enters the population and again whenever selection changes one of its
+fields. A repetition holds one population plus one (generation, hypervolume,
 fallback count) row per generation, not every generation's population.
 """
 
@@ -369,62 +369,24 @@ def individual_from_dict(data: dict) -> Individual:
     )
 
 
-_INF = float("inf")
-
-
-# a survivor's written line: the individual it encodes, the line, and the
-# offsets where its selection fields (rank, crowding, contribution) start and end
-_Line = tuple[Individual, str, int, int]
-
-
-def _encode_line(ind: Individual) -> _Line:
-    """ind's line, the json.dumps of individual_to_dict. A '"' inside a JSON
-    string is always escaped, so the two markers can only be keys."""
-    line = json.dumps(individual_to_dict(ind), ensure_ascii=False) + "\n"
-    start = line.index(', "rank": ')
-    return ind, line, start, line.index(', "parent_ids": ', start)
-
-
-def _json_number(value: float | None) -> str:
-    """None, an int or a float as json.dumps writes it."""
-    if value is None:
-        return "null"
-    if value != value:
-        return "NaN"
-    if value == _INF:
-        return "Infinity"
-    if value == -_INF:
-        return "-Infinity"
-    return repr(value)
-
-
 def _write_generation(
-    rep_dir: Path, record: GenerationRecord, lines: dict[int, _Line]
-) -> dict[int, _Line]:
+    rep_dir: Path, record: GenerationRecord, lines: dict[int, tuple[Individual, str]]
+) -> dict[int, tuple[Individual, str]]:
     """Write the generation's survivors, one json.dumps(individual_to_dict)
-    line each, and return the lines of exactly these survivors by id.
+    line each, and return (survivor, line) for exactly these survivors by id.
 
     lines holds those of the previous generation of the same repetition
     (ids restart in every repetition). A survivor carried over as the same
-    object writes its line again as it is; one with new selection fields
-    has only the text between them formatted again; a new one is encoded
-    once.
+    object writes its line again as it is; any other survivor, new or with
+    selection fields changed, is encoded again.
     """
     path = rep_dir / f"gen_{record.generation_index}.jsonl"
-    current: dict[int, _Line] = {}
+    current: dict[int, tuple[Individual, str]] = {}
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for ind in record.population:
             cached = lines.get(ind.id)
-            if cached is None:
-                cached = _encode_line(ind)
-            elif cached[0] is not ind:
-                _, line, start, end = cached
-                fields = (
-                    f', "rank": {_json_number(ind.rank)}, '
-                    f'"crowding": {_json_number(ind.crowding)}, '
-                    f'"contribution": {_json_number(ind.contribution)}'
-                )
-                cached = (ind, line[:start] + fields + line[end:], start, start + len(fields))
+            if cached is None or cached[0] is not ind:
+                cached = (ind, json.dumps(individual_to_dict(ind), ensure_ascii=False) + "\n")
             current[ind.id] = cached
             handle.write(cached[1])
     return current
@@ -531,7 +493,7 @@ def _run_repetition(
     population = initialize(config, backends, pool)
     record = _record(0, population, population)
     rows: list[tuple[int, float, int]] = []
-    lines: dict[int, _Line] = {}
+    lines: dict[int, tuple[Individual, str]] = {}
     for generation in range(config.generations + 1):
         if generation:
             population, record = step(

@@ -494,6 +494,9 @@ MANY_WORDS = " ".join(f"w{i}" for i in range(30))
 @example(kind="mutation", first="x\n\nPrompt: \t\r\x0b spaced", second="go", seed=1)
 @example(kind="generation", first="ΟΔΟΣ ΑΒ İ about love and rage\n\nand joy", second="", seed=0)
 @example(kind="raw", first="Prompt:\nPrompt: last one", second="", seed=0)
+# a rewrite whose prompt line is empty or only quotes
+@example(kind="raw", first="Mutation Prompt: go\nPrompt:", second="", seed=0)
+@example(kind="raw", first='Mutation Prompt: go\nPrompt: "" "', second="", seed=1)
 def test_mock_generator_matches_its_oracle(kind, first, second, seed):
     if kind == "raw":  # a body that no template rendered
         request = GenerationRequest(first, system=second)

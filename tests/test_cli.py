@@ -719,6 +719,9 @@ def test_hv_command_golden(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "hv", "--points", str(path))
     assert code == 0
     assert out == "hypervolume 0.444444444444\n"
+    # blank rows between points are skipped
+    path.write_text(DIAGONAL_ROWS.replace("\n", "\n\n", 3))
+    assert run_cli(capsys, "hv", "--points", str(path)) == (0, out, "")
 
 
 def test_hv_ignores_a_byte_order_mark(tmp_path, capsys):
@@ -768,6 +771,14 @@ def test_hv_rejects_bad_rows(tmp_path, capsys):
     path.write_text("0.5,1.5\n")
     code, _, err = run_cli(capsys, "hv", "--points", str(path))
     assert code == 2
+    path.write_text("f1,f2\n")
+    code, _, err = run_cli(capsys, "hv", "--points", str(path))
+    assert code == 2
+    assert err == "error: no points in file\n"
+    path.write_text("0.5,0.5\n0.2,x\n")
+    code, _, err = run_cli(capsys, "hv", "--points", str(path))
+    assert code == 2
+    assert err == "error: row 2: non-numeric value\n"
 
 
 # report command

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -55,6 +56,9 @@ def test_scores_require_all_labels():
     partial = {label: 0.2 for label in list(EmotionLabel)[:5]}
     with pytest.raises(ValueError):
         EmotionScores(partial)
+    extra = {**{label: 1 / 6 for label in EmotionLabel}, "neutral": 0.0}
+    with pytest.raises(ValueError, match="unexpected score keys"):
+        EmotionScores(extra)
 
 
 def test_scores_sum_tolerance():
@@ -164,6 +168,10 @@ def test_individual_parent_limit():
             id=1,
             parent_ids=(1, 2, 3),
         )
+    with pytest.raises(ValueError, match="^rank must be non-negative$"):
+        replace(ind, rank=-1)
+    with pytest.raises(ValueError, match="^crowding must be non-negative$"):
+        replace(ind, crowding=-0.5)
 
 
 def test_individual_with_selection():

@@ -358,6 +358,8 @@ def test_subset_greedy_drops_duplicates_first():
 def test_nsga2_requires_enough_candidates():
     with pytest.raises(ValueError):
         nsga2_select(points_of((0.5, 0.5)), 2)
+    with pytest.raises(ValueError, match="^mu must be positive$"):
+        nsga2_select(points_of((0.5, 0.5)), 0)
 
 
 def test_nsga2_whole_fronts_then_crowding():
@@ -413,6 +415,8 @@ def test_nsga2_deterministic():
 def test_sms_requires_enough_candidates():
     with pytest.raises(ValueError):
         sms_emoa_select(points_of((0.5, 0.5)), 2)
+    with pytest.raises(ValueError, match="^mu must be positive$"):
+        sms_emoa_select(points_of((0.5, 0.5)), 0)
 
 
 def test_sms_overflowing_front0_uses_subset_selection():

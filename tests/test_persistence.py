@@ -128,7 +128,7 @@ INF, NAN = float("inf"), float("nan")
 TRICKY = st.sampled_from(
     ['"', "\\", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "\u2028", "é", "情", "😀"]
 )
-# the writer cuts a line at these two keys, so strings hold them too
+# the record's own keys, so a string can look like a field boundary
 KEYS = st.sampled_from([', "rank": ', ', "parent_ids": '])
 # lone surrogates cannot be written as UTF-8 at all
 texts = st.lists(
