@@ -150,21 +150,11 @@ def cmd_run(args) -> int:
 _REPORT_COLUMNS = ("problem", "selector", "metric", "best", "worst", "mean", "std_dev")
 
 
-def _report_cells(row: dict, number) -> list[str]:
-    """A report row in column order, its statistics rendered by number."""
-    return [
-        value if isinstance(value, str) else number(value)
-        for value in (row[column] for column in _REPORT_COLUMNS)
-    ]
-
-
-def _format_table(rows: list[dict]) -> str:
-    table = [_REPORT_COLUMNS] + [_report_cells(row, lambda x: f"{x:.6f}") for row in rows]
+def _format_table(rows: list[tuple]) -> str:
+    table = [_REPORT_COLUMNS] + [(*row[:3], *(f"{x:.6f}" for x in row[3:])) for row in rows]
     widths = [max(len(entry[i]) for entry in table) for i in range(len(_REPORT_COLUMNS))]
-    lines = []
-    for entry in table:
-        lines.append("  ".join(cell.ljust(width) for cell, width in zip(entry, widths)).rstrip())
-    return "\n".join(lines)
+    return "\n".join("  ".join(cell.ljust(width) for cell, width in zip(entry, widths)).rstrip()
+                     for entry in table)
 
 
 def cmd_report(args) -> int:
@@ -185,23 +175,15 @@ def cmd_report(args) -> int:
         for path in failures:
             print(f"  {path}", file=sys.stderr)
         return 1
-    rows = []
-    for report in reports:
-        for metric, stats in (
-            ("final", report.final_stats),
-            ("running_max", report.running_max_stats),
-        ):
-            rows.append(
-                {
-                    "problem": report.problem,
-                    "selector": report.selector,
-                    "metric": metric,
-                    **stats,
-                }
-            )
+    rows = [
+        (report.problem, report.selector, metric, *(stats[c] for c in _REPORT_COLUMNS[3:]))
+        for report in reports
+        for metric, stats in (("final", report.final_stats),
+                              ("running_max", report.running_max_stats))
+    ]
     print(_format_table(rows))
     tables = {
-        "report.csv": (_REPORT_COLUMNS, (_report_cells(row, repr) for row in rows)),
+        "report.csv": (_REPORT_COLUMNS, ((*row[:3], *map(repr, row[3:])) for row in rows)),
         "curves.csv": (
             ("problem", "selector", "repetition", "generation", "hypervolume"),
             ([report.problem, report.selector, curve.repetition, generation, repr(hv)]
@@ -231,14 +213,14 @@ def _read_points_csv(path: str) -> list[FitnessPoint]:
     points = []
     # utf-8-sig drops the byte order mark spreadsheet programs write
     with open(path, encoding="utf-8-sig", newline="") as handle:
-        for row_number, row in enumerate(csv.reader(handle), start=1):
-            if not row or not "".join(row).strip():
-                continue
+        rows = ((number, row) for number, row in enumerate(csv.reader(handle), start=1)
+                if "".join(row).strip())  # blank rows are skipped but keep their numbers
+        for index, (row_number, row) in enumerate(rows):
             if len(row) != 2:
                 raise ValueError(f"row {row_number}: expected two columns, got {len(row)}")
             first, second = row[0].strip(), row[1].strip()
-            if row_number == 1 and not _is_number(first):
-                continue
+            if index == 0 and not _is_number(first):
+                continue  # only the first non-blank row may be a header
             if not (_is_number(first) and _is_number(second)):
                 raise ValueError(f"row {row_number}: non-numeric value")
             try:
@@ -333,12 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv, argparse.Namespace(verbose=False, quiet=False))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    # SUPPRESS defaults mean the flags are absent unless given
-    args.verbose = getattr(args, "verbose", False)
-    args.quiet = getattr(args, "quiet", False)
     level = logging.WARNING
     if args.verbose:
         level = logging.DEBUG

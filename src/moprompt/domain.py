@@ -9,7 +9,7 @@ evolutionary loop builds new individuals instead of mutating old ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 MAX_PROMPT_CHARS = 2000
@@ -216,20 +216,10 @@ def _same(a, b) -> bool:
     return a is b or (type(a) is type(b) and repr(a) == repr(b))
 
 
-@dataclass(frozen=True)
-class Population:
-    """An ordered collection of individuals."""
+class Population(tuple):
+    """An ordered, immutable sequence of individuals."""
 
-    members: tuple[Individual, ...] = field(default=())
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __getitem__(self, index: int) -> Individual:
-        return self.members[index]
+    __slots__ = ()
 
     def fitness_points(self) -> list[FitnessPoint]:
-        return [member.fitness for member in self.members]
+        return [member.fitness for member in self]

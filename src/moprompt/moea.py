@@ -124,8 +124,6 @@ def crowding_distance(points: list[FitnessPoint]) -> list[float]:
             continue
         for position in range(1, n - 1):
             i = order[position]
-            if distance[i] == float("inf"):
-                continue
             below = values[order[position - 1]]
             above = values[order[position + 1]]
             distance[i] += (above - below) / spread

@@ -241,7 +241,7 @@ def initialize(
             operator_trace=(gen_record,),
         )
 
-    return Population(tuple(_build(make, config.mu, pool)))
+    return Population(_build(make, config.mu, pool))
 
 
 def produce_offspring(
@@ -325,10 +325,10 @@ def step(
     else:
         outcome = sms_emoa_select(points, config.mu, config.hv_mode)
         diagnostic = "contribution"
-    population = Population(tuple(
+    population = Population(
         candidates[i].with_selection(rank=outcome.ranks[i], **{diagnostic: outcome.diagnostics[i]})
         for i in outcome.selected
-    ))
+    )
     return population, _record(generation, population, offspring)
 
 

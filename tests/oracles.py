@@ -9,10 +9,12 @@ individual with json.dumps, which the runner's survivor writer must match
 byte for byte. The mock generator, completion cleaner, token-budget
 truncation and record loader are the package's earlier straightforward
 versions, copied as they were, which the faster ones must match reply for
-reply and point for point.
+reply and point for point. The tree oracle reads a finished run's files and
+checks the invariants every correct tree holds.
 None of it shares code with the package under test beyond the value types,
-the classifier's token budget, the record schema (individual_to_dict) and
-the mock generator's word lists.
+the classifier's token budget, the record schema (individual_to_dict), the
+mock generator's word lists and, for the bytes of hypervolume.csv,
+hypervolume_2d (itself checked against the grid oracle here).
 The token estimate and the dominance predicate live here because only the
 tests use them.
 """
@@ -22,6 +24,7 @@ import logging
 import math
 import random
 import re
+import statistics
 from itertools import combinations
 
 from moprompt.backends import (
@@ -42,6 +45,7 @@ from moprompt.domain import (
     FitnessPoint,
     Individual,
 )
+from moprompt.moea import hypervolume_2d
 from moprompt.runner import individual_to_dict
 
 
@@ -190,6 +194,113 @@ def load_points_oracle(path) -> list[FitnessPoint]:
     if not points:
         raise ValueError("no individuals in record")
     return points
+
+
+SELECTION_FIELDS = ("rank", "crowding", "contribution")
+OFFSPRING_STEPS = ["crossover", "mutation", "generation"]
+
+
+def check_tree(run_dir) -> None:
+    """Assert the invariants of a finished run's output tree, reading only
+    the tree.
+
+    summary.json gives mu, lambda, generations, selector, hv_mode and the
+    ok repetitions. In each ok repetition:
+    - every gen file holds mu records with distinct ids; gen 0 holds the
+      founders 0..mu-1, each with no parents, one generation step and no
+      selection fields;
+    - from gen 1 on, each survivor is carried over from the previous gen,
+      its record unchanged apart from the selection fields, or new: an id of
+      this generation's offspring, two distinct parents from the previous
+      gen and a crossover, mutation, generation trace (plus an evaluation
+      fallback when scoring failed);
+    - from gen 1 on, ranks never decrease down the file and each equals the
+      nondominated rank over that gen file alone, because selection keeps
+      whole fronts in rank order (Deb et al. 2002); the selector's
+      diagnostic is set and the other one null;
+    - hypervolume.csv row g holds g, the repr of gen g's hypervolume and a
+      fallback count no smaller than the new survivors' fallbacks (equal in
+      gen 0, where every founder survives); the hypervolume never falls
+      under SMS-EMOA exact, nor under any selector when a survivor's rank is
+      above 0, because all of front 0 then survived and the hypervolume is
+      Pareto-compliant (Zitzler et al. 2003);
+    - pareto_front.json holds the final gen's rank-0 records in order, and
+      the summary's per-repetition and aggregate figures are the CSV's.
+    """
+    summary = json.loads((run_dir / "summary.json").read_text(encoding="utf-8"))
+    mu, lam, generations = summary["mu"], summary["lambda"], summary["generations"]
+    diagnostic, other = (("crowding", "contribution") if summary["selector"] == "nsga2"
+                         else ("contribution", "crowding"))
+    always_monotone = (summary["selector"], summary["hv_mode"]) == ("sms_emoa", "exact")
+    results = summary["results"]
+    assert [r["repetition"] for r in results] == list(range(summary["repetitions"]))
+    ok = [r for r in results if r["status"] == "ok"]
+    for result in ok:
+        rep_dir = run_dir / f"rep_{result['repetition']}"
+        rows = (rep_dir / "hypervolume.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[0] == "generation,hypervolume,fallback_count"
+        assert len(rows) == generations + 2
+        series: list[float] = []
+        previous: dict = {}
+        for g in range(generations + 1):
+            lines = (rep_dir / f"gen_{g}.jsonl").read_text(encoding="utf-8").splitlines()
+            records = [json.loads(line) for line in lines]
+            ids = [record["id"] for record in records]
+            assert len(records) == mu and len(set(ids)) == mu, (g, ids)
+            points = [FitnessPoint(*record["fitness"]) for record in records]
+            new = [record for record in records if record["id"] not in previous]
+            if g == 0:
+                assert ids == list(range(mu))
+                for record in records:
+                    assert record["parent_ids"] == []
+                    assert [step["kind"] for step in record["operator_trace"]] == ["generation"]
+                    assert [record[name] for name in SELECTION_FIELDS] == [None] * 3
+            else:
+                rank_of = {i: rank for rank, front in enumerate(sort_oracle(points))
+                           for i in front}
+                ranks = [record["rank"] for record in records]
+                assert ranks == [rank_of[i] for i in range(mu)] == sorted(ranks), (g, ranks)
+                for record in records:
+                    assert record[diagnostic] is not None and record[other] is None
+                    if record["id"] in previous:
+                        assert _unselected(record) == _unselected(previous[record["id"]])
+                for record in new:
+                    assert mu + (g - 1) * lam <= record["id"] < mu + g * lam, (g, record["id"])
+                    parents = record["parent_ids"]
+                    assert len(set(parents)) == 2 and set(parents) <= previous.keys()
+                    kinds = [step["kind"] for step in record["operator_trace"]]
+                    assert kinds[:3] == OFFSPRING_STEPS and kinds[3:] in ([], ["evaluation"])
+            hypervolume = hypervolume_2d(points)
+            assert math.isclose(hypervolume, hypervolume_oracle(points, (0.0, 0.0)),
+                                rel_tol=1e-12, abs_tol=1e-15)
+            generation, cell, fallbacks = rows[g + 1].split(",")
+            assert (generation, cell) == (str(g), repr(hypervolume)), (g, rows[g + 1])
+            new_fallbacks = sum(step["fallback"] for record in new
+                                for step in record["operator_trace"])
+            assert (int(fallbacks) == new_fallbacks if g == 0
+                    else int(fallbacks) >= new_fallbacks), (g, fallbacks)
+            if g and (always_monotone or any(record["rank"] for record in records)):
+                assert hypervolume >= series[-1], (g, series[-1], hypervolume)
+            series.append(hypervolume)
+            previous = {record["id"]: record for record in records}
+        assert (result["final_hypervolume"], result["max_hypervolume"]) == (series[-1],
+                                                                            max(series))
+        front = json.loads((rep_dir / "pareto_front.json").read_text(encoding="utf-8"))
+        assert front == {"pair": summary["pair"], "selector": summary["selector"],
+                         "repetition": result["repetition"],
+                         "individuals": [r for r in records if r["rank"] == 0]}
+    for name, key in (("final", "final_hypervolume"), ("running_max", "max_hypervolume")):
+        values = [r[key] for r in ok]
+        expected = None
+        if values:
+            expected = {"best": max(values), "worst": min(values),
+                        "mean": statistics.fmean(values),
+                        "std_dev": statistics.stdev(values) if len(values) >= 2 else 0.0}
+        assert summary[name] == expected, name
+
+
+def _unselected(record: dict) -> dict:
+    return {key: value for key, value in record.items() if key not in SELECTION_FIELDS}
 
 
 _WORD_RE = re.compile(r"[a-zA-Z]+")

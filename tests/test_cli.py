@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import logging
 import re
 import shlex
 import tempfile
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from moprompt import cli
 from moprompt.backends import Backends, MockEmotionClassifier, MockTextGenerator
 from moprompt.cli import ConfigError, build_parser, load_config, main
+from moprompt.domain import Prompt
 from moprompt.runner import RunConfig
 from moprompt.variation import OperatorSuite, load_operator_suite
 from test_backends import SIX_SCORES, StubServer
@@ -402,6 +404,14 @@ def test_load_config_reads_the_operators_file(tmp_path):
     assert load_config(None, {"pair": "joy:fear"}).operators == OperatorSuite()
 
 
+def test_load_config_reads_seed_prompts_from_the_file(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"pair": "joy:fear", "mu": 2,
+                                "seed_prompts": ["  write a story ", "tell a tale"]}))
+    assert load_config(str(path), {}).seed_prompts == (Prompt("write a story"),
+                                                       Prompt("tell a tale"))
+
+
 @pytest.mark.parametrize("field", ["pair", "selector", "out_dir", "operators_file", "lexicon_file",
                                    "llm.base_url", "classifier.base_url", "classifier.token"])
 def test_run_rejects_non_string_fields(tmp_path, capsys, monkeypatch, field):
@@ -722,6 +732,25 @@ def test_hv_command_golden(tmp_path, capsys):
     # blank rows between points are skipped
     path.write_text(DIAGONAL_ROWS.replace("\n", "\n\n", 3))
     assert run_cli(capsys, "hv", "--points", str(path)) == (0, out, "")
+    # the header may follow blank rows: the first non-blank row is the possible header
+    path.write_text("\nf1,f2\n0.5,0.5\n")
+    assert run_cli(capsys, "hv", "--points", str(path)) == (0, "hypervolume 0.250000000000\n", "")
+
+
+@pytest.mark.parametrize("flags, level", [
+    ((), logging.WARNING),
+    (("--verbose",), logging.DEBUG),
+    (("--quiet",), logging.ERROR),
+])
+def test_verbosity_flags_set_the_log_level_before_or_after_the_command(tmp_path, monkeypatch,
+                                                                       capsys, flags, level):
+    path = tmp_path / "points.csv"
+    path.write_text(DIAGONAL_ROWS)
+    levels = []
+    monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: levels.append(kwargs["level"]))
+    assert run_cli(capsys, *flags, "hv", "--points", str(path))[0] == 0
+    assert run_cli(capsys, "hv", "--points", str(path), *flags)[0] == 0
+    assert levels == [level, level]
 
 
 def test_hv_ignores_a_byte_order_mark(tmp_path, capsys):
@@ -779,6 +808,11 @@ def test_hv_rejects_bad_rows(tmp_path, capsys):
     code, _, err = run_cli(capsys, "hv", "--points", str(path))
     assert code == 2
     assert err == "error: row 2: non-numeric value\n"
+    # only the first non-blank row may be a header, and rows keep their physical numbers
+    path.write_text("f1,f2\n\nx,0.5\n")
+    code, _, err = run_cli(capsys, "hv", "--points", str(path))
+    assert code == 2
+    assert err == "error: row 3: non-numeric value\n"
 
 
 # report command

@@ -45,6 +45,15 @@ def test_every_module_parses_as_python_3_10():
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
+def run_python(*args: str, check: bool = False) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports the package from the source tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120, check=check)
+
+
 def loaded_http_modules(script: str, *args: str) -> list[str]:
     """Run script in a fresh interpreter and return which HTTP_STACK modules
     it left loaded."""
@@ -52,12 +61,19 @@ def loaded_http_modules(script: str, *args: str) -> list[str]:
         "\nimport json, sys"
         f"\nprint(json.dumps([m for m in {HTTP_STACK!r} if m in sys.modules]))"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
-                                                      env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", script, *args], env=env,
-                            capture_output=True, text=True, timeout=120, check=True)
+    result = run_python("-c", script, *args, check=True)
     return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_python_m_moprompt_runs_the_command_line(tmp_path):
+    points = tmp_path / "points.csv"
+    points.write_text("f1,f2\n0.5,0.5\n")
+    result = run_python("-m", "moprompt", "hv", "--points", str(points))
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0, "hypervolume 0.250000000000\n", "")
+    result = run_python("-m", "moprompt")
+    assert result.returncode == 2
+    assert result.stderr.startswith("usage: moprompt")
 
 
 def test_mock_run_and_report_load_no_http_stack(tmp_path):

@@ -35,7 +35,7 @@ from moprompt.runner import (
     build_backends,
     run_experiment,
 )
-from oracles import encode_individual_oracle
+from oracles import check_tree, encode_individual_oracle
 
 PAIR = ObjectivePair.parse("love:anger")
 
@@ -72,6 +72,7 @@ def test_mock_tree_matches_recorded_fingerprint(tmp_path, selector):
         gen_1 = tmp_path / PAIR.slug / "nsga2" / "rep_0" / "gen_1.jsonl"
         assert "Infinity" in gen_1.read_text()
     assert tree_sha256(tmp_path) == TREE_FINGERPRINTS[selector]
+    check_tree(config.run_dir)
 
 
 # sha256 of a small converging run, recorded before unchanged survivors were
@@ -119,6 +120,7 @@ def test_converged_tree_matches_recorded_fingerprint(tmp_path):
     # most survivors leave selection as they entered it, as the same object
     assert len(kept) == 5 and min(kept) > config.mu // 2
     assert tree_sha256(tmp_path) == CONVERGED_FINGERPRINT
+    check_tree(config.run_dir)
 
 
 # every written line against the oracle

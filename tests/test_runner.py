@@ -43,7 +43,7 @@ from moprompt.runner import (
     step,
 )
 from moprompt.variation import MutationInstruction, OperatorSuite
-from oracles import hypervolume_oracle, sort_oracle
+from oracles import check_tree, hypervolume_oracle, sort_oracle
 from test_backends import StubServer
 
 PAIR = ObjectivePair.parse("love:anger")
@@ -403,6 +403,22 @@ def test_pareto_front_holds_front_0_of_the_last_generation(selection, mu, lam, g
         front = json.loads(rep_dir.joinpath("pareto_front.json").read_text(encoding="utf-8"))
     front0 = sort_oracle([FitnessPoint(*record["fitness"]) for record in records])[0]
     assert front["individuals"] == [records[i] for i in front0]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([("nsga2", "greedy"), ("sms_emoa", "greedy"), ("sms_emoa", "exact")]),
+       st.sampled_from(["love:anger", "joy:fear", "sadness:surprise", "joy:sadness"]),
+       st.integers(2, 10), st.integers(0, 20), st.integers(1, 3), st.integers(1, 2),
+       st.integers(0, 1000))
+def test_every_small_mock_tree_passes_the_tree_oracle(selection, pair, mu, lam, generations,
+                                                      repetitions, seed):
+    selector, hv_mode = selection
+    with tempfile.TemporaryDirectory() as tmp:
+        config = RunConfig(pair=ObjectivePair.parse(pair), mu=mu, lam=lam,
+                           generations=generations, repetitions=repetitions,
+                           selector=selector, hv_mode=hv_mode, seed=seed, out_dir=tmp)
+        run_experiment(config, build_backends(config))
+        check_tree(config.run_dir)
 
 
 def test_run_experiment_series_consistent_with_population_files(tmp_path):
