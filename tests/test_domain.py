@@ -236,6 +236,9 @@ def test_population_behaves_like_sequence():
         for i in range(3)
     )
     population = Population(members)
+    assert population == Population(iter(members)) == members
+    assert hash(population) == hash(Population(members))
+    assert not hasattr(population, "__dict__")  # a tuple with one method, no per-instance state
     assert len(population) == 3
     assert population[1].id == 1
     assert [ind.fitness.f1 for ind in population] == [0.0, 0.1, 0.2]
