@@ -5,7 +5,8 @@ overrides, report rebuilds comparison tables from finished run directories,
 and hv computes hypervolumes for a CSV of points. Exit codes: 0 on success,
 1 for runtime failures (no successful repetition, unreadable run data),
 2 for configuration and usage errors (an output directory that cannot be
-created, or a summary.json or report CSV that cannot be written, among them).
+created, a run directory that already holds a run's summary.json, or a
+summary.json or report CSV that cannot be written, among them).
 """
 
 from __future__ import annotations
@@ -117,6 +118,9 @@ def cmd_run(args) -> int:
         )
 
     with backends:
+        if (config.run_dir / "summary.json").is_file():
+            print(f"error: {config.run_dir} already holds a run (summary.json)", file=sys.stderr)
+            return 2
         try:
             config.run_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -329,3 +333,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -18,9 +18,8 @@ the axis-aligned rectangles spanned by the origin and each point.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
+from operator import attrgetter
 
 from .domain import FitnessPoint
 
@@ -75,31 +74,27 @@ def nondominated_sort(points: list[FitnessPoint]) -> list[tuple[int, ...]]:
 def _domination_counts(points: list[FitnessPoint]) -> list[int]:
     """How many points dominate each point, in O(n log n).
 
-    Sweeps groups of equal f1 in descending order over a Fenwick tree of f2
-    ranks (rank 1 is the largest f2). A group is inserted before it is
-    queried, so a point's count is the number of points inserted so far
-    with f2 at least its own, minus the copies of its exact coordinate
-    (itself included), which do not dominate it.
+    One pass in nondominated_sort's visiting order over a Fenwick tree of
+    the distinct (f2, f1) keys, rank 1 the largest. By the same invariant,
+    a visited point dominates p exactly when its key is larger than p's,
+    and no later point can, so p's count is the prefix sum over the ranks
+    above its own, taken before p is inserted. Copies of p share its key
+    and are not counted.
     """
-    f2_rank = {v: r for r, v in enumerate(sorted({p.f2 for p in points}, reverse=True), 1)}
-    tree = [0] * (len(f2_rank) + 1)
-    copies = Counter((p.f1, p.f2) for p in points)
+    keys = sorted({(p.f2, p.f1) for p in points}, reverse=True)
+    key_rank = {key: r for r, key in enumerate(keys, 1)}
+    tree = [0] * (len(keys) + 1)
     counts = [0] * len(points)
-    by_f1 = sorted(range(len(points)), key=lambda i: -points[i].f1)
-    for _, group in groupby(by_f1, key=lambda i: points[i].f1):
-        group = list(group)
-        for i in group:
-            r = f2_rank[points[i].f2]
-            while r < len(tree):
-                tree[r] += 1
-                r += r & -r
-        for i in group:
-            r = f2_rank[points[i].f2]
-            at_least = 0
-            while r > 0:
-                at_least += tree[r]
-                r -= r & -r
-            counts[i] = at_least - copies[(points[i].f1, points[i].f2)]
+    for i in sorted(range(len(points)), key=lambda i: (-points[i].f1, -points[i].f2)):
+        r = key_rank[(points[i].f2, points[i].f1)]
+        larger, k = 0, r - 1
+        while k > 0:
+            larger += tree[k]
+            k -= k & -k
+        counts[i] = larger
+        while r < len(tree):
+            tree[r] += 1
+            r += r & -r
     return counts
 
 
@@ -135,15 +130,16 @@ def hypervolume_2d(points: list[FitnessPoint]) -> float:
 
     The origin lies at or below every FitnessPoint. Sweep over points sorted
     by descending f1, adding the horizontal strip each point contributes
-    above the best f2 seen so far. O(n log n); the empty set has
-    hypervolume 0.
+    above the best f2 seen so far. The sort is stable, so points of equal
+    f1 are swept in input order, which can change the last bit of the sum.
+    O(n log n); the empty set has hypervolume 0.
     """
     area = 0.0
     best_f2 = 0.0
-    for f1, f2 in sorted(((p.f1, p.f2) for p in points), key=lambda c: -c[0]):
-        if f2 > best_f2:
-            area += f1 * (f2 - best_f2)
-            best_f2 = f2
+    for p in sorted(points, key=attrgetter("f1"), reverse=True):
+        if p.f2 > best_f2:
+            area += p.f1 * (p.f2 - best_f2)
+            best_f2 = p.f2
     return area
 
 

@@ -1,6 +1,7 @@
 """End-to-end command line behavior, exit codes, and printed contracts."""
 
 import contextlib
+import hashlib
 import io
 import json
 import logging
@@ -167,6 +168,24 @@ def test_run_exits_2_when_the_summary_cannot_be_written(tmp_path, capsys):
     assert code == 2
     assert err == f"error: cannot write {summary}: Is a directory\n"
     assert "rep 0 done final " not in out
+
+
+def test_run_refuses_a_directory_that_holds_a_run(tmp_path, capsys):
+    argv = ("run", "--pair", "love:anger", "--out", str(tmp_path), "--reps", "1", "--gens", "1",
+            "--quiet")
+    assert run_cli(capsys, *argv)[0] == 0
+
+    def digests():
+        return {path: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in tmp_path.rglob("*") if path.is_file()}
+
+    before = digests()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    run_dir = tmp_path / "love_vs_anger" / "nsga2"
+    assert err == f"error: {run_dir} already holds a run (summary.json)\n"
+    assert out == ""
+    assert digests() == before
 
 
 def test_live_run_sends_the_configured_llm_settings(tmp_path, capsys):

@@ -134,6 +134,7 @@ def test_sort_matches_oracle_with_ties_and_duplicates(pts):
 
 @settings(deadline=None)
 @given(tied_points())
+@example(random_points(random.Random(24), 600, grid=24))  # many copies and shared coordinates
 def test_domination_counts_match_oracle(pts):
     assert _domination_counts(pts) == domination_count_oracle(pts)
 
@@ -205,6 +206,15 @@ def test_hv_matches_oracle_on_random_sets():
         assert hypervolume_2d(pts) == pytest.approx(
             hypervolume_oracle(pts, ORIGIN), abs=1e-12
         )
+
+
+def test_hv_sweeps_equal_f1_in_input_order():
+    # points of equal f1 are swept in input order, and the two orders differ
+    # in the last bit; a sort on (f1, f2) or an unstable sort changes one
+    a, y1, y2 = 0.6108869734438016, 0.9130110532378982, 0.9666063677707588
+    low, high = FitnessPoint(a, y1), FitnessPoint(a, y2)
+    assert hypervolume_2d([low, high]) == a * y1 + a * (y2 - y1) == 0.590487238518985
+    assert hypervolume_2d([high, low]) == a * y2 == 0.5904872385189851
 
 
 @given(st.lists(point_strategy, max_size=30))

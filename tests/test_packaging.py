@@ -68,12 +68,13 @@ def loaded_http_modules(script: str, *args: str) -> list[str]:
 def test_python_m_moprompt_runs_the_command_line(tmp_path):
     points = tmp_path / "points.csv"
     points.write_text("f1,f2\n0.5,0.5\n")
-    result = run_python("-m", "moprompt", "hv", "--points", str(points))
-    assert (result.returncode, result.stdout, result.stderr) == (
-        0, "hypervolume 0.250000000000\n", "")
-    result = run_python("-m", "moprompt")
-    assert result.returncode == 2
-    assert result.stderr.startswith("usage: moprompt")
+    for module in ("moprompt", "moprompt.cli"):
+        result = run_python("-m", module, "hv", "--points", str(points))
+        assert (result.returncode, result.stdout, result.stderr) == (
+            0, "hypervolume 0.250000000000\n", "")
+        result = run_python("-m", module)
+        assert result.returncode == 2
+        assert result.stderr.startswith("usage: moprompt")
 
 
 def test_mock_run_and_report_load_no_http_stack(tmp_path):
