@@ -204,14 +204,16 @@ class OllamaClient(_Client):
     Sends the system instruction and prompt per request rather than baking
     them into a server-side model definition, so one running model serves
     every operator. Every request carries the model and decoding settings
-    of llm.
+    of llm, and seed as options.seed, so the same model on the same server
+    build answers the same request with the same text.
     """
 
     def __init__(self, base_url: str, policy: BackendPolicy = BackendPolicy(),
-                 llm: LlmSettings = LlmSettings()):
+                 llm: LlmSettings = LlmSettings(), seed: int = 0):
         check_base_url(base_url, "llm.base_url")
         self.base_url = base_url.rstrip("/")
         self.llm = llm
+        self.seed = seed
         super().__init__(f"{self.base_url}/api/generate", policy)
 
     def complete(self, request: GenerationRequest) -> str:
@@ -225,6 +227,7 @@ class OllamaClient(_Client):
                 "temperature": llm.temperature,
                 "num_ctx": llm.context_window,
                 "num_predict": llm.max_output_tokens,
+                "seed": self.seed,
             },
         }).encode()
         return self._call("text generation", body, {}, _response_text)

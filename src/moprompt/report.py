@@ -12,9 +12,13 @@ one an earlier, longer run into the same directory left, is never opened.
 A survivor carried into the next generation is written again byte for byte,
 so most lines of a gen_*.jsonl repeat a line of the file before it. Each
 repetition's load keeps the lines of the previous generation's file with the
-points parsed from them: a repeated line reuses its point, and so is parsed
-once per repetition, while every distinct line is still stripped, parsed
-and checked in full. A reused line moves from that memo into the current
+points parsed from them, keyed by each line's first 32 characters, which
+hold the record's "id"; the key is cheap to hash where a whole line of a
+large run is not. A line whose key finds a stored line equal to it in full
+reuses that line's point, and so is parsed once per repetition, while every
+other line is still stripped, parsed and checked in full. A point is a
+function of its line alone, so two lines sharing a key cost a parse and
+never change a result. A reused line moves from that memo into the current
 generation's, so the loader holds about one generation's lines at a time.
 """
 
@@ -77,16 +81,23 @@ def discover_runs(root: Path) -> list[Path]:
     return sorted(p.parent for p in Path(root).rglob("summary.json"))
 
 
+_KEY_LENGTH = 32  # '{"id": <id>, "prompt": "' and the prompt's first characters
+
+
 def _load_points(path: Path, previous: dict) -> tuple[list[FitnessPoint], dict]:
-    """The points of one gen_*.jsonl, and the memo from each raw line to its
-    point. A line in previous, the memo of the generation before, moves out
-    of it with its point; any other non-blank line is parsed and checked."""
+    """The points of one gen_*.jsonl, and the memo from each raw line's key,
+    its first _KEY_LENGTH characters, to the line and its point. A line
+    stored in previous, the memo of the generation before, moves out of it
+    with its point; any other non-blank line is parsed and checked."""
     points = []
-    memo: dict[str, FitnessPoint] = {}
+    memo: dict[str, tuple[str, FitnessPoint]] = {}
     with open(path, encoding="utf-8") as handle:
         for line in handle:
-            point = previous.pop(line, None)
-            if point is None:
+            key = line[:_KEY_LENGTH]
+            held = previous.pop(key, None)
+            if held is not None and held[0] == line:
+                point = held[1]
+            else:
                 stripped = line.strip()
                 if not stripped:
                     continue
@@ -95,7 +106,7 @@ def _load_points(path: Path, previous: dict) -> tuple[list[FitnessPoint], dict]:
                     point = FitnessPoint(*data["fitness"])
                 except (KeyError, TypeError):
                     raise ValueError("record without a two-number fitness") from None
-            memo[line] = point
+            memo[key] = line, point
             points.append(point)
     if not points:
         raise ValueError("no individuals in record")
@@ -133,7 +144,7 @@ def load_run(run_dir: Path) -> RunReport:
     for rep in repetitions:
         rep_dir = run_dir / f"rep_{rep}"
         series: list[float] = []
-        memo: dict[str, FitnessPoint] = {}
+        memo: dict[str, tuple[str, FitnessPoint]] = {}
         for generation in range(generations + 1):
             path = rep_dir / f"gen_{generation}.jsonl"
             try:

@@ -171,7 +171,8 @@ def build_backends(config: RunConfig) -> Backends:
 
     Live URLs come from the config or the EMO_LLM_URL / EMO_CLF_URL
     environment variables; EMO_CLF_TOKEN supplies an optional bearer token.
-    The generation client is given the run's decoding settings. The HTTP
+    The generation client is given the run's decoding settings and the seed
+    the mock generator takes, which it sends with every request. The HTTP
     clients are imported here, so a mock run never loads them.
     """
     bc = config.backend
@@ -190,7 +191,7 @@ def build_backends(config: RunConfig) -> Backends:
     from .live import HttpEmotionClassifier, OllamaClient
 
     return Backends(
-        generator=OllamaClient(llm_url, policy=bc.policy, llm=bc.llm),
+        generator=OllamaClient(llm_url, policy=bc.policy, llm=bc.llm, seed=config.seed),
         classifier=HttpEmotionClassifier(clf_url, token=token, policy=bc.policy),
     )
 
@@ -369,6 +370,16 @@ def individual_from_dict(data: dict) -> Individual:
     )
 
 
+# a wide run's generation file is about 1.1 MB, which the default 8 KiB
+# buffer writes in about 140 calls
+_WRITE_BUFFER = 1 << 16
+
+
+def _open_for_writing(path: Path):
+    """A text file for one of the run's writers: UTF-8, LF line ends."""
+    return open(path, "w", encoding="utf-8", newline="\n", buffering=_WRITE_BUFFER)
+
+
 def _write_generation(
     rep_dir: Path, record: GenerationRecord, lines: dict[int, tuple[Individual, str]]
 ) -> dict[int, tuple[Individual, str]]:
@@ -382,7 +393,7 @@ def _write_generation(
     """
     path = rep_dir / f"gen_{record.generation_index}.jsonl"
     current: dict[int, tuple[Individual, str]] = {}
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with _open_for_writing(path) as handle:
         for ind in record.population:
             cached = lines.get(ind.id)
             if cached is None or cached[0] is not ind:
@@ -393,7 +404,7 @@ def _write_generation(
 
 
 def _write_hypervolume_series(rep_dir: Path, rows: list[tuple[int, float, int]]) -> None:
-    with open(rep_dir / "hypervolume.csv", "w", encoding="utf-8", newline="\n") as handle:
+    with _open_for_writing(rep_dir / "hypervolume.csv") as handle:
         handle.write("generation,hypervolume,fallback_count\n")
         for generation, hypervolume, fallback_count in rows:
             handle.write(f"{generation},{hypervolume!r},{fallback_count}\n")
@@ -413,7 +424,7 @@ def _write_pareto_front(
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with _open_for_writing(path) as handle:
         json.dump(payload, handle, ensure_ascii=False, indent=2)
         handle.write("\n")
 

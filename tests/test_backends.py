@@ -553,16 +553,18 @@ def test_ollama_client_request_shape():
     assert body["prompt"] == "tell me"
     assert body["system"] == "be kind"
     assert body["stream"] is False
-    assert body["options"] == {"temperature": 0.7, "num_ctx": 512, "num_predict": 256}
+    assert body["options"] == {"temperature": 0.7, "num_ctx": 512, "num_predict": 256,
+                               "seed": 0}
 
 
 def test_ollama_client_sends_the_request_settings():
     llm = LlmSettings(model="mistral", temperature=0.2, context_window=1024, max_output_tokens=64)
     with StubServer([(200, {"response": "x"})]) as server:
-        OllamaClient(server.url, llm=llm).complete(GenerationRequest("hi"))
+        OllamaClient(server.url, llm=llm, seed=5).complete(GenerationRequest("hi"))
     _, _, body = server.seen[0]
     assert body["model"] == "mistral"
-    assert body["options"] == {"temperature": 0.2, "num_ctx": 1024, "num_predict": 64}
+    assert body["options"] == {"temperature": 0.2, "num_ctx": 1024, "num_predict": 64,
+                               "seed": 5}
 
 
 def test_ollama_client_retries_then_succeeds():

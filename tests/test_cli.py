@@ -188,14 +188,15 @@ def test_run_refuses_a_directory_that_holds_a_run(tmp_path, capsys):
     assert digests() == before
 
 
-def test_live_run_sends_the_configured_llm_settings(tmp_path, capsys):
+def live_generate_bodies(tmp_path, capsys, **fields):
+    """The /api/generate bodies of a small live run of the config with fields added."""
     def reply(path, body):
         return (200, {"response": "a story"}) if path == "/api/generate" else (200, SIX_SCORES)
 
     llm = {"model": "mistral", "temperature": 0.2, "context_window": 1024,
            "max_output_tokens": 64}
     config = {"pair": "love:anger", "backend": "live", "mu": 2, "lambda": 2, "generations": 1,
-              "repetitions": 1, "llm": llm, "out_dir": str(tmp_path / "runs")}
+              "repetitions": 1, "llm": llm, "out_dir": str(tmp_path / "runs"), **fields}
     with StubServer(reply) as server:
         config["llm"]["base_url"] = server.url
         config["classifier"] = {"base_url": f"{server.url}/classify"}
@@ -206,9 +207,19 @@ def test_live_run_sends_the_configured_llm_settings(tmp_path, capsys):
     bodies = [body for path, _, body in server.seen if path == "/api/generate"]
     # two founders' stories, then crossover, mutation and story for two offspring
     assert len(bodies) == 2 + 3 * 2
-    for body in bodies:
+    return bodies
+
+
+def test_live_run_sends_the_configured_llm_settings(tmp_path, capsys):
+    for body in live_generate_bodies(tmp_path, capsys):
         assert body["model"] == "mistral"
-        assert body["options"] == {"temperature": 0.2, "num_ctx": 1024, "num_predict": 64}
+        assert body["options"] == {"temperature": 0.2, "num_ctx": 1024, "num_predict": 64,
+                                   "seed": 0}
+
+
+def test_live_run_sends_the_config_seed_with_every_generate_request(tmp_path, capsys):
+    assert [body["options"]["seed"] for body in live_generate_bodies(tmp_path, capsys, seed=7)] \
+        == [7] * (2 + 3 * 2)
 
 
 def test_run_fails_when_the_model_server_refuses_every_request(tmp_path, capsys):

@@ -3,15 +3,16 @@
 import json
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moprompt import cli
-from moprompt.domain import ObjectivePair
+from moprompt.domain import FitnessPoint, ObjectivePair
 from moprompt.moea import hypervolume_2d
-from moprompt.report import ReportError, discover_runs, load_run
+from moprompt.report import ReportError, _load_points, discover_runs, load_run
 from moprompt.runner import RunConfig, build_backends, run_experiment
 from oracles import load_points_oracle
 
@@ -272,3 +273,35 @@ def test_load_run_matches_the_line_by_line_oracle(reps):
             assert excinfo.value.bad_files == bad
         else:
             assert [c.hypervolumes for c in load_run(run_dir).curves] == curves
+
+
+def test_load_run_reuses_a_point_only_for_an_equal_line(tmp_path, monkeypatch):
+    # the memo keys a line by its first 32 characters: a line that shares
+    # them with a stored one but differs after them is parsed, a
+    # whitespace-only line is never stored, and a line carried over a
+    # generation that lacks it is parsed again
+    a = '{"id": 1, "prompt": "a prompt long enough", "fitness": [0.5, 0.5]}'
+    b = '{"id": 2, "prompt": "another", "fitness": [0.2, 0.8]}'
+    a_moved = a.replace("[0.5, 0.5]", "[0.9, 0.9]")
+    assert a_moved[:32] == a[:32]
+    files = [[a, b], [a_moved, " \t", b], [a, b]]
+    (tmp_path / "summary.json").write_text(json.dumps(
+        {"pair": "joy_vs_fear", "selector": "nsga2", "generations": 2,
+         "results": [{"repetition": 0, "status": "ok"}]}))
+    (tmp_path / "rep_0").mkdir()
+    for generation, lines in enumerate(files):
+        (tmp_path / "rep_0" / f"gen_{generation}.jsonl").write_text("\n".join(lines) + "\n")
+    parsed = []
+
+    def loads(line):
+        parsed.append(line)
+        return json.loads(line)
+
+    monkeypatch.setattr("moprompt.report.json", SimpleNamespace(loads=loads))
+    (curve,) = load_run(tmp_path).curves
+    first = hypervolume_2d([FitnessPoint(0.5, 0.5), FitnessPoint(0.2, 0.8)])
+    assert curve.hypervolumes == (
+        first, hypervolume_2d([FitnessPoint(0.9, 0.9), FitnessPoint(0.2, 0.8)]), first)
+    assert parsed == [a, b, a_moved, a]
+    _, memo = _load_points(tmp_path / "rep_0" / "gen_1.jsonl", {})
+    assert [line for line, _ in memo.values()] == [a_moved + "\n", b + "\n"]
