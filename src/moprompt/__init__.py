@@ -14,7 +14,6 @@ from .domain import (
     GeneratedText,
     Individual,
     ObjectivePair,
-    Population,
     Prompt,
     extract_fitness,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "GeneratedText",
     "Individual",
     "ObjectivePair",
-    "Population",
     "Prompt",
     "RunConfig",
     "build_backends",

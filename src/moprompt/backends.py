@@ -187,7 +187,7 @@ class MockEmotionClassifier:
                     self._phrase_patterns.append((label, pattern))
 
     def classify_emotions(self, text: GeneratedText) -> EmotionScores:
-        lowered = truncate_to_token_budget(text.text).lower()
+        lowered = truncate_to_token_budget(text).lower()
         counts = dict.fromkeys(EMOTION_LABELS, 0)
         lookup = self._token_labels.get
         for token in _TOKEN_RE.findall(lowered):

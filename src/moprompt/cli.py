@@ -35,10 +35,6 @@ from .runner import (
 from .variation import OperatorSuite, load_operator_suite
 
 
-class ConfigError(ValueError):
-    pass
-
-
 _TOP_LEVEL_KEYS = (
     "mu", "lambda", "generations", "repetitions", "pair", "selector", "hv_mode", "seed",
     "seed_prompts", "backend", "out_dir", "llm", "classifier", "policy", "operators_file",
@@ -59,7 +55,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     reference defaults. Each field is checked by the rule its dataclass
     declares (`moprompt.rules`), and the operators and lexicon files are
     read here, so a bad config fails before a run starts, whatever the
-    backend.
+    backend. Every such failure is a ValueError.
     """
     try:
         raw = read_json_object(path, "config file") if path is not None else {}
@@ -69,7 +65,7 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         )
         fields.update({k: v for k, v in overrides.items() if v is not None})
         if fields.get("pair") is None:
-            raise ConfigError("an objective pair is required (config 'pair' or --pair)")
+            raise ValueError("an objective pair is required (config 'pair' or --pair)")
         pair = ObjectivePair.parse(check("pair", fields.pop("pair"), text()))
         if "lambda" in fields:
             fields["lam"] = fields.pop("lambda")
@@ -95,8 +91,8 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             operators=load_operator_suite(operators_file) if operators_file else OperatorSuite(),
             **fields,
         )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc))
+    except TypeError as exc:
+        raise ValueError(str(exc)) from exc
 
 
 def cmd_run(args) -> int:
@@ -105,7 +101,7 @@ def cmd_run(args) -> int:
     try:
         config = load_config(args.config, overrides)
         backends = build_backends(config)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NewType
 
 MAX_PROMPT_CHARS = 2000
 SCORE_SUM_TOLERANCE = 1e-3
@@ -61,11 +62,8 @@ class Prompt:
         object.__setattr__(self, "text", stripped)
 
 
-@dataclass(frozen=True)
-class GeneratedText:
-    """Model output for a prompt. Empty only when the backend returned nothing."""
-
-    text: str
+# model output for a prompt, empty only when the backend returned nothing
+GeneratedText = NewType("GeneratedText", str)
 
 
 @dataclass(frozen=True)
@@ -144,9 +142,6 @@ class FitnessPoint:
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} out of [0, 1]: {value}")
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.f1, self.f2)
-
 
 def extract_fitness(scores: EmotionScores, pair: ObjectivePair) -> FitnessPoint:
     """Project a six-way score distribution onto the run's objective pair.
@@ -214,12 +209,3 @@ class Individual:
 
 def _same(a, b) -> bool:
     return a is b or (type(a) is type(b) and repr(a) == repr(b))
-
-
-class Population(tuple):
-    """An ordered, immutable sequence of individuals."""
-
-    __slots__ = ()
-
-    def fitness_points(self) -> list[FitnessPoint]:
-        return [member.fitness for member in self]

@@ -256,7 +256,7 @@ class HttpEmotionClassifier(_Client):
         super().__init__(base_url, policy)
 
     def classify_emotions(self, text: GeneratedText) -> EmotionScores:
-        body = json.dumps({"inputs": truncate_to_token_budget(text.text)}).encode()
+        body = json.dumps({"inputs": truncate_to_token_budget(text)}).encode()
         headers = {"Authorization": f"Bearer {self.token}"} if self.token else {}
         return self._call("emotion classification", body, headers, parse_classifier_response)
 

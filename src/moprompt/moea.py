@@ -109,8 +109,7 @@ def crowding_distance(points: list[FitnessPoint]) -> list[float]:
     if n <= 2:
         return [float("inf")] * n
     distance = [0.0] * n
-    for objective in range(2):
-        values = [p.as_tuple()[objective] for p in points]
+    for values in ([p.f1 for p in points], [p.f2 for p in points]):
         order = sorted(range(n), key=lambda i: (values[i], i))
         distance[order[0]] = float("inf")
         distance[order[-1]] = float("inf")

@@ -48,7 +48,6 @@ from .domain import (
     Individual,
     ObjectivePair,
     OperatorRecord,
-    Population,
     Prompt,
     extract_fitness,
 )
@@ -135,7 +134,7 @@ class GenerationRecord:
     """Snapshot of one generation's surviving population."""
 
     generation_index: int
-    population: Population
+    population: tuple[Individual, ...]
     hypervolume: float
     fallback_count: int
 
@@ -196,13 +195,13 @@ def build_backends(config: RunConfig) -> Backends:
     )
 
 
-def _record(generation: int, population: Population, evaluated) -> GenerationRecord:
+def _record(generation: int, population: tuple[Individual, ...], evaluated) -> GenerationRecord:
     """The generation's record; evaluated holds the members created in it,
     whose operator fallbacks it counts."""
     return GenerationRecord(
         generation_index=generation,
         population=population,
-        hypervolume=hypervolume_2d(population.fitness_points()),
+        hypervolume=hypervolume_2d([ind.fitness for ind in population]),
         fallback_count=sum(
             1 for ind in evaluated for record in ind.operator_trace if record.fallback
         ),
@@ -218,7 +217,7 @@ def _build(make, count: int, pool: Executor | None) -> list[Individual]:
 
 def initialize(
     config: RunConfig, backends: Backends, pool: Executor | None = None
-) -> Population:
+) -> tuple[Individual, ...]:
     """Found the population from the first mu seed prompts.
 
     Each seed prompt is generated from and scored once. Classifier failures
@@ -242,11 +241,11 @@ def initialize(
             operator_trace=(gen_record,),
         )
 
-    return Population(_build(make, config.mu, pool))
+    return tuple(_build(make, config.mu, pool))
 
 
 def produce_offspring(
-    parents: Population,
+    parents: tuple[Individual, ...],
     backends: Backends,
     rng_seed: int,
     config: RunConfig,
@@ -306,15 +305,15 @@ def produce_offspring(
 
 
 def step(
-    parents: Population,
+    parents: tuple[Individual, ...],
     config: RunConfig,
     backends: Backends,
     rng_seed: int,
     generation: int,
     pool: Executor | None = None,
-) -> tuple[Population, GenerationRecord]:
+) -> GenerationRecord:
     """Advance one generation: lambda offspring, then survivor selection
-    over parents plus offspring."""
+    over parents plus offspring. The record holds the survivors."""
     offspring = produce_offspring(
         parents, backends, rng_seed, config, generation=generation, pool=pool
     )
@@ -326,18 +325,18 @@ def step(
     else:
         outcome = sms_emoa_select(points, config.mu, config.hv_mode)
         diagnostic = "contribution"
-    population = Population(
+    population = tuple(
         candidates[i].with_selection(rank=outcome.ranks[i], **{diagnostic: outcome.diagnostics[i]})
         for i in outcome.selected
     )
-    return population, _record(generation, population, offspring)
+    return _record(generation, population, offspring)
 
 
 def individual_to_dict(ind: Individual) -> dict:
     return {
         "id": ind.id,
         "prompt": ind.prompt.text,
-        "text": ind.text.text,
+        "text": ind.text,
         "fitness": [ind.fitness.f1, ind.fitness.f2],
         "rank": ind.rank,
         "crowding": ind.crowding,
@@ -411,7 +410,7 @@ def _write_hypervolume_series(rep_dir: Path, rows: list[tuple[int, float, int]])
 
 
 def _write_pareto_front(
-    rep_dir: Path, config: RunConfig, repetition: int, final: Population
+    rep_dir: Path, config: RunConfig, repetition: int, final: tuple[Individual, ...]
 ) -> None:
     # selection keeps whole fronts in rank order, so front 0 is the rank-0 survivors
     payload = {
@@ -509,9 +508,9 @@ def _run_repetition(
     lines: dict[int, tuple[Individual, str]] = {}
     for generation in range(config.generations + 1):
         if generation:
-            population, record = step(
-                population, config, backends, config.seed + rep, generation=generation, pool=pool
-            )
+            record = step(population, config, backends, config.seed + rep,
+                          generation=generation, pool=pool)
+            population = record.population
         rows.append((generation, record.hypervolume, record.fallback_count))
         lines = _write_generation(rep_dir, record, lines)
         if progress:

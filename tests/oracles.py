@@ -128,7 +128,7 @@ def crowding_oracle(points: list[FitnessPoint]) -> list[float]:
         return [float("inf")] * n
     result = [0.0] * n
     for axis in (0, 1):
-        values = [p.as_tuple()[axis] for p in points]
+        values = [(p.f1, p.f2)[axis] for p in points]
         order = sorted(range(n), key=lambda i: (values[i], i))
         result[order[0]] = float("inf")
         result[order[-1]] = float("inf")

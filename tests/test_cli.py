@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from moprompt import cli
 from moprompt.backends import Backends, MockEmotionClassifier, MockTextGenerator
-from moprompt.cli import ConfigError, build_parser, load_config, main
+from moprompt.cli import build_parser, load_config, main
 from moprompt.domain import Prompt
 from moprompt.runner import RunConfig
 from moprompt.variation import OperatorSuite, load_operator_suite
@@ -669,7 +669,7 @@ def test_any_json_object_loads_or_is_a_config_error(raw):
         path.write_text(json.dumps(raw))
         try:
             config = load_config(str(path), {})
-        except ConfigError:
+        except ValueError:
             return
     assert isinstance(config, RunConfig)
 

@@ -13,7 +13,6 @@ from moprompt.domain import (
     GeneratedText,
     Individual,
     ObjectivePair,
-    Population,
     Prompt,
     extract_fitness,
 )
@@ -49,7 +48,7 @@ def test_prompt_strips_and_rejects_empty():
 
 
 def test_generated_text_may_be_empty():
-    assert GeneratedText("").text == ""
+    assert GeneratedText("") == ""
 
 
 def test_scores_require_all_labels():
@@ -110,7 +109,8 @@ def test_fitness_point_bounds():
         FitnessPoint(True, False)
     with pytest.raises(ValueError, match="real number"):
         FitnessPoint(0.5, True)
-    assert FitnessPoint(1, 0).as_tuple() == (1, 0)
+    point = FitnessPoint(1, 0)
+    assert (point.f1, point.f2) == (1, 0)
 
 
 def test_extract_fitness_love_anger_example():
@@ -118,7 +118,7 @@ def test_extract_fitness_love_anger_example():
         love=0.05, anger=0.82, sadness=0.05, joy=0.04, fear=0.02, surprise=0.02
     )
     point = extract_fitness(scores, ObjectivePair.parse("love:anger"))
-    assert point.as_tuple() == (0.05, 0.82)
+    assert (point.f1, point.f2) == (0.05, 0.82)
 
 
 def test_extract_fitness_joy_fear_example():
@@ -126,7 +126,7 @@ def test_extract_fitness_joy_fear_example():
         joy=0.98, fear=0.00, sadness=0.01, love=0.005, anger=0.004, surprise=0.001
     )
     point = extract_fitness(scores, ObjectivePair.parse("joy:fear"))
-    assert point.as_tuple() == (0.98, 0.00)
+    assert (point.f1, point.f2) == (0.98, 0.00)
 
 
 def test_extract_fitness_uniform():
@@ -224,24 +224,3 @@ def test_with_selection_builds_a_new_individual_when_a_field_changes(before, aft
     assert [repr(v) for v in (changed.rank, changed.crowding, changed.contribution)] == [
         repr(v) for v in after]
 
-
-def test_population_behaves_like_sequence():
-    members = tuple(
-        Individual(
-            prompt=Prompt(f"p{i}"),
-            text=GeneratedText(""),
-            fitness=FitnessPoint(i / 10, 0.1),
-            id=i,
-        )
-        for i in range(3)
-    )
-    population = Population(members)
-    assert population == Population(iter(members)) == members
-    assert hash(population) == hash(Population(members))
-    assert not hasattr(population, "__dict__")  # a tuple with one method, no per-instance state
-    assert len(population) == 3
-    assert population[1].id == 1
-    assert [ind.fitness.f1 for ind in population] == [0.0, 0.1, 0.2]
-    assert [p.as_tuple() for p in population.fitness_points()] == [
-        (0.0, 0.1), (0.1, 0.1), (0.2, 0.1),
-    ]

@@ -24,7 +24,6 @@ from moprompt.domain import (
     Individual,
     ObjectivePair,
     OperatorRecord,
-    Population,
     Prompt,
 )
 from moprompt.runner import (
@@ -218,7 +217,7 @@ def test_written_lines_equal_the_oracle_encoding(data):
     with tempfile.TemporaryDirectory() as tmp:
         lines: dict = {}
         for generation, (members, encoded) in enumerate(((first, first), (second, expected))):
-            record = GenerationRecord(generation, Population(tuple(members)), 0.0, 0)
+            record = GenerationRecord(generation, tuple(members), 0.0, 0)
             lines = _write_generation(Path(tmp), record, lines)
             assert lines_of(Path(tmp) / f"gen_{generation}.jsonl") == [
                 encode_individual_oracle(member) for member in encoded

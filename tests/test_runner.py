@@ -1,7 +1,9 @@
 """Generational loop: initialization, offspring, elitism, output tree."""
 
+import collections
 import json
 import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -25,7 +27,6 @@ from moprompt.domain import (
     GeneratedText,
     Individual,
     ObjectivePair,
-    Population,
     Prompt,
 )
 from moprompt.moea import hypervolume_2d
@@ -189,14 +190,14 @@ def test_initialize_on_a_pool_equals_serial():
 def test_produce_offspring_needs_two_parents():
     config = small_config()
     backends = build_backends(config)
-    lone = Population((make_parent(0, 0.5, 0.5),))
+    lone = (make_parent(0, 0.5, 0.5),)
     with pytest.raises(ValueError, match="two parents"):
         produce_offspring(lone, backends, 0, config, generation=1)
 
 
 def test_produce_offspring_zero_count():
     config = small_config(lam=0)
-    parents = Population((make_parent(0, 0.5, 0.5), make_parent(1, 0.4, 0.6)))
+    parents = (make_parent(0, 0.5, 0.5), make_parent(1, 0.4, 0.6))
     assert produce_offspring(parents, build_backends(config), 0, config, generation=1) == []
 
 
@@ -242,7 +243,7 @@ def test_produce_offspring_uses_the_configured_operators():
 def test_produce_offspring_downgrades_scoring_failure():
     config = small_config(lam=2)
     backends = Backends(generator=MockTextGenerator(), classifier=FailingClassifier())
-    parents = Population((make_parent(0, 0.5, 0.5), make_parent(1, 0.4, 0.6)))
+    parents = (make_parent(0, 0.5, 0.5), make_parent(1, 0.4, 0.6))
     offspring = produce_offspring(parents, backends, 0, config, generation=1)
     assert len(offspring) == 2
     for child in offspring:
@@ -258,7 +259,7 @@ def test_produce_offspring_lets_a_refused_scoring_request_through():
 
     config = small_config(lam=2)
     backends = Backends(generator=MockTextGenerator(), classifier=RefusingClassifier())
-    parents = Population((make_parent(0, 0.5, 0.5), make_parent(1, 0.4, 0.6)))
+    parents = (make_parent(0, 0.5, 0.5), make_parent(1, 0.4, 0.6))
     with pytest.raises(BackendRejected, match="403"):
         produce_offspring(parents, backends, 0, config, generation=1)
 
@@ -271,17 +272,15 @@ def test_step_keeps_parents_when_offspring_are_dominated(selector):
     # offspring always score uniform 1/6 per emotion, dominated by every parent
     config = small_config(selector=selector)
     backends = Backends(generator=MockTextGenerator(), classifier=UniformClassifier())
-    parents = Population(
-        (
-            make_parent(0, 0.9, 0.2),
-            make_parent(1, 0.7, 0.6),
-            make_parent(2, 0.5, 0.8),
-            make_parent(3, 0.2, 0.9),
-        )
+    parents = (
+        make_parent(0, 0.9, 0.2),
+        make_parent(1, 0.7, 0.6),
+        make_parent(2, 0.5, 0.8),
+        make_parent(3, 0.2, 0.9),
     )
-    survivors, record = step(parents, config, backends, 0, generation=1)
-    assert sorted(ind.id for ind in survivors) == [0, 1, 2, 3]
-    assert all(ind.rank == 0 for ind in survivors)
+    record = step(parents, config, backends, 0, generation=1)
+    assert sorted(ind.id for ind in record.population) == [0, 1, 2, 3]
+    assert all(ind.rank == 0 for ind in record.population)
     assert record.generation_index == 1
 
 
@@ -289,11 +288,11 @@ def test_step_attaches_selector_diagnostics():
     config = small_config()
     backends = build_backends(config)
     population = initialize(config, backends)
-    survivors, _ = step(population, config, backends, 0, generation=1)
+    survivors = step(population, config, backends, 0, generation=1).population
     assert all(ind.crowding is not None for ind in survivors)
     assert all(ind.contribution is None for ind in survivors)
     sms = small_config(selector="sms_emoa")
-    survivors, _ = step(population, sms, backends, 0, generation=1)
+    survivors = step(population, sms, backends, 0, generation=1).population
     assert all(ind.contribution is not None for ind in survivors)
     assert all(ind.crowding is None for ind in survivors)
 
@@ -302,8 +301,8 @@ def test_step_hypervolume_matches_oracle():
     config = small_config(selector="sms_emoa", hv_mode="exact")
     backends = build_backends(config)
     population = initialize(config, backends)
-    survivors, record = step(population, config, backends, 0, generation=1)
-    want = hypervolume_oracle(list(survivors.fitness_points()), (0.0, 0.0))
+    record = step(population, config, backends, 0, generation=1)
+    want = hypervolume_oracle([ind.fitness for ind in record.population], (0.0, 0.0))
     assert record.hypervolume == pytest.approx(want, abs=1e-12)
 
 
@@ -311,26 +310,22 @@ def test_step_counts_offspring_fallbacks():
     # a dead generator forces crossover, mutation, and generation fallbacks
     config = small_config(lam=4)
     backends = Backends(generator=FailingGenerator(), classifier=UniformClassifier())
-    parents = Population(
-        tuple(make_parent(i, 0.5 + i / 100, 0.5 - i / 100) for i in range(4))
-    )
-    _, record = step(parents, config, backends, 0, generation=1)
+    parents = tuple(make_parent(i, 0.5 + i / 100, 0.5 - i / 100) for i in range(4))
+    record = step(parents, config, backends, 0, generation=1)
     assert record.fallback_count == 12
 
 
 def test_step_with_zero_lambda_reselects_parents():
     config = small_config(lam=0)
     backends = build_backends(config)
-    parents = Population(
-        (
-            make_parent(0, 0.9, 0.2),
-            make_parent(1, 0.7, 0.6),
-            make_parent(2, 0.5, 0.8),
-            make_parent(3, 0.2, 0.9),
-        )
+    parents = (
+        make_parent(0, 0.9, 0.2),
+        make_parent(1, 0.7, 0.6),
+        make_parent(2, 0.5, 0.8),
+        make_parent(3, 0.2, 0.9),
     )
-    survivors, record = step(parents, config, backends, 0, generation=1)
-    assert sorted(ind.id for ind in survivors) == [0, 1, 2, 3]
+    record = step(parents, config, backends, 0, generation=1)
+    assert sorted(ind.id for ind in record.population) == [0, 1, 2, 3]
     assert record.fallback_count == 0
 
 
@@ -338,7 +333,7 @@ def test_step_with_one_parent_and_no_offspring():
     config = small_config(mu=1, lam=0)
     backends = build_backends(config)
     population = initialize(config, backends)
-    survivors, _ = step(population, config, backends, 0, generation=1)
+    survivors = step(population, config, backends, 0, generation=1).population
     assert [ind.id for ind in survivors] == [0]
 
 
@@ -349,7 +344,7 @@ def test_individual_round_trip_through_json():
     config = small_config()
     backends = build_backends(config)
     population = initialize(config, backends)
-    survivors, _ = step(population, config, backends, 0, generation=1)
+    survivors = step(population, config, backends, 0, generation=1).population
     for ind in survivors:
         encoded = json.dumps(individual_to_dict(ind))
         assert individual_from_dict(json.loads(encoded)) == ind
@@ -559,35 +554,53 @@ def test_run_experiment_builds_one_pool_per_live_run(tmp_path, monkeypatch):
         assert (live_dir / path.relative_to(mock_dir)).read_bytes() == path.read_bytes(), path
 
 
-def test_live_run_overlaps_generation_and_classification(tmp_path):
-    # the stub serves the mocks over HTTP, so the live tree must equal the
-    # mock one; each client has one request slot, and the pool has a worker
-    # for each, so a story and a classification can be in flight together
-    generator, classifier = MockTextGenerator(), MockEmotionClassifier()
+@pytest.mark.parametrize("seed, faults, http11", [
+    (0, {}, False),
+    # two transient replies, each passing on its one retry, over kept-alive connections
+    (7, {("/api/generate", 4): 503, ("/classify", 2): 429}, True),
+], ids=["seed_0", "seed_7_with_faults"])
+def test_live_run_overlaps_generation_and_classification(tmp_path, seed, faults, http11):
+    # the stub serves the mocks over HTTP, seeding the generator with the
+    # seed the request carries, so the live tree must equal the mock one;
+    # each client has one request slot, and the pool has a worker for each,
+    # so a story and a classification can be in flight together
+    classifier = MockEmotionClassifier()
+    requests, served, lock = collections.Counter(), [], threading.Lock()
 
     def reply(path, body):
+        with lock:
+            requests[path] += 1
+            status = faults.get((path, requests[path]))
+            if status:
+                served.append(((path, requests[path]), status))
+                return status, {"error": "injected fault"}
         if path == "/classify":
             scores = classifier.classify_emotions(GeneratedText(body["inputs"]))
             return 200, [{"label": k, "score": v} for k, v in scores.as_dict().items()]
-        return 200, {"response": generator.complete(
+        return 200, {"response": MockTextGenerator(seed=body["options"]["seed"]).complete(
             GenerationRequest(body["prompt"], system=body["system"])
         )}
 
-    with StubServer(reply, delay=0.01) as server:
-        live = small_config(out_dir=str(tmp_path / "live"), backend=BackendConfig(
+    with StubServer(reply, delay=0.01, http11=http11) as server:
+        live = small_config(seed=seed, out_dir=str(tmp_path / "live"), backend=BackendConfig(
             kind="live", llm_base_url=server.url, classifier_base_url=f"{server.url}/classify",
-            policy=BackendPolicy(max_retries=0, backoff=0.0, max_concurrent_requests=1),
+            policy=BackendPolicy(max_retries=1 if faults else 0, backoff=0.0,
+                                 max_concurrent_requests=1),
         ))
-        summary = run_experiment(live, build_backends(live))
+        # closing the clients closes their kept-alive connections
+        with build_backends(live) as backends:
+            summary = run_experiment(live, backends)
     assert summary.successes == live.repetitions
+    assert dict(served) == faults
     assert set(server.path_max_inflight) == {"/api/generate", "/classify"}
     assert max(server.path_max_inflight.values()) == 1
     assert frozenset({"/api/generate", "/classify"}) in server.paths_together
 
-    mock = small_config(out_dir=str(tmp_path / "mock"))
+    mock = small_config(seed=seed, out_dir=str(tmp_path / "mock"))
     run_experiment(mock, build_backends(mock))
     mock_dir = tmp_path / "mock" / "love_vs_anger" / "nsga2"
     live_dir = tmp_path / "live" / "love_vs_anger" / "nsga2"
+    check_tree(live_dir)
     files = sorted(mock_dir.glob("rep_*/*"))
     assert len(files) == mock.repetitions * (mock.generations + 3)
     for path in files:

@@ -1,20 +1,32 @@
-"""The names the benchmark's tracer wraps stay where it looks for them.
+"""The names the benchmark uses stay where it looks for them.
 
 perfbench/tracer.py swaps module attributes of the package for timing
-wrappers; a rename or a signature change there would only show up as a
-broken traced benchmark run, so these tests pin the contract here.
+wrappers, and perfbench/stub_server.py serves the package's mocks over HTTP
+to the live clients; a rename or a signature change there would only show
+up as a broken benchmark run, so these tests pin the contract here.
 """
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from moprompt.domain import ObjectivePair
+from moprompt.backends import (
+    Backends,
+    GenerationRequest,
+    MockEmotionClassifier,
+    MockTextGenerator,
+)
+from moprompt.domain import GeneratedText, ObjectivePair
+from moprompt.live import HttpEmotionClassifier, OllamaClient
 from moprompt.runner import BackendConfig, RunConfig, build_backends, run_experiment
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -72,3 +84,21 @@ def test_traced_selection_values_are_the_sizes_the_benchmark_reads(tmp_path, tra
     assert len(values["moea.sms_emoa_select"]) == 2 * 3
     for gen, candidates in values["moea.sms_emoa_select"]:
         assert gen >= 1 and candidates == 4 + 6
+
+
+def test_the_benchmark_stub_answers_like_the_in_process_mocks():
+    # the stub prints its port, serves until its stdin closes, then prints its counters
+    command = [sys.executable, str(PERFBENCH / "stub_server.py"), "--seed", "3"]
+    with subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          text=True) as stub:
+        url = f"http://127.0.0.1:{json.loads(stub.stdout.readline())['port']}"
+        request = GenerationRequest("write a 3 sentence story", system="Tell the story.")
+        with Backends(generator=OllamaClient(url, seed=3),
+                      classifier=HttpEmotionClassifier(f"{url}/classify")) as backends:
+            text = GeneratedText(backends.generator.complete(request))
+            scores = backends.classifier.classify_emotions(text)
+        assert text and text == MockTextGenerator(seed=3).complete(request)
+        assert scores == MockEmotionClassifier().classify_emotions(text)
+        counters, _ = stub.communicate(timeout=10)  # closes its stdin and waits
+    assert stub.returncode == 0
+    assert json.loads(counters)["requests"] == {"generate": 1, "classify": 1}

@@ -228,7 +228,7 @@ def test_mutate_mock_golden():
 
 def test_generate_text_mock_golden():
     text, record = generate_text(PARENT_A, MOCK)
-    assert text.text == (
+    assert text == (
         "Under a pale sky, the telling spoke of provide, sentence, story. "
         "A train stood witness through it all. That was how it ended."
     )
@@ -295,7 +295,7 @@ def test_mutate_fallback_keeps_prompt():
 
 def test_generate_text_fallback_scores_empty_text():
     text, record = generate_text(PARENT_A, FailingBackend())
-    assert text.text == ""
+    assert text == ""
     assert record.fallback
 
 
