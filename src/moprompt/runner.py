@@ -444,10 +444,11 @@ def run_experiment(
 ) -> RunSummary:
     """Run every repetition and write the output tree.
 
-    Repetition r runs with seed config.seed + r. A repetition that fails
-    with a backend or file-system error is recorded and excluded from the
-    statistics without stopping the others; any other exception is a bug
-    and propagates. It writes into config.run_dir whatever that directory
+    Repetition r breeds with seed config.seed + r; founding uses only the
+    run's seed prompts and generator, so every repetition starts from the
+    same generation 0. A repetition that fails with a backend or
+    file-system error is recorded and excluded from the statistics without
+    stopping the others; any other exception is a bug and propagates. It writes into config.run_dir whatever that directory
     already holds; refusing a directory with an earlier run's summary.json
     is the command line's job.
     progress, when given, is called as progress(repetition, record) after
