@@ -213,20 +213,24 @@ def _read_points_csv(path: str) -> list[FitnessPoint]:
     points = []
     # utf-8-sig drops the byte order mark spreadsheet programs write
     with open(path, encoding="utf-8-sig", newline="") as handle:
-        rows = ((number, row) for number, row in enumerate(csv.reader(handle), start=1)
+        reader = csv.reader(handle)
+        rows = ((number, row) for number, row in enumerate(reader, start=1)
                 if "".join(row).strip())  # blank rows are skipped but keep their numbers
-        for index, (row_number, row) in enumerate(rows):
-            if len(row) != 2:
-                raise ValueError(f"row {row_number}: expected two columns, got {len(row)}")
-            first, second = row[0].strip(), row[1].strip()
-            if index == 0 and not _is_number(first):
-                continue  # only the first non-blank row may be a header
-            if not (_is_number(first) and _is_number(second)):
-                raise ValueError(f"row {row_number}: non-numeric value")
-            try:
-                points.append(FitnessPoint(float(first), float(second)))
-            except ValueError as exc:
-                raise ValueError(f"row {row_number}: {exc}")
+        try:
+            for index, (row_number, row) in enumerate(rows):
+                if len(row) != 2:
+                    raise ValueError(f"row {row_number}: expected two columns, got {len(row)}")
+                first, second = row[0].strip(), row[1].strip()
+                if index == 0 and not _is_number(first):
+                    continue  # only the first non-blank row may be a header
+                if not (_is_number(first) and _is_number(second)):
+                    raise ValueError(f"row {row_number}: non-numeric value")
+                try:
+                    points.append(FitnessPoint(float(first), float(second)))
+                except ValueError as exc:
+                    raise ValueError(f"row {row_number}: {exc}")
+        except csv.Error as exc:  # a field over csv.field_size_limit(), or a NUL before 3.11
+            raise ValueError(f"row {reader.line_num}: {exc}") from None
     if not points:
         raise ValueError("no points in file")
     return points

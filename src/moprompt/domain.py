@@ -3,13 +3,15 @@
 A candidate solution couples a prompt (the genotype) with the text a language
 model generated from it (the phenotype) and the pair of emotion scores that
 the search maximizes. Everything here is an immutable value object; the
-evolutionary loop builds new individuals instead of mutating old ones.
+evolutionary loop builds new individuals instead of mutating old ones. The
+record an individual writes (`individual_to_dict`) is defined here too.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NewType
 
@@ -164,13 +166,15 @@ class OperatorRecord:
     fallback: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Individual:
     """A prompt with its generated text and fitness, plus lineage metadata.
 
     rank and the selector diagnostic (crowding for NSGA-II, contribution for
     the hypervolume selector) are attached only by survivor selection;
-    freshly produced individuals carry None there.
+    freshly produced individuals carry None there. An individual encodes its
+    record line once, so a survivor handed on as the same object is not
+    encoded again.
     """
 
     prompt: Prompt
@@ -182,6 +186,7 @@ class Individual:
     rank: int | None = None
     crowding: float | None = None
     contribution: float | None = None
+    _line: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.parent_ids) > 2:
@@ -206,6 +211,52 @@ class Individual:
         return Individual(self.prompt, self.text, self.fitness, self.id, self.parent_ids,
                           self.operator_trace, rank, crowding, contribution)
 
+    def record_line(self) -> str:
+        """This individual's line in a generation file, newline included:
+        json.dumps(individual_to_dict(self)), encoded on the first call."""
+        line = self._line
+        if line is None:
+            line = json.dumps(individual_to_dict(self), ensure_ascii=False) + "\n"
+            object.__setattr__(self, "_line", line)
+        return line
+
 
 def _same(a, b) -> bool:
     return a is b or (type(a) is type(b) and repr(a) == repr(b))
+
+
+def individual_to_dict(ind: Individual) -> dict:
+    return {
+        "id": ind.id,
+        "prompt": ind.prompt.text,
+        "text": ind.text,
+        "fitness": [ind.fitness.f1, ind.fitness.f2],
+        "rank": ind.rank,
+        "crowding": ind.crowding,
+        "contribution": ind.contribution,
+        "parent_ids": list(ind.parent_ids),
+        "operator_trace": [
+            {
+                "kind": record.kind,
+                "instruction_id": record.instruction_id,
+                "fallback": record.fallback,
+                "raw_output": record.raw_output,
+            }
+            for record in ind.operator_trace
+        ],
+    }
+
+
+def individual_from_dict(data: dict) -> Individual:
+    return Individual(
+        prompt=Prompt(data["prompt"]),
+        text=GeneratedText(data["text"]),
+        fitness=FitnessPoint(*data["fitness"]),
+        id=data["id"],
+        parent_ids=tuple(data["parent_ids"]),
+        # individual_to_dict writes every OperatorRecord field
+        operator_trace=tuple(OperatorRecord(**r) for r in data.get("operator_trace", ())),
+        rank=data.get("rank"),
+        crowding=data.get("crowding"),
+        contribution=data.get("contribution"),
+    )

@@ -9,23 +9,26 @@ hypervolume series per repetition, the final Pareto front, and a summary.
 
 A survivor's record changes from one generation to the next only in its
 selection fields (rank, crowding, contribution), and most survivors keep
-even those: selection hands such a survivor on as the same object, and its
-encoded line is written again as it is. A survivor is encoded when it
-enters the population and again whenever selection changes one of its
-fields. A repetition holds one population plus one (generation, hypervolume,
-fallback count) row per generation, not every generation's population.
+even those: selection hands such a survivor on as the same object, which
+writes again the line it has already encoded (`Individual.record_line`). A
+survivor is encoded when it enters the population and again whenever
+selection changes one of its fields. A repetition holds one population plus
+one (generation, hypervolume, fallback count) row per generation, not every
+generation's population.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import random
 import statistics
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 from pathlib import Path
 
 from . import variation
@@ -44,12 +47,12 @@ from .backends import (
 from .domain import (
     EmotionLabel,
     FitnessPoint,
-    GeneratedText,
     Individual,
     ObjectivePair,
     OperatorRecord,
     Prompt,
     extract_fitness,
+    individual_to_dict,
 )
 from .moea import hypervolume_2d, nsga2_select, sms_emoa_select
 from .rules import check_fields, choice, integer, text, token, url
@@ -111,7 +114,9 @@ class RunConfig:
     seed: int = field(default=0, metadata=integer())
     seed_prompts: tuple[Prompt, ...] = DEFAULT_SEED_PROMPTS
     backend: BackendConfig = field(default_factory=BackendConfig)
-    out_dir: str = field(default="runs", metadata=text())
+    # the file system takes no NUL in a path, and mkdir raises for one
+    out_dir: str = field(default="runs", metadata=text(
+        then=lambda value: "must not hold a NUL character" if "\0" in value else None))
     operators: variation.OperatorSuite = field(default_factory=variation.OperatorSuite)
 
     def __post_init__(self) -> None:
@@ -332,43 +337,6 @@ def step(
     return _record(generation, population, offspring)
 
 
-def individual_to_dict(ind: Individual) -> dict:
-    return {
-        "id": ind.id,
-        "prompt": ind.prompt.text,
-        "text": ind.text,
-        "fitness": [ind.fitness.f1, ind.fitness.f2],
-        "rank": ind.rank,
-        "crowding": ind.crowding,
-        "contribution": ind.contribution,
-        "parent_ids": list(ind.parent_ids),
-        "operator_trace": [
-            {
-                "kind": record.kind,
-                "instruction_id": record.instruction_id,
-                "fallback": record.fallback,
-                "raw_output": record.raw_output,
-            }
-            for record in ind.operator_trace
-        ],
-    }
-
-
-def individual_from_dict(data: dict) -> Individual:
-    return Individual(
-        prompt=Prompt(data["prompt"]),
-        text=GeneratedText(data["text"]),
-        fitness=FitnessPoint(*data["fitness"]),
-        id=data["id"],
-        parent_ids=tuple(data["parent_ids"]),
-        # individual_to_dict writes every OperatorRecord field
-        operator_trace=tuple(OperatorRecord(**r) for r in data.get("operator_trace", ())),
-        rank=data.get("rank"),
-        crowding=data.get("crowding"),
-        contribution=data.get("contribution"),
-    )
-
-
 # a wide run's generation file is about 1.1 MB, which the default 8 KiB
 # buffer writes in about 140 calls
 _WRITE_BUFFER = 1 << 16
@@ -379,27 +347,11 @@ def _open_for_writing(path: Path):
     return open(path, "w", encoding="utf-8", newline="\n", buffering=_WRITE_BUFFER)
 
 
-def _write_generation(
-    rep_dir: Path, record: GenerationRecord, lines: dict[int, tuple[Individual, str]]
-) -> dict[int, tuple[Individual, str]]:
-    """Write the generation's survivors, one json.dumps(individual_to_dict)
-    line each, and return (survivor, line) for exactly these survivors by id.
-
-    lines holds those of the previous generation of the same repetition
-    (ids restart in every repetition). A survivor carried over as the same
-    object writes its line again as it is; any other survivor, new or with
-    selection fields changed, is encoded again.
-    """
-    path = rep_dir / f"gen_{record.generation_index}.jsonl"
-    current: dict[int, tuple[Individual, str]] = {}
-    with _open_for_writing(path) as handle:
+def _write_generation(rep_dir: Path, record: GenerationRecord) -> None:
+    """Write the generation's survivors, one record line each."""
+    with _open_for_writing(rep_dir / f"gen_{record.generation_index}.jsonl") as handle:
         for ind in record.population:
-            cached = lines.get(ind.id)
-            if cached is None or cached[0] is not ind:
-                cached = (ind, json.dumps(individual_to_dict(ind), ensure_ascii=False) + "\n")
-            current[ind.id] = cached
-            handle.write(cached[1])
-    return current
+            handle.write(ind.record_line())
 
 
 def _write_hypervolume_series(rep_dir: Path, rows: list[tuple[int, float, int]]) -> None:
@@ -433,8 +385,24 @@ def _stats(values: list[float]) -> dict:
         "best": max(values),
         "worst": min(values),
         "mean": statistics.fmean(values),
-        "std_dev": statistics.stdev(values) if len(values) >= 2 else 0.0,
+        "std_dev": _stdev(values) if len(values) >= 2 else 0.0,
     }
+
+
+def _stdev(values: list[float]) -> float:
+    """The sample standard deviation, correctly rounded, as statistics.stdev
+    gives it from Python 3.11 on (3.10 rounds the variance, then its root)."""
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact) / len(exact)
+    variance = sum((x - mean) ** 2 for x in exact) / (len(exact) - 1)
+    num, den = variance.numerator, variance.denominator
+    # the root scaled by 2**-q to at least 55 bits, its last bit set when
+    # inexact (round to odd), so the one rounding to a float is correct
+    q = (num.bit_length() - den.bit_length() - 109) // 2
+    num, den = (num, den << 2 * q) if q >= 0 else (num << -2 * q, den)
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return float(root * Fraction(2) ** q)
 
 
 def run_experiment(
@@ -506,14 +474,13 @@ def _run_repetition(
     population = initialize(config, backends, pool)
     record = _record(0, population, population)
     rows: list[tuple[int, float, int]] = []
-    lines: dict[int, tuple[Individual, str]] = {}
     for generation in range(config.generations + 1):
         if generation:
             record = step(population, config, backends, config.seed + rep,
                           generation=generation, pool=pool)
             population = record.population
         rows.append((generation, record.hypervolume, record.fallback_count))
-        lines = _write_generation(rep_dir, record, lines)
+        _write_generation(rep_dir, record)
         if progress:
             progress(rep, record)
     _write_hypervolume_series(rep_dir, rows)

@@ -25,6 +25,7 @@ import math
 import random
 import re
 import statistics
+from fractions import Fraction
 from itertools import combinations
 
 from moprompt.backends import (
@@ -44,9 +45,9 @@ from moprompt.domain import (
     EmotionScores,
     FitnessPoint,
     Individual,
+    individual_to_dict,
 )
 from moprompt.moea import hypervolume_2d
-from moprompt.runner import individual_to_dict
 
 
 def dominates(a: FitnessPoint, b: FitnessPoint) -> bool:
@@ -291,12 +292,29 @@ def check_tree(run_dir) -> None:
                          "individuals": [r for r in records if r["rank"] == 0]}
     for name, key in (("final", "final_hypervolume"), ("running_max", "max_hypervolume")):
         values = [r[key] for r in ok]
-        expected = None
-        if values:
-            expected = {"best": max(values), "worst": min(values),
-                        "mean": statistics.fmean(values),
-                        "std_dev": statistics.stdev(values) if len(values) >= 2 else 0.0}
-        assert summary[name] == expected, name
+        if not values:
+            assert summary[name] is None, name
+            continue
+        stats = dict(summary[name])
+        std_dev = stats.pop("std_dev")
+        assert stats == {"best": max(values), "worst": min(values),
+                         "mean": statistics.fmean(values)}, name
+        assert is_rounded_stdev(std_dev, values), (name, std_dev)
+
+
+def is_rounded_stdev(std_dev: float, values: list[float]) -> bool:
+    """Whether std_dev is the exact sample standard deviation of values
+    (0.0 for a single value) correctly rounded: the exact variance lies
+    between the squares of the half-way points to the neighbouring floats.
+    statistics.stdev rounds twice before Python 3.11, so it is no oracle."""
+    if len(values) < 2:
+        return std_dev == 0.0
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact) / len(exact)
+    variance = sum((x - mean) ** 2 for x in exact) / (len(exact) - 1)
+    below = max((Fraction(std_dev) + Fraction(math.nextafter(std_dev, 0.0))) / 2, Fraction(0))
+    above = (Fraction(std_dev) + Fraction(math.nextafter(std_dev, math.inf))) / 2
+    return below ** 2 <= variance <= above ** 2
 
 
 def _unselected(record: dict) -> dict:

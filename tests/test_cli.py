@@ -1,12 +1,14 @@
 """End-to-end command line behavior, exit codes, and printed contracts."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
 import logging
 import re
 import shlex
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -545,6 +547,8 @@ SILENTLY_ACCEPTED = {
     "operators_file": ({"operators_file": ""}, "operators_file must not be empty"),
     "lexicon_file": ({"lexicon_file": ""}, "lexicon_file must not be empty"),
     "out_dir": ({"out_dir": ""}, "out_dir must not be empty"),
+    # mkdir once raised ValueError: embedded null byte
+    "out_dir with a NUL": ({"out_dir": "a\u0000b"}, "out_dir must not hold a NUL character"),
     "llm.base_url": ({"llm": {"base_url": ""}}, "llm.base_url must not be empty"),
     "classifier.token": ({"classifier": {"token": ""}}, "classifier.token must not be empty"),
     "llm.model": ({"llm": {"model": ""}}, "llm.model must not be empty"),
@@ -843,6 +847,18 @@ def test_hv_rejects_bad_rows(tmp_path, capsys):
     code, _, err = run_cli(capsys, "hv", "--points", str(path))
     assert code == 2
     assert err == "error: row 3: non-numeric value\n"
+    # rows the csv module refuses once ended the command with a traceback
+    limit = csv.field_size_limit()
+    path.write_text("0.5,0.5\n0.2," + "1" * (limit + 1) + "\n")
+    code, _, err = run_cli(capsys, "hv", "--points", str(path))
+    assert code == 2
+    assert err == f"error: row 2: field larger than field limit ({limit})\n"
+    path.write_text("0.5,0.5\n0.2,0.\x003\n")
+    code, _, err = run_cli(capsys, "hv", "--points", str(path))
+    assert code == 2
+    # the csv module refuses a NUL before Python 3.11
+    assert err == ("error: row 2: line contains NUL\n" if sys.version_info < (3, 11)
+                   else "error: row 2: non-numeric value\n")
 
 
 # report command

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -224,3 +225,15 @@ def test_with_selection_builds_a_new_individual_when_a_field_changes(before, aft
     assert [repr(v) for v in (changed.rank, changed.crowding, changed.contribution)] == [
         repr(v) for v in after]
 
+
+
+def test_record_line_is_encoded_once_and_is_no_field():
+    tagged = SELECTED.with_selection(0, math.inf)
+    line = tagged.record_line()
+    assert line.endswith("}\n") and json.loads(line)["crowding"] == math.inf
+    assert tagged.record_line() is line
+    # an equal individual compares, hashes and prints alike before it encodes its own line
+    fresh = replace(tagged)
+    assert (fresh, hash(fresh), repr(fresh)) == (tagged, hash(tagged), repr(tagged))
+    assert "_line" not in repr(tagged)
+    assert fresh.record_line() == line and fresh.record_line() is not line

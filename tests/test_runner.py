@@ -28,6 +28,8 @@ from moprompt.domain import (
     Individual,
     ObjectivePair,
     Prompt,
+    individual_from_dict,
+    individual_to_dict,
 )
 from moprompt.moea import hypervolume_2d
 from moprompt.report import load_run
@@ -36,15 +38,13 @@ from moprompt.runner import (
     RunConfig,
     build_backends,
     derive_rng,
-    individual_from_dict,
-    individual_to_dict,
     initialize,
     produce_offspring,
     run_experiment,
     step,
 )
 from moprompt.variation import MutationInstruction, OperatorSuite
-from oracles import check_tree, hypervolume_oracle, sort_oracle
+from oracles import check_tree, hypervolume_oracle, is_rounded_stdev, sort_oracle
 from test_backends import StubServer
 
 PAIR = ObjectivePair.parse("love:anger")
@@ -464,6 +464,24 @@ def test_run_experiment_is_byte_reproducible(tmp_path):
         assert pa.read_bytes() == pb.read_bytes(), pa.name
 
 
+def test_summary_std_dev_is_the_same_on_every_python(tmp_path):
+    # the shape of the benchmark's live workload at seed 0, whose final
+    # hypervolumes statistics.stdev puts one ulp low before Python 3.11
+    config = small_config(mu=10, lam=20, generations=3, repetitions=4, out_dir=str(tmp_path))
+    summary = run_experiment(config, build_backends(config))
+    finals = [r.final_hypervolume for r in summary.results]
+    assert summary.final_stats["std_dev"] == 0.01166849058694184
+    assert not is_rounded_stdev(0.011668490586941839, finals)
+    check_tree(config.run_dir)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300,
+                          max_value=1e300), min_size=1, max_size=8))
+def test_stats_std_dev_is_correctly_rounded(values):
+    assert is_rounded_stdev(runner._stats(values)["std_dev"], values)
+
+
 def test_run_experiment_records_failed_repetitions(tmp_path):
     config = small_config(out_dir=str(tmp_path))
     backends = Backends(generator=MockTextGenerator(), classifier=FailingClassifier())
@@ -554,26 +572,24 @@ def test_run_experiment_builds_one_pool_per_live_run(tmp_path, monkeypatch):
         assert (live_dir / path.relative_to(mock_dir)).read_bytes() == path.read_bytes(), path
 
 
-@pytest.mark.parametrize("seed, faults, http11", [
-    (0, {}, False),
-    # two transient replies, each passing on its one retry, over kept-alive connections
-    (7, {("/api/generate", 4): 503, ("/classify", 2): 429}, True),
-], ids=["seed_0", "seed_7_with_faults"])
-def test_live_run_overlaps_generation_and_classification(tmp_path, seed, faults, http11):
-    # the stub serves the mocks over HTTP, seeding the generator with the
-    # seed the request carries, so the live tree must equal the mock one;
-    # each client has one request slot, and the pool has a worker for each,
-    # so a story and a classification can be in flight together
+INJECTED = {"error": "injected fault"}
+
+
+def mock_service(faults):
+    """A stub script that serves the mocks over HTTP, seeding the generator
+    with the seed the request carries, so a live tree equals the mock one.
+    faults maps (path, request number) to the (status, payload) sent in
+    place of that request's reply; served lists the faults sent."""
     classifier = MockEmotionClassifier()
     requests, served, lock = collections.Counter(), [], threading.Lock()
 
     def reply(path, body):
         with lock:
             requests[path] += 1
-            status = faults.get((path, requests[path]))
-            if status:
-                served.append(((path, requests[path]), status))
-                return status, {"error": "injected fault"}
+            fault = faults.get((path, requests[path]))
+            if fault:
+                served.append(((path, requests[path]), fault))
+                return fault
         if path == "/classify":
             scores = classifier.classify_emotions(GeneratedText(body["inputs"]))
             return 200, [{"label": k, "score": v} for k, v in scores.as_dict().items()]
@@ -581,17 +597,39 @@ def test_live_run_overlaps_generation_and_classification(tmp_path, seed, faults,
             GenerationRequest(body["prompt"], system=body["system"])
         )}
 
-    with StubServer(reply, delay=0.01, http11=http11) as server:
-        live = small_config(seed=seed, out_dir=str(tmp_path / "live"), backend=BackendConfig(
-            kind="live", llm_base_url=server.url, classifier_base_url=f"{server.url}/classify",
-            policy=BackendPolicy(max_retries=1 if faults else 0, backoff=0.0,
-                                 max_concurrent_requests=1),
-        ))
+    return reply, served
+
+
+def live_config(server, max_retries=0, **overrides):
+    """small_config against server, one request slot per client, no backoff."""
+    return small_config(backend=BackendConfig(
+        kind="live", llm_base_url=server.url, classifier_base_url=f"{server.url}/classify",
+        policy=BackendPolicy(max_retries=max_retries, backoff=0.0, max_concurrent_requests=1),
+    ), **overrides)
+
+
+@pytest.mark.parametrize("seed, faults, http11, idle_timeout", [
+    (0, {}, False, None),
+    # two transient replies, each passing on its one retry, over kept-alive connections
+    (7, {("/api/generate", 4): (503, INJECTED), ("/classify", 2): (429, INJECTED)}, True, None),
+    # the server closes a kept-alive connection idle for 5 ms, so the clients reconnect
+    (3, {}, True, 0.005),
+], ids=["seed_0", "seed_7_with_faults", "seed_3_idle_close"])
+def test_live_run_overlaps_generation_and_classification(tmp_path, seed, faults, http11,
+                                                         idle_timeout):
+    # each client has one request slot, and the pool has a worker for each,
+    # so a story and a classification can be in flight together
+    reply, served = mock_service(faults)
+    with StubServer(reply, delay=0.01, http11=http11, idle_timeout=idle_timeout) as server:
+        live = live_config(server, max_retries=1 if faults else 0, seed=seed,
+                           out_dir=str(tmp_path / "live"))
         # closing the clients closes their kept-alive connections
         with build_backends(live) as backends:
             summary = run_experiment(live, backends)
     assert summary.successes == live.repetitions
     assert dict(served) == faults
+    if idle_timeout:
+        assert server.connections > 2
     assert set(server.path_max_inflight) == {"/api/generate", "/classify"}
     assert max(server.path_max_inflight.values()) == 1
     assert frozenset({"/api/generate", "/classify"}) in server.paths_together
@@ -610,6 +648,28 @@ def test_live_run_overlaps_generation_and_classification(tmp_path, seed, faults,
     live_summary = json.loads((live_dir / "summary.json").read_text())
     assert (live_summary.pop("backend"), mock_summary.pop("backend")) == ("live", "mock")
     assert live_summary == mock_summary
+
+
+def test_live_run_counts_a_malformed_reply_as_one_fallback(tmp_path):
+    # after repetition 0's four founders, generate request 6 belongs to its
+    # first generation; a malformed reply is not retried but falls back
+    faults = {("/api/generate", 6): (200, b"not json")}
+    reply, served = mock_service(faults)
+    with StubServer(reply, http11=True) as server:
+        live = live_config(server, out_dir=str(tmp_path))
+        with build_backends(live) as backends:
+            summary = run_experiment(live, backends)
+    assert summary.successes == live.repetitions
+    assert dict(served) == faults
+    counts = {}
+    for rep in range(live.repetitions):
+        lines = (live.run_dir / f"rep_{rep}" / "hypervolume.csv").read_text().splitlines()
+        for line in lines[1:]:
+            generation, _, fallbacks = line.split(",")
+            counts[rep, int(generation)] = int(fallbacks)
+    assert counts == {(rep, g): int((rep, g) == (0, 1)) for rep in range(live.repetitions)
+                      for g in range(live.generations + 1)}
+    check_tree(live.run_dir)
 
 
 def test_run_experiment_never_pools_mock_backends(tmp_path, monkeypatch):
