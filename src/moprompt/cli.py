@@ -114,10 +114,11 @@ def cmd_run(args) -> int:
         )
 
     with backends:
-        if (config.run_dir / "summary.json").is_file():
-            print(f"error: {config.run_dir} already holds a run (summary.json)", file=sys.stderr)
-            return 2
-        try:
+        try:  # is_file raises, as mkdir would, for a name too long for the file system
+            if (config.run_dir / "summary.json").is_file():
+                print(f"error: {config.run_dir} already holds a run (summary.json)",
+                      file=sys.stderr)
+                return 2
             config.run_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             print(f"error: cannot create output directory: {exc}", file=sys.stderr)

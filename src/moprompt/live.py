@@ -2,14 +2,15 @@
 endpoint for text generation and a hosted-inference style endpoint for
 emotion classification.
 
-Both post JSON through `_post_json` over kept-alive `http.client`
-connections to their one URL, bound their requests in flight by a
-per-client semaphore, and retry transient failures under the run's
-BackendPolicy. A call takes an idle connection, or opens one, inside its
-request slot and puts it back once it has read the whole reply, so a client
-holds at most `max_concurrent_requests` connections. This module owns the
-whole HTTP stack; `runner.build_backends` imports it only when a run asks
-for live backends.
+Both are a `_Client`, the one class that holds what posting JSON to one URL
+takes: the route there, direct or through a proxy, the request headers, the
+idle kept-alive `http.client` connections, a semaphore of request slots, and
+the retry loop under the run's BackendPolicy. A call takes an idle
+connection, or opens one, inside its request slot and puts it back once
+`_post_json` has read the whole reply, so a client holds at most
+`max_concurrent_requests` connections. This module owns the whole HTTP
+stack; `runner.build_backends` imports it only when a run asks for live
+backends.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import logging
 import socket
 import threading
 import time
-import urllib.error
 import urllib.parse
 import urllib.request
 
@@ -37,41 +37,70 @@ logger = logging.getLogger(__name__)
 # without TCP_NODELAY, holds the body until the headers are acknowledged,
 # and on a reused connection the client delays that ACK by about 40 ms.
 _QUICKACK = getattr(socket, "TCP_QUICKACK", None)
-# how much of an error reply's body its HTTPError message keeps
+# how much of an error reply's body its error message keeps
 _REASON_CHARS = 200
 
 
-def _is_transient(exc: Exception) -> bool:
-    """Transport failures, 5xx and 429 replies may pass on a retry; other
-    4xx replies and malformed bodies would fail the same way again."""
-    if isinstance(exc, urllib.error.HTTPError):
-        return exc.code >= 500 or exc.code == 429
-    return isinstance(exc, (OSError, http.client.HTTPException))
+def _send(connection: http.client.HTTPConnection, target: str, body: bytes,
+          headers: dict) -> http.client.HTTPResponse:
+    """Send one POST and return its response with the headers read."""
+    connection.request("POST", target, body=body, headers=headers)
+    if _QUICKACK is not None:
+        # the kernel leaves quick-ACK mode by itself, so set it per request
+        with contextlib.suppress(OSError):
+            connection.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+    return connection.getresponse()
 
 
-def _call_with_retries(policy: BackendPolicy, attempt, describe: str):
-    delay = policy.backoff
-    for attempt_index in range(policy.max_retries + 1):
+def _post_json(client: _Client, body: bytes) -> bytes:
+    """POST body, an encoded JSON document, and return the whole reply body.
+
+    The request goes over an idle connection when there is one. If the
+    server closed that connection before replying, the request is sent once
+    more on a new one; a failure on a new connection, or a timeout, is left
+    to the caller's retry policy. A connection goes back to the idle list
+    only after its whole reply has been read, and is closed after any
+    exception. A reply other than 2xx raises once its body is read: a 5xx or
+    429 raises HTTPException, which the retry policy retries, and any other
+    status BackendRejected. The message ends with the start of that body, so
+    the server's own reason reaches the log.
+    """
+    try:
+        connection, reused = client._idle.pop(), True
+    except IndexError:
+        connection, reused = client._open(), False
+    try:
         try:
-            return attempt()
-        # RecursionError: a reply nested deeper than the parser can follow
-        except (OSError, http.client.HTTPException, ValueError, KeyError, TypeError,
-                RecursionError) as exc:
-            if not _is_transient(exc):  # a refused status, or a malformed reply
-                cls = BackendRejected if isinstance(exc, urllib.error.HTTPError) else BackendError
-                raise cls(f"{describe} failed: {exc}") from exc
-            if attempt_index == policy.max_retries:
-                raise BackendError(
-                    f"{describe} failed after {policy.max_retries + 1} attempts: {exc}"
-                ) from exc
-            logger.debug("%s failed (attempt %d): %s", describe, attempt_index + 1, exc)
-            if delay > 0:
-                time.sleep(delay)
-            delay = min(delay * 2, BACKOFF_MAX)
+            response = _send(connection, client._target, body, client._headers)
+        except (BrokenPipeError, ConnectionResetError):  # RemoteDisconnected is one too
+            if not reused:
+                raise
+            connection.close()
+            connection = client._open()
+            response = _send(connection, client._target, body, client._headers)
+        data = response.read()
+    except BaseException:
+        connection.close()
+        raise
+    if response.will_close:
+        connection.close()
+    else:
+        client._idle.append(connection)
+    if not 200 <= response.status < 300:
+        # repr escapes control characters, so a body cannot forge log lines
+        detail = data.decode("utf-8", "replace")[:_REASON_CHARS]
+        reason = f"{response.reason}: {detail!r}" if detail else response.reason
+        message = f"HTTP Error {response.status}: {reason}"
+        if response.status >= 500 or response.status == 429:
+            raise http.client.HTTPException(message)
+        raise BackendRejected(message)
+    return data
 
 
-class _Connections:
-    """Idle kept-alive connections to the one URL a client posts to.
+class _Client:
+    """What both clients share: the route and headers of their one URL, its
+    idle kept-alive connections, request slots, and calls retried under the
+    policy.
 
     The proxy is read from the environment once, since the host is fixed:
     `http_proxy` or `https_proxy` for the URL's scheme, unless `no_proxy`
@@ -81,13 +110,13 @@ class _Connections:
     default verifying TLS context.
     """
 
-    def __init__(self, url: str, timeout: float):
+    def __init__(self, url: str, policy: BackendPolicy, headers: dict[str, str]):
+        self.policy = policy
+        self._slots = threading.BoundedSemaphore(policy.max_concurrent_requests)
+        self._idle: list[http.client.HTTPConnection] = []
+        self._headers = {"Content-Type": "application/json"}
         parts = urllib.parse.urlsplit(url)
-        self.url = url
-        self.target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
-        self.headers: dict[str, str] = {}
-        self.idle: list[http.client.HTTPConnection] = []
-        self._timeout = timeout
+        self._target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
         self._secure = parts.scheme == "https"
         self._address = (parts.hostname, parts.port)
         self._tunnel = None
@@ -104,98 +133,48 @@ class _Connections:
             if self._secure:
                 self._tunnel = (parts.hostname, parts.port, auth)
             else:
-                self.target = urllib.parse.urldefrag(url).url
-                self.headers = auth
+                self._target = urllib.parse.urldefrag(url).url
+                self._headers.update(auth)
             self._address = (proxy_parts.hostname, proxy_parts.port)
+        self._headers.update(headers)
 
-    def open(self) -> http.client.HTTPConnection:
+    def _open(self) -> http.client.HTTPConnection:
         host, port = self._address
         if not self._secure:
-            return http.client.HTTPConnection(host, port, timeout=self._timeout)
-        connection = http.client.HTTPSConnection(host, port, timeout=self._timeout)
+            return http.client.HTTPConnection(host, port, timeout=self.policy.timeout)
+        connection = http.client.HTTPSConnection(host, port, timeout=self.policy.timeout)
         if self._tunnel:
             tunnel_host, tunnel_port, auth = self._tunnel
             connection.set_tunnel(tunnel_host, tunnel_port, headers=auth)
         return connection
 
-
-def _send(connection: http.client.HTTPConnection, target: str, body: bytes,
-          headers: dict) -> http.client.HTTPResponse:
-    """Send one POST and return its response with the headers read."""
-    connection.request("POST", target, body=body, headers=headers)
-    if _QUICKACK is not None:
-        # the kernel leaves quick-ACK mode by itself, so set it per request
-        with contextlib.suppress(OSError):
-            connection.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
-    return connection.getresponse()
-
-
-def _post_json(connections: _Connections, body: bytes, headers: dict) -> bytes:
-    """POST body, an encoded JSON document, and return the whole reply body.
-
-    The request goes over an idle connection when there is one. If the
-    server closed that connection before replying, the request is sent once
-    more on a new one; a failure on a new connection, or a timeout, is left
-    to the caller's retry policy. A connection goes back to the idle list
-    only after its whole reply has been read, and is closed after any
-    exception. A reply other than 2xx raises HTTPError once its body is read;
-    its message ends with the start of that body, so the server's own reason
-    reaches the log.
-    """
-    headers = {"Content-Type": "application/json", **connections.headers, **headers}
-    try:
-        connection, reused = connections.idle.pop(), True
-    except IndexError:
-        connection, reused = connections.open(), False
-    try:
-        try:
-            response = _send(connection, connections.target, body, headers)
-        except (BrokenPipeError, ConnectionResetError):  # RemoteDisconnected is one too
-            if not reused:
-                raise
-            connection.close()
-            connection = connections.open()
-            response = _send(connection, connections.target, body, headers)
-        data = response.read()
-    except BaseException:
-        connection.close()
-        raise
-    if response.will_close:
-        connection.close()
-    else:
-        connections.idle.append(connection)
-    if not 200 <= response.status < 300:
-        # repr escapes control characters, so a body cannot forge log lines
-        detail = data.decode("utf-8", "replace")[:_REASON_CHARS]
-        reason = f"{response.reason}: {detail!r}" if detail else response.reason
-        raise urllib.error.HTTPError(connections.url, response.status, reason,
-                                     response.headers, None)
-    return data
-
-
-class _Client:
-    """What both clients share: request slots, the kept-alive connections to
-    their one URL, and calls retried under the policy."""
-
-    def __init__(self, url: str, policy: BackendPolicy):
-        self.policy = policy
-        self._slots = threading.BoundedSemaphore(self.policy.max_concurrent_requests)
-        self._connections = _Connections(url, self.policy.timeout)
-
-    def _call(self, describe: str, body: bytes, headers: dict, parse):
-        """POST body in a request slot and return parse(the decoded reply)."""
-
-        def attempt():
-            with self._slots:
-                raw = _post_json(self._connections, body, headers)
-            return parse(json.loads(raw))
-
-        return _call_with_retries(self.policy, attempt, describe)
+    def _call(self, describe: str, body: bytes, parse):
+        """POST body in a request slot and return parse(the decoded reply).
+        Only what may pass on a retry is retried: transport failures, 5xx, 429."""
+        delay = self.policy.backoff
+        for attempt in range(self.policy.max_retries + 1):
+            try:
+                with self._slots:
+                    raw = _post_json(self, body)
+                return parse(json.loads(raw))
+            except BackendRejected as exc:
+                raise BackendRejected(f"{describe} failed: {exc}") from exc
+            except (OSError, http.client.HTTPException) as exc:
+                if attempt == self.policy.max_retries:
+                    raise BackendError(
+                        f"{describe} failed after {attempt + 1} attempts: {exc}") from exc
+                logger.debug("%s failed (attempt %d): %s", describe, attempt + 1, exc)
+                if delay > 0:
+                    time.sleep(delay)
+                delay = min(delay * 2, BACKOFF_MAX)
+            # a malformed reply; RecursionError: nested deeper than the parser can follow
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                raise BackendError(f"{describe} failed: {exc}") from exc
 
     def close(self) -> None:
         """Close the idle connections; a later call opens a new one."""
-        while self._connections.idle:
-            self._connections.idle.pop().close()
+        while self._idle:
+            self._idle.pop().close()
 
 
 class OllamaClient(_Client):
@@ -214,7 +193,7 @@ class OllamaClient(_Client):
         self.base_url = base_url.rstrip("/")
         self.llm = llm
         self.seed = seed
-        super().__init__(f"{self.base_url}/api/generate", policy)
+        super().__init__(f"{self.base_url}/api/generate", policy, {})
 
     def complete(self, request: GenerationRequest) -> str:
         llm = self.llm
@@ -230,7 +209,7 @@ class OllamaClient(_Client):
                 "seed": self.seed,
             },
         }).encode()
-        return self._call("text generation", body, {}, _response_text)
+        return self._call("text generation", body, _response_text)
 
 
 def _response_text(reply) -> str:
@@ -253,12 +232,11 @@ class HttpEmotionClassifier(_Client):
         check_token(token)
         self.base_url = base_url
         self.token = token
-        super().__init__(base_url, policy)
+        super().__init__(base_url, policy, {"Authorization": f"Bearer {token}"} if token else {})
 
     def classify_emotions(self, text: GeneratedText) -> EmotionScores:
         body = json.dumps({"inputs": truncate_to_token_budget(text)}).encode()
-        headers = {"Authorization": f"Bearer {self.token}"} if self.token else {}
-        return self._call("emotion classification", body, headers, parse_classifier_response)
+        return self._call("emotion classification", body, parse_classifier_response)
 
 
 def parse_classifier_response(body) -> EmotionScores:

@@ -416,9 +416,10 @@ def run_experiment(
     run's seed prompts and generator, so every repetition starts from the
     same generation 0. A repetition that fails with a backend or
     file-system error is recorded and excluded from the statistics without
-    stopping the others; any other exception is a bug and propagates. It writes into config.run_dir whatever that directory
-    already holds; refusing a directory with an earlier run's summary.json
-    is the command line's job.
+    stopping the others; any other exception is a bug and propagates. It
+    writes into config.run_dir whatever that directory already holds;
+    refusing a directory with an earlier run's summary.json is the command
+    line's job.
     progress, when given, is called as progress(repetition, record) after
     every recorded generation. The summary reports the final-generation
     hypervolume statistics and, separately, statistics over each

@@ -7,6 +7,7 @@ import json
 import math
 import random
 import socket
+import struct
 import sys
 import threading
 import time
@@ -47,6 +48,8 @@ class StubServer:
     script is a list of (status, payload) pairs consumed per request; the
     final entry repeats. Or it is a function (path, request_body) -> (status,
     payload). A bytes payload is sent as it is, any other is sent as JSON.
+    A reply may carry a third item, seconds to wait before sending it, and a
+    status of None closes the connection with a TCP reset instead of a reply.
     Records every request and tracks the peak number served concurrently,
     overall and per path, plus every set of paths served at the same moment
     (counted strictly between request read and response write, so it never
@@ -114,11 +117,22 @@ class StubServer:
                     outer.path_inflight[self.path] -= 1
                     outer.seen.append((self.path, dict(self.headers), body))
                     if callable(outer.script):
-                        status, payload = outer.script(self.path, body)
+                        reply = outer.script(self.path, body)
                     elif len(outer.script) > 1:
-                        status, payload = outer.script.pop(0)
+                        reply = outer.script.pop(0)
                     else:
-                        status, payload = outer.script[0]
+                        reply = outer.script[0]
+                status, payload, *late = reply
+                if late:
+                    outer._closing.wait(*late)
+                if status is None:
+                    # with a zero linger time the close sends a reset, not a FIN;
+                    # the socket closes once setup's reader is closed in finish
+                    self.connection.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                               struct.pack("ii", 1, 0))
+                    self.connection.close()
+                    self.close_connection = True
+                    return
                 data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")

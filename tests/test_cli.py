@@ -123,14 +123,17 @@ def test_run_rejects_equal_pair_labels(tmp_path, capsys):
 def test_run_rejects_an_out_dir_that_cannot_be_created(tmp_path, capsys):
     blocker = tmp_path / "afile"
     blocker.write_text("")
-    code, out, err = run_cli(
-        capsys, "run", "--pair", "love:anger", "--out", str(blocker / "x"), "--gens", "1",
-    )
-    assert code == 2
-    assert err.startswith("error: cannot create output directory: ")
-    assert "Traceback" not in err
-    # no repetition ran
-    assert out == ""
+    # under a file, and a name longer than any file system allows
+    for out_dir in (blocker / "x", tmp_path / ("a" * 300)):
+        code, out, err = run_cli(
+            capsys, "run", "--pair", "love:anger", "--out", str(out_dir), "--gens", "1",
+        )
+        assert code == 2
+        assert err.startswith("error: cannot create output directory: ")
+        assert "Traceback" not in err
+        # no repetition ran, and nothing was created
+        assert out == ""
+    assert sorted(tmp_path.iterdir()) == [blocker]
 
 
 def test_run_keeps_exit_1_when_no_repetition_can_write(tmp_path, capsys):

@@ -269,6 +269,8 @@ def test_contributions_dominated_are_zero():
     contribs = hv_contributions(pts)
     assert contribs[1] == 0.0 and contribs[2] == 0.0
     assert contribs[0] == pytest.approx(0.81)
+    # dominated by a point of equal f1, so it shares that point's staircase step
+    assert hv_contributions(points_of((0.5, 0.5), (0.5, 0.3))) == [0.25, 0.0]
 
 
 def test_contributions_match_leave_one_out_oracle():
@@ -318,6 +320,13 @@ def test_subset_select_k_equals_n():
 def test_subset_exact_four_point_example():
     pts = points_of((1.0, 0.0), (0.5, 0.5), (0.0, 1.0), (0.4, 0.4))
     assert hv_subset_select(pts, 3, "exact") == [0, 1, 2]
+
+
+def test_subset_exact_breaks_ties_toward_the_first_best():
+    # {0, 1}, {0, 2}, {1, 2} and {1, 4} all cover 0.53125 exactly (dyadic
+    # areas); both maximizations keep the first best they meet
+    pts = points_of((0.25, 0.875), (0.75, 0.625), (0.875, 0.5), (0.625, 0.125), (1.0, 0.25))
+    assert hv_subset_select(pts, 2, "exact") == [1, 4]
 
 
 def test_subset_exact_matches_enumeration():

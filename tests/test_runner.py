@@ -600,28 +600,36 @@ def mock_service(faults):
     return reply, served
 
 
-def live_config(server, max_retries=0, **overrides):
+def live_config(server, max_retries=0, timeout=BackendPolicy.timeout, **overrides):
     """small_config against server, one request slot per client, no backoff."""
     return small_config(backend=BackendConfig(
         kind="live", llm_base_url=server.url, classifier_base_url=f"{server.url}/classify",
-        policy=BackendPolicy(max_retries=max_retries, backoff=0.0, max_concurrent_requests=1),
+        policy=BackendPolicy(timeout=timeout, max_retries=max_retries, backoff=0.0,
+                             max_concurrent_requests=1),
     ), **overrides)
 
 
-@pytest.mark.parametrize("seed, faults, http11, idle_timeout", [
-    (0, {}, False, None),
+@pytest.mark.parametrize("seed, faults, http11, idle_timeout, timeout", [
+    (0, {}, False, None, None),
     # two transient replies, each passing on its one retry, over kept-alive connections
-    (7, {("/api/generate", 4): (503, INJECTED), ("/classify", 2): (429, INJECTED)}, True, None),
+    (7, {("/api/generate", 4): (503, INJECTED), ("/classify", 2): (429, INJECTED)}, True, None,
+     None),
     # the server closes a kept-alive connection idle for 5 ms, so the clients reconnect
-    (3, {}, True, 0.005),
-], ids=["seed_0", "seed_7_with_faults", "seed_3_idle_close"])
+    (3, {}, True, 0.005, None),
+    # a reset before the reply; each connection is new, so the retry policy meets it
+    (1, {("/classify", 3): (None, None)}, False, None, None),
+    # a reply later than the client's timeout, which closes that connection
+    (2, {("/api/generate", 5): (200, INJECTED, 1.0)}, True, None, 0.4),
+], ids=["seed_0", "seed_7_with_faults", "seed_3_idle_close", "seed_1_reset",
+        "seed_2_late_reply"])
 def test_live_run_overlaps_generation_and_classification(tmp_path, seed, faults, http11,
-                                                         idle_timeout):
+                                                         idle_timeout, timeout):
     # each client has one request slot, and the pool has a worker for each,
     # so a story and a classification can be in flight together
     reply, served = mock_service(faults)
     with StubServer(reply, delay=0.01, http11=http11, idle_timeout=idle_timeout) as server:
-        live = live_config(server, max_retries=1 if faults else 0, seed=seed,
+        live = live_config(server, max_retries=1 if faults else 0,
+                           timeout=timeout or BackendPolicy.timeout, seed=seed,
                            out_dir=str(tmp_path / "live"))
         # closing the clients closes their kept-alive connections
         with build_backends(live) as backends:
@@ -630,6 +638,8 @@ def test_live_run_overlaps_generation_and_classification(tmp_path, seed, faults,
     assert dict(served) == faults
     if idle_timeout:
         assert server.connections > 2
+    if timeout:  # one kept-alive connection per client, and one opened for the retry
+        assert server.connections == 3
     assert set(server.path_max_inflight) == {"/api/generate", "/classify"}
     assert max(server.path_max_inflight.values()) == 1
     assert frozenset({"/api/generate", "/classify"}) in server.paths_together
