@@ -619,7 +619,7 @@ def live_config(server, max_retries=0, timeout=BackendPolicy.timeout, **override
     # a reset before the reply; each connection is new, so the retry policy meets it
     (1, {("/classify", 3): (None, None)}, False, None, None),
     # a reply later than the client's timeout, which closes that connection
-    (2, {("/api/generate", 5): (200, INJECTED, 1.0)}, True, None, 0.4),
+    (2, {("/api/generate", 5): (200, INJECTED, 1.0)}, True, None, 0.5),
 ], ids=["seed_0", "seed_7_with_faults", "seed_3_idle_close", "seed_1_reset",
         "seed_2_late_reply"])
 def test_live_run_overlaps_generation_and_classification(tmp_path, seed, faults, http11,
