@@ -230,7 +230,7 @@ def _read_points_csv(path: str) -> list[FitnessPoint]:
                     points.append(FitnessPoint(float(first), float(second)))
                 except ValueError as exc:
                     raise ValueError(f"row {row_number}: {exc}")
-        except csv.Error as exc:  # a field over csv.field_size_limit(), or a NUL before 3.11
+        except csv.Error as exc:  # a field over csv.field_size_limit()
             raise ValueError(f"row {reader.line_num}: {exc}") from None
     if not points:
         raise ValueError("no points in file")

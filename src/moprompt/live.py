@@ -190,10 +190,9 @@ class OllamaClient(_Client):
     def __init__(self, base_url: str, policy: BackendPolicy = BackendPolicy(),
                  llm: LlmSettings = LlmSettings(), seed: int = 0):
         check_base_url(base_url, "llm.base_url")
-        self.base_url = base_url.rstrip("/")
         self.llm = llm
         self.seed = seed
-        super().__init__(f"{self.base_url}/api/generate", policy, {})
+        super().__init__(f"{base_url.rstrip('/')}/api/generate", policy, {})
 
     def complete(self, request: GenerationRequest) -> str:
         llm = self.llm
@@ -230,8 +229,6 @@ class HttpEmotionClassifier(_Client):
                  policy: BackendPolicy = BackendPolicy()):
         check_base_url(base_url, "classifier.base_url")
         check_token(token)
-        self.base_url = base_url
-        self.token = token
         super().__init__(base_url, policy, {"Authorization": f"Bearer {token}"} if token else {})
 
     def classify_emotions(self, text: GeneratedText) -> EmotionScores:

@@ -21,14 +21,12 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 import random
 import statistics
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 from . import variation
@@ -385,24 +383,8 @@ def _stats(values: list[float]) -> dict:
         "best": max(values),
         "worst": min(values),
         "mean": statistics.fmean(values),
-        "std_dev": _stdev(values) if len(values) >= 2 else 0.0,
+        "std_dev": statistics.stdev(values) if len(values) >= 2 else 0.0,
     }
-
-
-def _stdev(values: list[float]) -> float:
-    """The sample standard deviation, correctly rounded, as statistics.stdev
-    gives it from Python 3.11 on (3.10 rounds the variance, then its root)."""
-    exact = [Fraction(v) for v in values]
-    mean = sum(exact) / len(exact)
-    variance = sum((x - mean) ** 2 for x in exact) / (len(exact) - 1)
-    num, den = variance.numerator, variance.denominator
-    # the root scaled by 2**-q to at least 55 bits, its last bit set when
-    # inexact (round to odd), so the one rounding to a float is correct
-    q = (num.bit_length() - den.bit_length() - 109) // 2
-    num, den = (num, den << 2 * q) if q >= 0 else (num << -2 * q, den)
-    root = math.isqrt(num // den)
-    root |= root * root * den != num
-    return float(root * Fraction(2) ** q)
 
 
 def run_experiment(

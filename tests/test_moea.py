@@ -366,9 +366,10 @@ def test_subset_select_deterministic():
 
 def test_subset_greedy_drops_duplicates_first():
     pts = points_of((0.5, 0.5), (0.5, 0.5), (0.9, 0.2), (0.2, 0.9))
-    kept = hv_subset_select(pts, 3, "greedy")
-    # one of the duplicate pair must be gone
-    assert kept.count(0) + kept.count(1) == 1
+    # greedy drops the lowest-index copy first, so it keeps the newer one;
+    # exact pads its k >= m answer with the lowest-index copy
+    assert hv_subset_select(pts, 3, "greedy") == [1, 2, 3]
+    assert hv_subset_select(pts, 3, "exact") == [0, 2, 3]
 
 
 # NSGA-II selection

@@ -35,8 +35,9 @@ def test_package_imports_only_the_standard_library():
 
 
 def test_every_module_parses_as_python_3_10():
-    # pyproject.toml claims requires-python >= 3.10; syntax newer than that,
-    # such as except* or a type alias, fails here on any later interpreter
+    # pyproject.toml claims requires-python >= 3.11, and the code keeps to the
+    # stricter 3.10 syntax; syntax newer than that, such as except* or a type
+    # alias, fails here on any later interpreter
     with pytest.raises(SyntaxError):
         ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
     modules = sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))

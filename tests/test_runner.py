@@ -45,7 +45,7 @@ from moprompt.runner import (
 )
 from moprompt.variation import MutationInstruction, OperatorSuite
 from oracles import check_tree, hypervolume_oracle, is_rounded_stdev, sort_oracle
-from test_backends import StubServer
+from test_backends import SIX_SCORES, StubServer
 
 PAIR = ObjectivePair.parse("love:anger")
 
@@ -144,13 +144,20 @@ def test_build_backends_live_requires_urls(monkeypatch):
 
 
 def test_build_backends_live_reads_env(monkeypatch):
-    monkeypatch.setenv("EMO_LLM_URL", "http://localhost:11434")
-    monkeypatch.setenv("EMO_CLF_URL", "http://localhost:8000/classify")
-    monkeypatch.setenv("EMO_CLF_TOKEN", "tok")
-    backends = build_backends(small_config(backend=BackendConfig(kind="live")))
-    assert backends.generator.base_url == "http://localhost:11434"
-    assert backends.classifier.base_url == "http://localhost:8000/classify"
-    assert backends.classifier.token == "tok"
+    def reply(path, body):
+        return (200, SIX_SCORES) if path == "/classify" else (200, {"response": "a story"})
+
+    with StubServer(reply) as server:
+        monkeypatch.setenv("EMO_LLM_URL", server.url)
+        monkeypatch.setenv("EMO_CLF_URL", f"{server.url}/classify")
+        monkeypatch.setenv("EMO_CLF_TOKEN", "tok")
+        with build_backends(small_config(backend=BackendConfig(kind="live"))) as backends:
+            assert backends.generator.complete(GenerationRequest("hi")) == "a story"
+            scores = backends.classifier.classify_emotions(GeneratedText("a story"))
+    assert scores.scores[EmotionLabel.SADNESS] == 0.5
+    assert [path for path, _, _ in server.seen] == ["/api/generate", "/classify"]
+    # only the classifier sends the token
+    assert [headers.get("Authorization") for _, headers, _ in server.seen] == [None, "Bearer tok"]
 
 
 # initialization
