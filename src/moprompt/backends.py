@@ -172,12 +172,9 @@ class MockEmotionClassifier:
     """
 
     def __init__(self, lexicons: dict[EmotionLabel, tuple[str, ...]] | None = None):
-        self.lexicons = dict(lexicons) if lexicons is not None else dict(DEFAULT_LEXICONS)
-        for label in EMOTION_LABELS:
-            self.lexicons.setdefault(label, ())
         self._token_labels: dict[str, list[EmotionLabel]] = {}
         self._phrase_patterns: list[tuple[EmotionLabel, re.Pattern]] = []
-        for label, words in self.lexicons.items():
+        for label, words in (DEFAULT_LEXICONS if lexicons is None else lexicons).items():
             for word in words:
                 lowered = word.lower()
                 if _TOKEN_RE.fullmatch(lowered):

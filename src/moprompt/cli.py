@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -40,12 +39,6 @@ _TOP_LEVEL_KEYS = (
     "seed_prompts", "backend", "out_dir", "llm", "classifier", "policy", "operators_file",
     "lexicon_file",
 )
-# each section's keys are its dataclass's fields, so a new field needs no edit here
-_SECTION_KEYS = {
-    "llm": ("base_url", *(spec.name for spec in dataclasses.fields(LlmSettings))),
-    "classifier": ("base_url", "token"),
-    "policy": tuple(spec.name for spec in dataclasses.fields(BackendPolicy)),
-}
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
@@ -57,42 +50,40 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     read here, so a bad config fails before a run starts, whatever the
     backend. Every such failure is a ValueError.
     """
-    try:
-        raw = read_json_object(path, "config file") if path is not None else {}
-        fields = section(raw, _TOP_LEVEL_KEYS, "config")
-        llm, classifier, policy = (
-            section(fields.pop(name, {}), keys, name) for name, keys in _SECTION_KEYS.items()
-        )
-        fields.update({k: v for k, v in overrides.items() if v is not None})
-        if fields.get("pair") is None:
-            raise ValueError("an objective pair is required (config 'pair' or --pair)")
-        pair = ObjectivePair.parse(check("pair", fields.pop("pair"), text()))
-        if "lambda" in fields:
-            fields["lam"] = fields.pop("lambda")
-        if fields.get("selector") == "sms-emoa":
-            fields["selector"] = "sms_emoa"
-        if "seed_prompts" in fields:
-            prompts = check("seed_prompts", fields.pop("seed_prompts"), strings())
-            fields["seed_prompts"] = tuple(Prompt(p) for p in prompts)
-        operators_file, lexicon_file = (check(name, fields.pop(name, None), text(optional=True))
-                                        for name in ("operators_file", "lexicon_file"))
-        backend = BackendConfig(
-            kind=fields.pop("backend", "mock"),
-            llm=build(LlmSettings, {k: v for k, v in llm.items() if k != "base_url"}, "llm"),
-            llm_base_url=llm.get("base_url"),
-            classifier_base_url=classifier.get("base_url"),
-            classifier_token=classifier.get("token"),
-            policy=build(BackendPolicy, policy, "policy"),
-            lexicons=load_lexicons(lexicon_file) if lexicon_file else None,
-        )
-        return RunConfig(
-            pair=pair,
-            backend=backend,
-            operators=load_operator_suite(operators_file) if operators_file else OperatorSuite(),
-            **fields,
-        )
-    except TypeError as exc:
-        raise ValueError(str(exc)) from exc
+    raw = read_json_object(path, "config file") if path is not None else {}
+    fields = section(raw, _TOP_LEVEL_KEYS, "config")
+    llm, policy = fields.pop("llm", {}), fields.pop("policy", {})
+    # the base URL sits in the llm section but is the BackendConfig's own field
+    llm_base_url = llm.pop("base_url", None) if isinstance(llm, dict) else None
+    classifier = section(fields.pop("classifier", {}), ("base_url", "token"), "classifier")
+    fields.update({k: v for k, v in overrides.items() if v is not None})
+    if fields.get("pair") is None:
+        raise ValueError("an objective pair is required (config 'pair' or --pair)")
+    pair = ObjectivePair.parse(check("pair", fields.pop("pair"), text()))
+    if "lambda" in fields:
+        fields["lam"] = fields.pop("lambda")
+    if fields.get("selector") == "sms-emoa":
+        fields["selector"] = "sms_emoa"
+    if "seed_prompts" in fields:
+        prompts = check("seed_prompts", fields.pop("seed_prompts"), strings())
+        fields["seed_prompts"] = tuple(Prompt(p) for p in prompts)
+    operators_file, lexicon_file = (check(name, fields.pop(name, None), text(optional=True))
+                                    for name in ("operators_file", "lexicon_file"))
+    backend = BackendConfig(
+        kind=fields.pop("backend", "mock"),
+        llm=build(LlmSettings, llm, "llm"),
+        llm_base_url=llm_base_url,
+        classifier_base_url=classifier.get("base_url"),
+        classifier_token=classifier.get("token"),
+        policy=build(BackendPolicy, policy, "policy"),
+        lexicons=load_lexicons(lexicon_file) if lexicon_file else None,
+    )
+    return RunConfig(
+        pair=pair,
+        backend=backend,
+        operators=load_operator_suite(operators_file) if operators_file else OperatorSuite(),
+        **fields,
+    )
 
 
 def cmd_run(args) -> int:

@@ -29,7 +29,7 @@ import urllib.request
 from .backends import (BACKOFF_MAX, BackendError, BackendPolicy, BackendRejected,
                        GenerationRequest, LlmSettings, truncate_to_token_budget)
 from .domain import EmotionLabel, EmotionScores, GeneratedText
-from .rules import check, check_base_url, check_token, items, number, text, utf8
+from .rules import check, check_base_url, check_token, items, number, parse_json, text
 
 logger = logging.getLogger(__name__)
 
@@ -149,14 +149,14 @@ class _Client:
         return connection
 
     def _call(self, describe: str, body: bytes, parse):
-        """POST body in a request slot and return parse(the decoded reply).
+        """POST body in a request slot and return parse(the reply's JSON value).
         Only what may pass on a retry is retried: transport failures, 5xx, 429."""
         delay = self.policy.backoff
         for attempt in range(self.policy.max_retries + 1):
             try:
                 with self._slots:
                     raw = _post_json(self, body)
-                return parse(json.loads(raw))
+                return parse(parse_json(raw, "reply"))
             except BackendRejected as exc:
                 raise BackendRejected(f"{describe} failed: {exc}") from exc
             except (OSError, http.client.HTTPException) as exc:
@@ -167,8 +167,7 @@ class _Client:
                 if delay > 0:
                     time.sleep(delay)
                 delay = min(delay * 2, BACKOFF_MAX)
-            # a malformed reply; RecursionError: nested deeper than the parser can follow
-            except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:  # a malformed reply
                 raise BackendError(f"{describe} failed: {exc}") from exc
 
     def close(self) -> None:
@@ -214,7 +213,7 @@ class OllamaClient(_Client):
 def _response_text(reply) -> str:
     if "response" not in reply:
         raise ValueError(f"no 'response' field in reply: {sorted(reply)}")
-    return check("reply text", reply["response"], text(empty=True, then=utf8))
+    return check("reply text", reply["response"], text(empty=True))
 
 
 class HttpEmotionClassifier(_Client):

@@ -1,4 +1,4 @@
-"""Declared checks for the JSON values the program reads, and its JSON file reader.
+"""Declared checks for the JSON values the program reads, and its JSON reader.
 
 A config dataclass gives each field its rule in the field's metadata, as in
 `mu: int = field(default=10, metadata=integer(1))`, and calls
@@ -6,6 +6,7 @@ A config dataclass gives each field its rule in the field's metadata, as in
 dataclass sees them apply their rule there with `check`, as do the report
 reading `summary.json` and the live clients reading a reply. A rule may
 carry the field's name in the config file (`lambda`, `llm.base_url`).
+`parse_json` parses each JSON file read whole and each service reply, and
 `section` and `build` read a JSON object by the same rules. Only the
 standard library is imported, so checking a config loads no HTTP code.
 """
@@ -61,15 +62,6 @@ def text(optional: bool = False, name: str | None = None, then=None, empty: bool
         return then(value) if then else None
 
     return {"problem": problem, "name": name}
-
-
-def utf8(value: str) -> str | None:
-    """A then rule for text that a UTF-8 file can hold."""
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError as exc:  # JSON may escape a lone surrogate
-        return f"is not valid Unicode: {exc}"
-    return None
 
 
 def choice(options: tuple[str, ...], name: str | None = None) -> dict:
@@ -166,19 +158,14 @@ def check_token(value: str | None) -> None:
     check("classifier.token", value, {"problem": _token_problem})
 
 
-def read_json_object(path, what: str) -> dict:
-    """The JSON object in the file at path, or a ValueError that names it as
-    what. A value nested too deeply to parse, or a string that is not valid
-    Unicode, is such an error."""
+def parse_json(content: str | bytes, what: str):
+    """The JSON value in content, a file's text or a service's reply, or a
+    ValueError that names it as what. A value nested too deeply to parse, or
+    a string that is not valid Unicode, is such an error."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            content = handle.read()
-    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
-        raise ValueError(f"cannot read {what}: {exc}") from exc
-    try:
-        raw = json.loads(content)
+        value = json.loads(content)
         # JSON may escape a lone surrogate, which no text written later can hold
-        json.dumps(raw, ensure_ascii=False).encode("utf-8")
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
     except UnicodeEncodeError as exc:
         raise ValueError(f"{what} holds a string that is not valid Unicode: "
                          f"{exc.object[exc.start:exc.end]!r}") from None
@@ -186,6 +173,18 @@ def read_json_object(path, what: str) -> dict:
         raise ValueError(f"{what} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise ValueError(f"{what} is not valid JSON: nested too deeply") from None
+    return value
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object in the file at path, or a ValueError that names it as
+    what; the content is read by parse_json."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            content = handle.read()
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
+        raise ValueError(f"cannot read {what}: {exc}") from exc
+    raw = parse_json(content, what)
     if not isinstance(raw, dict):
         raise ValueError(f"{what} must hold a JSON object")
     return raw

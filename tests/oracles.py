@@ -306,7 +306,8 @@ def is_rounded_stdev(std_dev: float, values: list[float]) -> bool:
     """Whether std_dev is the exact sample standard deviation of values
     (0.0 for a single value) correctly rounded: the exact variance lies
     between the squares of the half-way points to the neighbouring floats.
-    statistics.stdev rounds twice before Python 3.11, so it is no oracle."""
+    It uses no statistics.stdev, which runner._stats calls, so the two stay
+    independent."""
     if len(values) < 2:
         return std_dev == 0.0
     exact = [Fraction(v) for v in values]

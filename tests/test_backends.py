@@ -647,12 +647,22 @@ def test_ollama_client_does_not_retry_a_non_json_reply():
 
 
 def test_ollama_client_does_not_retry_a_lone_surrogate():
-    # json.loads accepts the escape, but no UTF-8 file can hold the result
-    with StubServer([(200, b'{"response": "a story \\ud800"}')]) as server:
-        policy = BackendPolicy(max_retries=2, backoff=0.0)
-        with pytest.raises(BackendError, match="not valid Unicode"):
-            OllamaClient(server.url, policy).complete(GenerationRequest("hi"))
-    assert len(server.seen) == 1
+    # json.loads accepts the escape, but no UTF-8 file can hold the result, so
+    # a reply holding one in any string is malformed, as a config file would be
+    scores = [dict(entry, note="\udfff") if entry["label"] == "joy" else entry
+              for entry in SIX_SCORES]
+    generate = lambda url, policy: OllamaClient(url, policy).complete(GenerationRequest("hi"))
+    classify = lambda url, policy: HttpEmotionClassifier(url, policy=policy).classify_emotions(
+        GeneratedText("a story"))
+    for reply, call in ((b'{"response": "a story \\ud800"}', generate),
+                        (b'{"response": "a story", "model": "llama2 \\ud800"}', generate),
+                        (json.dumps(scores).encode(), classify)):
+        with StubServer([(200, reply)]) as server:
+            policy = BackendPolicy(max_retries=2, backoff=0.0)
+            with pytest.raises(BackendError, match="not valid Unicode") as info:
+                call(server.url, policy)
+            assert not isinstance(info.value, BackendRejected)
+        assert len(server.seen) == 1
 
 
 def test_a_reply_nested_too_deeply_is_a_malformed_reply():

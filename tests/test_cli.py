@@ -8,7 +8,6 @@ import json
 import logging
 import re
 import shlex
-import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -18,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moprompt import cli
-from moprompt.backends import Backends, MockEmotionClassifier, MockTextGenerator
+from moprompt.backends import Backends, MockEmotionClassifier, MockTextGenerator, load_lexicons
 from moprompt.cli import build_parser, load_config, main
-from moprompt.domain import Prompt
+from moprompt.domain import EmotionLabel, Prompt
 from moprompt.runner import RunConfig
 from moprompt.variation import OperatorSuite, load_operator_suite
 from test_backends import SIX_SCORES, StubServer
@@ -757,6 +756,56 @@ def test_any_operators_file_loads_or_exits_2(raw):
             assert all(type(pair) is tuple and len(pair) == 2 for pair in examples)
 
 
+# a label's name in any case, or one with a space before it
+LABEL_NAMES = st.tuples(
+    st.sampled_from([label.value for label in EmotionLabel]),
+    st.sampled_from([str.lower, str.upper, str.title, lambda name: f" {name}"]),
+).map(lambda t: t[1](t[0]))
+OTHER_NAMES = st.one_of(st.sampled_from(["hope", "", "joyful"]), st.text(max_size=4))
+WORD_LISTS = st.lists(st.text(max_size=6), max_size=4)
+NOT_WORD_LISTS = st.one_of(
+    st.none(), st.text(max_size=6), st.integers(), st.floats(),
+    st.lists(st.one_of(st.none(), st.integers(), st.floats()), min_size=1, max_size=4),
+)
+
+
+@st.composite
+def lexicon_files(draw):
+    """An object of label names and word lists, in which one key or value in
+    four is something else; or, one time in four, any JSON value."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(EDGE_VALUES)
+    odd = lambda: draw(st.integers(0, 3)) == 0
+    raw = {}
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(OTHER_NAMES if odd() else LABEL_NAMES)
+        raw[key] = draw(NOT_WORD_LISTS if odd() else WORD_LISTS)
+    return raw
+
+
+@settings(max_examples=100, deadline=None)
+@given(lexicon_files())
+def test_any_lexicon_file_loads_or_exits_2(raw):
+    with tempfile.TemporaryDirectory() as directory:
+        lexicon = Path(directory) / "lexicon.json"
+        lexicon.write_text(json.dumps(raw))
+        try:
+            load_lexicons(lexicon)
+            loads = True
+        except ValueError:
+            loads = False
+        config = Path(directory) / "config.json"
+        config.write_text(json.dumps({
+            "pair": "love:anger", "mu": 2, "lambda": 2, "generations": 1, "repetitions": 1,
+            "lexicon_file": str(lexicon), "out_dir": str(Path(directory) / "runs"),
+        }))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--quiet", "run", "--config", str(config)])
+    assert code == (0 if loads else 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
 # hv command
 
 
@@ -859,9 +908,7 @@ def test_hv_rejects_bad_rows(tmp_path, capsys):
     path.write_text("0.5,0.5\n0.2,0.\x003\n")
     code, _, err = run_cli(capsys, "hv", "--points", str(path))
     assert code == 2
-    # the csv module refuses a NUL before Python 3.11
-    assert err == ("error: row 2: line contains NUL\n" if sys.version_info < (3, 11)
-                   else "error: row 2: non-numeric value\n")
+    assert err == "error: row 2: non-numeric value\n"
 
 
 # report command

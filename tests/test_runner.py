@@ -473,7 +473,7 @@ def test_run_experiment_is_byte_reproducible(tmp_path):
 
 def test_summary_std_dev_is_the_same_on_every_python(tmp_path):
     # the shape of the benchmark's live workload at seed 0, whose final
-    # hypervolumes statistics.stdev puts one ulp low before Python 3.11
+    # hypervolumes have a std_dev that a root rounded twice misses by one ulp
     config = small_config(mu=10, lam=20, generations=3, repetitions=4, out_dir=str(tmp_path))
     summary = run_experiment(config, build_backends(config))
     finals = [r.final_hypervolume for r in summary.results]
