@@ -239,17 +239,14 @@ def _is_number(value: str) -> bool:
 def cmd_hv(args) -> int:
     try:
         points = _read_points_csv(args.points)
+        if args.subset is not None:
+            selected = hv_subset_select(points, args.subset, args.mode)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     total = hypervolume_2d(points)
     print(f"hypervolume {total:.12f}")
     if args.subset is not None:
-        try:
-            selected = hv_subset_select(points, args.subset, args.mode)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         subset_hv = hypervolume_2d([points[i] for i in selected])
         print("selected " + " ".join(str(i) for i in selected))
         print(f"subset_hypervolume {subset_hv:.12f}")

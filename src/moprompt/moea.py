@@ -1,8 +1,13 @@
 """Multi-objective selection machinery for two maximized objectives.
 
-Pure functions over lists of FitnessPoint. Everything is deterministic:
-every tie anywhere is broken toward the lowest candidate index, so a
-selector called twice on the same input returns the same output.
+Pure functions over lists of FitnessPoint. Everything is deterministic, so
+a selector called twice on the same input returns the same output. Each
+path breaks ties its own way: the crowding cut and the cut of a later
+front keep the lower index among equal keys; exact subset selection keeps
+the lowest-index copy of a point, the first optimum its dynamic program
+meets and the lowest-index leftovers as padding; greedy subset selection
+drops the lowest index among equal contributions, so of two copies of a
+point it keeps the higher-index one.
 
 Non-dominated sorting and domination counting are exact O(n log n) sweeps
 over the points in descending f1 order, so survivor selection scales as
@@ -157,10 +162,8 @@ def _staircase(
         if p.f2 > best_f2:
             stair.append(i)
             best_f2 = p.f2
-        elif stair:
-            top = points[stair[-1]]
-            if p.f1 == top.f1 and p.f2 == top.f2:
-                duplicated.add(len(stair) - 1)
+        elif p.f2 == best_f2 and p.f1 == points[stair[-1]].f1:  # a copy of the last step
+            duplicated.add(len(stair) - 1)
     return stair, duplicated
 
 
@@ -190,11 +193,11 @@ def hv_subset_select(points: list[FitnessPoint], k: int, mode: str = "greedy") -
     with respect to the origin.
 
     greedy mode repeatedly discards a point of minimal exclusive contribution
-    (lowest index among ties) until k remain. exact mode solves the 2-D
-    subset selection problem optimally with a dynamic program over the
-    staircase of maximal points, padding with lowest-index leftovers when k
-    exceeds the number of maximal points. Returns ascending indices into the
-    input list.
+    (lowest index among ties) until k remain, in O((n-k)·n log n). exact mode
+    solves the 2-D subset selection problem optimally with a dynamic program
+    over the staircase of the m distinct maximal points, in O(k·(m-k+1)²)
+    after the O(n log n) staircase, padding with lowest-index leftovers when
+    k exceeds m. Returns ascending indices into the input list.
     """
     n = len(points)
     if k < 1:
@@ -230,29 +233,25 @@ def _exact_subset(points: list[FitnessPoint], k: int) -> list[int]:
         return sorted(chosen)
     xs = [points[i].f1 for i in stair]
     ys = [points[i].f2 for i in stair]
-    # best[j][t]: max area selecting j staircase points, the last being t
-    best = [[float("-inf")] * m for _ in range(k + 1)]
-    back: list[list[int]] = [[-1] * m for _ in range(k + 1)]
-    for t in range(m):
-        best[1][t] = xs[t] * ys[t]
+    # area[t]: max area of j staircase points, the last being t. Layer j needs
+    # only t in [j-1, m-(k-j)), where j-1 points fit before t and k-j after
+    # it; t runs downward, so area[u] for u < t still holds layer j-1
+    area = [x * y for x, y in zip(xs, ys)]
+    links: list[list[int]] = []  # links[j-2][t-(j-1)]: the point before t in layer j
     for j in range(2, k + 1):
-        for t in range(j - 1, m):
+        link = [0] * (m - k + 1)
+        for t in reversed(range(j - 1, m - k + j)):
+            best = float("-inf")
             for u in range(j - 2, t):
-                value = best[j - 1][u] + xs[t] * (ys[t] - ys[u])
-                if value > best[j][t]:
-                    best[j][t] = value
-                    back[j][t] = u
-    end = 0
-    for t in range(m):
-        if best[k][t] > best[k][end]:
-            end = t
-    chosen_positions = []
-    j, t = k, end
-    while t != -1 and j >= 1:
-        chosen_positions.append(t)
-        t = back[j][t]
-        j -= 1
-    return sorted(stair[t] for t in chosen_positions)
+                value = area[u] + xs[t] * (ys[t] - ys[u])
+                if value > best:
+                    best, link[t - j + 1] = value, u
+            area[t] = best
+        links.append(link)
+    chosen = [max(range(k - 1, m), key=area.__getitem__)]  # the first best end
+    for j, link in zip(range(k, 1, -1), reversed(links)):
+        chosen.append(link[chosen[-1] - j + 1])
+    return sorted(stair[t] for t in chosen)
 
 
 def _select_by_fronts(

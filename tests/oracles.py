@@ -6,10 +6,11 @@ off a full dominance matrix, domination counts test every ordered pair,
 subset selection enumerates every combination, and the classifier oracle
 runs one regex per lexicon word. The line oracle encodes a whole
 individual with json.dumps, which the runner's survivor writer must match
-byte for byte. The mock generator, completion cleaner, token-budget
-truncation and record loader are the package's earlier straightforward
-versions, copied as they were, which the faster ones must match reply for
-reply and point for point. The tree oracle reads a finished run's files and
+byte for byte. The exact subset selection's table DP, mock generator,
+completion cleaner, token-budget truncation and record loader are the
+package's earlier straightforward versions, copied as they were, which the
+faster ones must match index for index, reply for reply and point for
+point. The tree oracle reads a finished run's files and
 checks the invariants every correct tree holds.
 None of it shares code with the package under test beyond the value types,
 the classifier's token budget, the record schema (individual_to_dict), the
@@ -118,6 +119,52 @@ def best_subset_oracle(
             best_value = value
             best_subset = subset
     return best_value, best_subset
+
+
+def exact_subset_oracle(points: list[FitnessPoint], k: int) -> list[int]:
+    """The exact subset selection's earlier O(k·m²) table DP, whose indices
+    the package's must match: over the staircase of the m distinct maximal
+    points (descending f1, the lowest index of each coordinate), best[j][t]
+    is the max area of j of them, the last being t; every maximization keeps
+    the first best it meets. When k >= m, the staircase is padded with the
+    lowest-index leftovers."""
+    order = sorted(range(len(points)), key=lambda i: (-points[i].f1, -points[i].f2, i))
+    stair: list[int] = []
+    for i in order:
+        if not stair or points[i].f2 > points[stair[-1]].f2:
+            stair.append(i)
+    m = len(stair)
+    if k >= m:
+        chosen = set(stair)
+        for index in range(len(points)):
+            if len(chosen) == k:
+                break
+            chosen.add(index)
+        return sorted(chosen)
+    xs = [points[i].f1 for i in stair]
+    ys = [points[i].f2 for i in stair]
+    best = [[float("-inf")] * m for _ in range(k + 1)]
+    back: list[list[int]] = [[-1] * m for _ in range(k + 1)]
+    for t in range(m):
+        best[1][t] = xs[t] * ys[t]
+    for j in range(2, k + 1):
+        for t in range(j - 1, m):
+            for u in range(j - 2, t):
+                value = best[j - 1][u] + xs[t] * (ys[t] - ys[u])
+                if value > best[j][t]:
+                    best[j][t] = value
+                    back[j][t] = u
+    end = 0
+    for t in range(m):
+        if best[k][t] > best[k][end]:
+            end = t
+    chosen_positions = []
+    j, t = k, end
+    while t != -1 and j >= 1:
+        chosen_positions.append(t)
+        t = back[j][t]
+        j -= 1
+    return sorted(stair[t] for t in chosen_positions)
 
 
 def crowding_oracle(points: list[FitnessPoint]) -> list[float]:

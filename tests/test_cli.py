@@ -862,13 +862,16 @@ def test_hv_subset_golden(tmp_path, capsys):
 
 @pytest.mark.parametrize("mode", ["greedy", "exact"])
 def test_hv_rejects_a_subset_size_below_one(tmp_path, capsys, mode):
+    # and one above the number of points; neither prints a result first
     path = tmp_path / "points.csv"
     path.write_text(DIAGONAL_ROWS)
-    code, _, err = run_cli(
-        capsys, "hv", "--points", str(path), "--subset", "-1", "--mode", mode
-    )
-    assert code == 2
-    assert err == "error: subset size must be at least 1, got -1\n"
+    for subset, message in (("-1", "subset size must be at least 1, got -1"),
+                            ("0", "subset size must be at least 1, got 0"),
+                            ("11", "cannot select 11 of 10 points")):
+        code, out, err = run_cli(
+            capsys, "hv", "--points", str(path), "--subset", subset, "--mode", mode
+        )
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_hv_missing_file(tmp_path, capsys):

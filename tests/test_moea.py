@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -23,6 +24,7 @@ from oracles import (
     domination_count_oracle,
     dominates,
     dominates_oracle,
+    exact_subset_oracle,
     hypervolume_oracle,
     sort_oracle,
 )
@@ -69,6 +71,21 @@ def tied_points(draw, max_size=60):
             cells.append(cells[draw(st.integers(0, len(cells) - 1))])
     cells = draw(st.permutations(cells[:max_size]))
     return [FitnessPoint(a / grid, b / grid) for a, b in cells]
+
+
+@st.composite
+def staircase_points(draw, max_size=20):
+    """A staircase of distinct points on a dyadic grid, f1 falling as f2
+    rises, plus a few points at or below its steps (copies, points sharing a
+    coordinate and dominated points), shuffled."""
+    grid = draw(st.sampled_from([32, 64, 1024]))
+    size = draw(st.integers(1, max_size))
+    coords = st.lists(st.integers(0, grid), min_size=size, max_size=size, unique=True)
+    cells = list(zip(sorted(draw(coords), reverse=True), sorted(draw(coords))))
+    for _ in range(draw(st.integers(0, 4))):
+        x, y = cells[draw(st.integers(0, size - 1))]
+        cells.append((draw(st.integers(0, x)), draw(st.integers(0, y))))
+    return [FitnessPoint(a / grid, b / grid) for a, b in draw(st.permutations(cells))]
 
 
 # dominance
@@ -269,8 +286,9 @@ def test_contributions_dominated_are_zero():
     contribs = hv_contributions(pts)
     assert contribs[1] == 0.0 and contribs[2] == 0.0
     assert contribs[0] == pytest.approx(0.81)
-    # dominated by a point of equal f1, so it shares that point's staircase step
+    # dominated by a point of equal f1 or f2, so it shares that point's staircase step
     assert hv_contributions(points_of((0.5, 0.5), (0.5, 0.3))) == [0.25, 0.0]
+    assert hv_contributions(points_of((0.5, 0.5), (0.3, 0.5))) == [0.25, 0.0]
 
 
 def test_contributions_match_leave_one_out_oracle():
@@ -356,6 +374,13 @@ def test_subset_exact_at_least_greedy():
         assert exact >= greedy - 1e-12
 
 
+@settings(deadline=None)
+@given(st.one_of(tied_points(max_size=30), staircase_points()))
+def test_subset_exact_matches_the_table_dp(pts):
+    for k in range(1, len(pts) + 1):
+        assert hv_subset_select(pts, k, "exact") == exact_subset_oracle(pts, k), k
+
+
 def test_subset_select_deterministic():
     rng = random.Random(53)
     pts = random_points(rng, 15)
@@ -426,7 +451,10 @@ def test_nsga2_keeps_front0_when_it_fits():
 def test_nsga2_deterministic():
     rng = random.Random(67)
     pts = random_points(rng, 30)
-    assert nsga2_select(pts, 10) == nsga2_select(pts, 10)
+    outcome = nsga2_select(pts, 10)
+    assert outcome == nsga2_select(pts, 10)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        outcome.selected = ()
 
 
 # hypervolume-based selection
