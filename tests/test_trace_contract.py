@@ -23,6 +23,7 @@ from moprompt.backends import (
 )
 from moprompt.domain import GeneratedText, ObjectivePair
 from moprompt.live import HttpEmotionClassifier, OllamaClient
+from moprompt.report import load_run
 from moprompt.runner import BackendConfig, RunConfig, build_backends, run_experiment
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -84,6 +85,23 @@ def test_traced_selection_values_are_the_sizes_the_benchmark_reads(tmp_path, tra
     assert len(values["moea.sms_emoa_select"]) == 2 * 3
     for gen, candidates in values["moea.sms_emoa_select"]:
         assert gen >= 1 and candidates == 4 + 6
+
+
+def test_traced_report_counts_the_generation_files_it_reads(tmp_path, tracer_module):
+    # perfbench/tracer.py counts report.files_read and report.bytes_read by
+    # swapping moprompt.report.open; summary.json is read through
+    # moprompt.rules, so only the gen_*.jsonl files count
+    config = RunConfig(pair=ObjectivePair.parse("love:anger"), mu=4, lam=6, generations=3,
+                       repetitions=2, out_dir=str(tmp_path))
+    run_dir = Path(run_experiment(config, build_backends(config)).out_dir)
+    tracer = tracer_module.Tracer()
+    with tracer.installed():
+        load_run(run_dir)
+    generation_files = list(run_dir.glob("rep_*/gen_*.jsonl"))
+    assert len(generation_files) == 8
+    assert tracer.counts["report.files_read"] == 8
+    assert tracer.counts["report.bytes_read"] == sum(
+        path.stat().st_size for path in generation_files)
 
 
 def test_the_benchmark_stub_answers_like_the_in_process_mocks():
