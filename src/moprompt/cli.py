@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .backends import BackendPolicy, LlmSettings, load_lexicons
-from .domain import FitnessPoint, ObjectivePair, Prompt
+from .domain import SUMMARY_FILE, FitnessPoint, ObjectivePair, Prompt
 from .moea import hv_subset_select, hypervolume_2d
 from .report import ReportError, discover_runs, load_run
 from .rules import build, check, read_json_object, section, strings, text
@@ -106,8 +106,8 @@ def cmd_run(args) -> int:
 
     with backends:
         try:  # is_file raises, as mkdir would, for a name too long for the file system
-            if (config.run_dir / "summary.json").is_file():
-                print(f"error: {config.run_dir} already holds a run (summary.json)",
+            if (config.run_dir / SUMMARY_FILE).is_file():
+                print(f"error: {config.run_dir} already holds a run ({SUMMARY_FILE})",
                       file=sys.stderr)
                 return 2
             config.run_dir.mkdir(parents=True, exist_ok=True)
@@ -117,7 +117,7 @@ def cmd_run(args) -> int:
         try:
             summary = run_experiment(config, backends, progress=progress)
         except OSError as exc:  # summary.json; a repetition's write error fails only it
-            path = exc.filename or config.run_dir / "summary.json"  # a failed write names none
+            path = exc.filename or config.run_dir / SUMMARY_FILE  # a failed write names none
             print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
             return 2
     for result in summary.results:

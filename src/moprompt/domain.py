@@ -1,18 +1,33 @@
-"""Core value types for emotion-steered prompt evolution.
+"""Core value types for emotion-steered prompt evolution, and the run tree.
 
 A candidate solution couples a prompt (the genotype) with the text a language
 model generated from it (the phenotype) and the pair of emotion scores that
 the search maximizes. Everything here is an immutable value object; the
-evolutionary loop builds new individuals instead of mutating old ones. The
-record an individual writes (`individual_to_dict`) is defined here too.
+evolutionary loop builds new individuals instead of mutating old ones.
+
+The tree a run writes is defined here too: its file names, its writers and
+the record an individual writes (`individual_to_dict`). A run directory
+(`RunConfig.run_dir`) holds
+- summary.json, the config and each repetition's result, read by
+  `report.load_run` and by the `run` command, which refuses to write over it;
+- rep_<r>/gen_<g>.jsonl, generation g's survivors, read by `report.load_run`;
+- rep_<r>/hypervolume.csv, each generation's hypervolume and fallback
+  count, and rep_<r>/pareto_front.json, the last rank-0 records: no reader.
+
+Selection hands on a survivor whose rank, crowding and contribution are
+unchanged as the same object, which writes again the line it has already
+encoded (`Individual.record_line`): a survivor is encoded when it enters the
+population and again only when selection changes one of those fields.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import statistics
+from dataclasses import asdict, dataclass, field
 from enum import Enum
+from pathlib import Path
 from typing import NewType
 
 MAX_PROMPT_CHARS = 2000
@@ -172,9 +187,7 @@ class Individual:
 
     rank and the selector diagnostic (crowding for NSGA-II, contribution for
     the hypervolume selector) are attached only by survivor selection;
-    freshly produced individuals carry None there. An individual encodes its
-    record line once, so a survivor handed on as the same object is not
-    encoded again.
+    freshly produced individuals carry None there.
     """
 
     prompt: Prompt
@@ -260,3 +273,74 @@ def individual_from_dict(data: dict) -> Individual:
         crowding=data.get("crowding"),
         contribution=data.get("contribution"),
     )
+
+
+# the names in a run directory; the module docstring lists what each holds
+SUMMARY_FILE = "summary.json"
+REPETITION_DIR = "rep_{}"
+GENERATION_FILE = "gen_{}.jsonl"
+
+# a wide run's generation file is about 1.1 MB, which the default 8 KiB
+# buffer writes in about 140 calls
+_WRITE_BUFFER = 1 << 16
+
+
+def _open_for_writing(path: Path):
+    """A text file for one of the tree's writers: UTF-8, LF line ends."""
+    return open(path, "w", encoding="utf-8", newline="\n", buffering=_WRITE_BUFFER)
+
+
+def write_generation(rep_dir: Path, generation: int, population) -> None:
+    """Write the generation's survivors, one record line each."""
+    with _open_for_writing(rep_dir / GENERATION_FILE.format(generation)) as handle:
+        for ind in population:
+            handle.write(ind.record_line())
+
+
+def write_hypervolume_series(rep_dir: Path, rows: list[tuple[int, float, int]]) -> None:
+    with _open_for_writing(rep_dir / "hypervolume.csv") as handle:
+        handle.write("generation,hypervolume,fallback_count\n")
+        for generation, hypervolume, fallback_count in rows:
+            handle.write(f"{generation},{hypervolume!r},{fallback_count}\n")
+
+
+def write_pareto_front(rep_dir: Path, config, repetition: int, final) -> None:
+    # selection keeps whole fronts in rank order, so front 0 is the rank-0 survivors
+    _write_json(rep_dir / "pareto_front.json", {
+        "pair": config.pair.slug,
+        "selector": config.selector,
+        "repetition": repetition,
+        "individuals": [individual_to_dict(ind) for ind in final if ind.rank == 0],
+    })
+
+
+def write_summary(run_dir: Path, config, summary) -> None:
+    _write_json(run_dir / SUMMARY_FILE, {
+        "pair": config.pair.slug,
+        "selector": config.selector,
+        "hv_mode": config.hv_mode,
+        "mu": config.mu,
+        "lambda": config.lam,
+        "generations": config.generations,
+        "repetitions": config.repetitions,
+        "seed": config.seed,
+        "backend": config.backend.kind,
+        "results": [asdict(r) for r in summary.results],
+        "final": summary.final_stats,
+        "running_max": summary.running_max_stats,
+    })
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    with _open_for_writing(path) as handle:
+        json.dump(payload, handle, ensure_ascii=False, indent=2)
+        handle.write("\n")
+
+
+def stats(values: list[float]) -> dict:
+    return {
+        "best": max(values),
+        "worst": min(values),
+        "mean": statistics.fmean(values),
+        "std_dev": statistics.stdev(values) if len(values) >= 2 else 0.0,
+    }

@@ -4,22 +4,17 @@ The report path deliberately recomputes everything from the raw
 per-generation records instead of trusting the stored summaries: fitness
 points are reloaded from gen_*.jsonl, hypervolumes are recomputed, and the
 statistics are rebuilt, so a reported table is always consistent with the
-data on disk. `moprompt.rules` reads and checks `summary.json`, which alone
-gives a run's layout: the ok repetitions and the last generation name the
-gen_*.jsonl files to read, and any other file in the run directory, such as
-one an earlier, longer run into the same directory left, is never opened.
+data on disk.
 
-A survivor carried into the next generation is written again byte for byte,
-so most lines of a gen_*.jsonl repeat a line of the file before it. Each
-repetition's load keeps the lines of the previous generation's file with the
-points parsed from them, keyed by each line's first 32 characters, which
-hold the record's "id"; the key is cheap to hash where a whole line of a
-large run is not. A line whose key finds a stored line equal to it in full
-reuses that line's point, and so is parsed once per repetition, while every
-other line is still stripped, parsed and checked in full. A point is a
-function of its line alone, so two lines sharing a key cost a parse and
-never change a result. A reused line moves from that memo into the current
-generation's, so the loader holds about one generation's lines at a time.
+A survivor is written again byte for byte in each generation it survives
+(`moprompt.domain`), so most lines of a gen_*.jsonl repeat a line of the
+file before. `_load_points` keys each line by its first 32 characters,
+which hold the record's "id" and are cheap to hash where a whole line of a
+large run is not, and reuses the point of a stored line equal to it in
+full, so such a line is parsed once per repetition while every other line
+is parsed and checked in full. A point is a function of its line alone, so
+two lines sharing a key cost a parse and never change a result. The loader
+holds about one generation's lines at a time.
 """
 
 from __future__ import annotations
@@ -28,10 +23,9 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .domain import FitnessPoint
+from .domain import GENERATION_FILE, REPETITION_DIR, SUMMARY_FILE, FitnessPoint, stats
 from .moea import hypervolume_2d
 from .rules import check, integer, items, read_json_object, text
-from .runner import _stats
 
 
 class ReportError(Exception):
@@ -69,16 +63,16 @@ class RunReport:
 
     @property
     def final_stats(self) -> dict:
-        return _stats([c.final for c in self.curves])
+        return stats([c.final for c in self.curves])
 
     @property
     def running_max_stats(self) -> dict:
-        return _stats([c.running_max for c in self.curves])
+        return stats([c.running_max for c in self.curves])
 
 
 def discover_runs(root: Path) -> list[Path]:
     """Run directories under root, identified by their summary.json."""
-    return sorted(p.parent for p in Path(root).rglob("summary.json"))
+    return sorted(p.parent for p in Path(root).rglob(SUMMARY_FILE))
 
 
 _KEY_LENGTH = 32  # '{"id": <id>, "prompt": "' and the prompt's first characters
@@ -126,7 +120,7 @@ def load_run(run_dir: Path) -> RunReport:
     """
     run_dir = Path(run_dir)
     bad: list[str] = []
-    summary_path = run_dir / "summary.json"
+    summary_path = run_dir / SUMMARY_FILE
     try:
         summary = read_json_object(summary_path, "summary")
         pair = check("pair", summary.get("pair"), text(empty=True))
@@ -142,11 +136,11 @@ def load_run(run_dir: Path) -> RunReport:
         raise ReportError(f"unreadable summary in {run_dir}", [str(summary_path)]) from None
     curves: list[RepetitionCurve] = []
     for rep in repetitions:
-        rep_dir = run_dir / f"rep_{rep}"
+        rep_dir = run_dir / REPETITION_DIR.format(rep)
         series: list[float] = []
         memo: dict[str, tuple[str, FitnessPoint]] = {}
         for generation in range(generations + 1):
-            path = rep_dir / f"gen_{generation}.jsonl"
+            path = rep_dir / GENERATION_FILE.format(generation)
             try:
                 points, memo = _load_points(path, memo)
             except (OSError, ValueError, RecursionError):  # RecursionError: nested too deeply

@@ -4,29 +4,18 @@ A run evolves a population of prompts under a (mu + lambda) scheme: every
 generation draws parent pairs, applies crossover then mutation, generates
 and scores one text per offspring, and selects mu survivors from parents
 plus offspring. An experiment repeats the run with shifted seeds and writes
-a fully reproducible output tree: per-generation population records, a
-hypervolume series per repetition, the final Pareto front, and a summary.
-
-A survivor's record changes from one generation to the next only in its
-selection fields (rank, crowding, contribution), and most survivors keep
-even those: selection hands such a survivor on as the same object, which
-writes again the line it has already encoded (`Individual.record_line`). A
-survivor is encoded when it enters the population and again whenever
-selection changes one of its fields. A repetition holds one population plus
-one (generation, hypervolume, fallback count) row per generation, not every
-generation's population.
+the tree that `moprompt.domain` defines. A repetition holds one population
+and one (generation, hypervolume, fallback count) row per generation.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import random
-import statistics
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import variation
@@ -43,6 +32,7 @@ from .backends import (
     MockTextGenerator,
 )
 from .domain import (
+    REPETITION_DIR,
     EmotionLabel,
     FitnessPoint,
     Individual,
@@ -50,7 +40,11 @@ from .domain import (
     OperatorRecord,
     Prompt,
     extract_fitness,
-    individual_to_dict,
+    stats,
+    write_generation,
+    write_hypervolume_series,
+    write_pareto_front,
+    write_summary,
 )
 from .moea import hypervolume_2d, nsga2_select, sms_emoa_select
 from .rules import check_fields, choice, integer, text, token, url
@@ -335,58 +329,6 @@ def step(
     return _record(generation, population, offspring)
 
 
-# a wide run's generation file is about 1.1 MB, which the default 8 KiB
-# buffer writes in about 140 calls
-_WRITE_BUFFER = 1 << 16
-
-
-def _open_for_writing(path: Path):
-    """A text file for one of the run's writers: UTF-8, LF line ends."""
-    return open(path, "w", encoding="utf-8", newline="\n", buffering=_WRITE_BUFFER)
-
-
-def _write_generation(rep_dir: Path, record: GenerationRecord) -> None:
-    """Write the generation's survivors, one record line each."""
-    with _open_for_writing(rep_dir / f"gen_{record.generation_index}.jsonl") as handle:
-        for ind in record.population:
-            handle.write(ind.record_line())
-
-
-def _write_hypervolume_series(rep_dir: Path, rows: list[tuple[int, float, int]]) -> None:
-    with _open_for_writing(rep_dir / "hypervolume.csv") as handle:
-        handle.write("generation,hypervolume,fallback_count\n")
-        for generation, hypervolume, fallback_count in rows:
-            handle.write(f"{generation},{hypervolume!r},{fallback_count}\n")
-
-
-def _write_pareto_front(
-    rep_dir: Path, config: RunConfig, repetition: int, final: tuple[Individual, ...]
-) -> None:
-    # selection keeps whole fronts in rank order, so front 0 is the rank-0 survivors
-    payload = {
-        "pair": config.pair.slug,
-        "selector": config.selector,
-        "repetition": repetition,
-        "individuals": [individual_to_dict(ind) for ind in final if ind.rank == 0],
-    }
-    _write_json(rep_dir / "pareto_front.json", payload)
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with _open_for_writing(path) as handle:
-        json.dump(payload, handle, ensure_ascii=False, indent=2)
-        handle.write("\n")
-
-
-def _stats(values: list[float]) -> dict:
-    return {
-        "best": max(values),
-        "worst": min(values),
-        "mean": statistics.fmean(values),
-        "std_dev": statistics.stdev(values) if len(values) >= 2 else 0.0,
-    }
-
-
 def run_experiment(
     config: RunConfig,
     backends: Backends,
@@ -399,9 +341,7 @@ def run_experiment(
     same generation 0. A repetition that fails with a backend or
     file-system error is recorded and excluded from the statistics without
     stopping the others; any other exception is a bug and propagates. It
-    writes into config.run_dir whatever that directory already holds;
-    refusing a directory with an earlier run's summary.json is the command
-    line's job.
+    writes into config.run_dir whatever that directory already holds.
     progress, when given, is called as progress(repetition, record) after
     every recorded generation. The summary reports the final-generation
     hypervolume statistics and, separately, statistics over each
@@ -424,8 +364,7 @@ def run_experiment(
     ) as pool:
         for rep in range(config.repetitions):
             try:
-                series = _run_repetition(config, backends, rep, run_dir / f"rep_{rep}",
-                                         progress, pool)
+                series = _run_repetition(config, backends, rep, progress, pool)
                 results.append(RepetitionResult(
                     repetition=rep, status="ok",
                     final_hypervolume=series[-1], max_hypervolume=max(series),
@@ -437,11 +376,11 @@ def run_experiment(
     maxima = [r.max_hypervolume for r in results if r.status == "ok"]
     summary = RunSummary(
         results=tuple(results),
-        final_stats=_stats(finals) if finals else None,
-        running_max_stats=_stats(maxima) if maxima else None,
+        final_stats=stats(finals) if finals else None,
+        running_max_stats=stats(maxima) if maxima else None,
         out_dir=str(run_dir),
     )
-    _write_summary(run_dir, config, summary)
+    write_summary(run_dir, config, summary)
     return summary
 
 
@@ -449,10 +388,10 @@ def _run_repetition(
     config: RunConfig,
     backends: Backends,
     rep: int,
-    rep_dir: Path,
     progress,
     pool: Executor | None,
 ) -> list[float]:
+    rep_dir = config.run_dir / REPETITION_DIR.format(rep)
     rep_dir.mkdir(parents=True, exist_ok=True)
     population = initialize(config, backends, pool)
     record = _record(0, population, population)
@@ -463,27 +402,10 @@ def _run_repetition(
                           generation=generation, pool=pool)
             population = record.population
         rows.append((generation, record.hypervolume, record.fallback_count))
-        _write_generation(rep_dir, record)
+        write_generation(rep_dir, generation, population)
         if progress:
             progress(rep, record)
-    _write_hypervolume_series(rep_dir, rows)
-    _write_pareto_front(rep_dir, config, rep, population)
+    write_hypervolume_series(rep_dir, rows)
+    write_pareto_front(rep_dir, config, rep, population)
     return [hypervolume for _, hypervolume, _ in rows]
 
-
-def _write_summary(run_dir: Path, config: RunConfig, summary: RunSummary) -> None:
-    payload = {
-        "pair": config.pair.slug,
-        "selector": config.selector,
-        "hv_mode": config.hv_mode,
-        "mu": config.mu,
-        "lambda": config.lam,
-        "generations": config.generations,
-        "repetitions": config.repetitions,
-        "seed": config.seed,
-        "backend": config.backend.kind,
-        "results": [asdict(r) for r in summary.results],
-        "final": summary.final_stats,
-        "running_max": summary.running_max_stats,
-    }
-    _write_json(run_dir / "summary.json", payload)

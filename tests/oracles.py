@@ -353,7 +353,7 @@ def is_rounded_stdev(std_dev: float, values: list[float]) -> bool:
     """Whether std_dev is the exact sample standard deviation of values
     (0.0 for a single value) correctly rounded: the exact variance lies
     between the squares of the half-way points to the neighbouring floats.
-    It uses no statistics.stdev, which runner._stats calls, so the two stay
+    It uses no statistics.stdev, which domain.stats calls, so the two stay
     independent."""
     if len(values) < 2:
         return std_dev == 0.0

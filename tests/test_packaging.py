@@ -34,6 +34,22 @@ def test_package_imports_only_the_standard_library():
         assert not outside, f"{path.name} imports {outside}"
 
 
+def test_report_imports_nothing_from_the_run_loop():
+    # report reads the tree through moprompt.domain alone; the package's
+    # __init__ loads runner for any submodule, so report.py's own imports
+    # are read instead of sys.modules
+    path = PACKAGE / "report.py"
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            names = [module] + [f"{module.rstrip('.')}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        assert not {".runner", "moprompt.runner"} & set(names), f"report.py:{node.lineno}"
+
+
 def test_every_module_parses_as_python_3_10():
     # pyproject.toml claims requires-python >= 3.11, and the code keeps to the
     # stricter 3.10 syntax; syntax newer than that, such as except* or a type

@@ -25,12 +25,11 @@ from moprompt.domain import (
     ObjectivePair,
     OperatorRecord,
     Prompt,
+    write_generation,
 )
 from moprompt.runner import (
     DEFAULT_SEED_PROMPTS,
-    GenerationRecord,
     RunConfig,
-    _write_generation,
     build_backends,
     run_experiment,
 )
@@ -216,8 +215,7 @@ def test_written_lines_equal_the_oracle_encoding(data):
     expected = [(expected + newcomers)[i] for i in order]
     with tempfile.TemporaryDirectory() as tmp:
         for generation, (members, encoded) in enumerate(((first, first), (second, expected))):
-            record = GenerationRecord(generation, tuple(members), 0.0, 0)
-            _write_generation(Path(tmp), record)
+            write_generation(Path(tmp), generation, members)
             assert lines_of(Path(tmp) / f"gen_{generation}.jsonl") == [
                 encode_individual_oracle(member) for member in encoded
             ] + [""]

@@ -30,6 +30,7 @@ from moprompt.domain import (
     Prompt,
     individual_from_dict,
     individual_to_dict,
+    stats,
 )
 from moprompt.moea import hypervolume_2d
 from moprompt.report import load_run
@@ -486,7 +487,7 @@ def test_summary_std_dev_is_the_same_on_every_python(tmp_path):
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300,
                           max_value=1e300), min_size=1, max_size=8))
 def test_stats_std_dev_is_correctly_rounded(values):
-    assert is_rounded_stdev(runner._stats(values)["std_dev"], values)
+    assert is_rounded_stdev(stats(values)["std_dev"], values)
 
 
 def test_run_experiment_records_failed_repetitions(tmp_path):
