@@ -65,7 +65,7 @@ def mock_run(tmp_path_factory):
 
 def _series(root, config, rep):
     path = root / "a" / config.pair.slug / config.selector / f"rep_{rep}" / "hypervolume.csv"
-    rows = path.read_text().splitlines()[1:]
+    rows = path.read_text(encoding="utf-8").splitlines()[1:]
     return [float(row.split(",")[1]) for row in rows]
 
 
@@ -207,7 +207,7 @@ def test_criterion_10_report_statistics_match_summaries(mock_run):
         root, config, _, _ = mock_run
         run_dir = root / "a" / config.pair.slug / config.selector
         report = load_run(run_dir)
-        stored = json.loads((run_dir / "summary.json").read_text())
+        stored = json.loads((run_dir / "summary.json").read_text(encoding="utf-8"))
         for recomputed, kept in (
             (report.final_stats, stored["final"]),
             (report.running_max_stats, stored["running_max"]),
@@ -239,7 +239,7 @@ def test_criterion_11_live_smoke(tmp_path):
         assert summary.results[0].final_hypervolume > 0.0
         rep_dir = tmp_path / "joy_vs_fear" / "sms_emoa" / "rep_0"
         for gen in range(6):
-            lines = rep_dir.joinpath(f"gen_{gen}.jsonl").read_text().splitlines()
+            lines = rep_dir.joinpath(f"gen_{gen}.jsonl").read_text(encoding="utf-8").splitlines()
             assert len(lines) == 10
             for line in lines:
                 record = json.loads(line)

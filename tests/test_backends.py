@@ -387,7 +387,7 @@ def test_mock_classifier_counts_duplicates_and_phrases():
 
 def test_load_lexicons_merges_over_defaults(tmp_path):
     path = tmp_path / "lex.json"
-    path.write_text(json.dumps({"joy": ["glee"], "FEAR": ["qualm"]}))
+    path.write_text(json.dumps({"joy": ["glee"], "FEAR": ["qualm"]}), encoding="utf-8")
     lexicons = load_lexicons(path)
     assert lexicons[EmotionLabel.JOY] == ("glee",)
     assert lexicons[EmotionLabel.FEAR] == ("qualm",)
@@ -399,7 +399,7 @@ def test_load_lexicons_merges_over_defaults(tmp_path):
 )
 def test_load_lexicons_rejects_bad_word_lists(tmp_path, payload):
     path = tmp_path / "lex.json"
-    path.write_text(json.dumps(payload))
+    path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ValueError):
         load_lexicons(path)
 
@@ -411,7 +411,7 @@ def test_load_lexicons_missing_file_is_value_error(tmp_path):
 
 def test_load_lexicons_rejects_unknown_label(tmp_path):
     path = tmp_path / "lex.json"
-    path.write_text(json.dumps({"boredom": ["yawn"]}))
+    path.write_text(json.dumps({"boredom": ["yawn"]}), encoding="utf-8")
     with pytest.raises(ValueError):
         load_lexicons(path)
 

@@ -66,11 +66,12 @@ def test_run_with_config_file(tmp_path, capsys):
         "out_dir": str(tmp_path / "runs"),
     }
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(config), encoding="utf-8")
     code, out, err = run_cli(capsys, "run", "--config", str(path))
     assert code == 0, err
     payload = json.loads(
-        (tmp_path / "runs" / "love_vs_anger" / "sms_emoa" / "summary.json").read_text()
+        (tmp_path / "runs" / "love_vs_anger" / "sms_emoa" / "summary.json").read_text(
+            encoding="utf-8")
     )
     assert payload["selector"] == "sms_emoa"
     assert payload["hv_mode"] == "exact"
@@ -81,7 +82,7 @@ def test_run_with_config_file(tmp_path, capsys):
 def test_run_flag_overrides_beat_config(tmp_path, capsys):
     config = {"pair": "love:anger", "mu": 4, "lambda": 6, "generations": 2, "repetitions": 1}
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(config), encoding="utf-8")
     code, _, err = run_cli(
         capsys,
         "run", "--config", str(path), "--pair", "joy:fear",
@@ -121,7 +122,7 @@ def test_run_rejects_equal_pair_labels(tmp_path, capsys):
 
 def test_run_rejects_an_out_dir_that_cannot_be_created(tmp_path, capsys):
     blocker = tmp_path / "afile"
-    blocker.write_text("")
+    blocker.write_text("", encoding="utf-8")
     # under a file, and a name longer than any file system allows
     for out_dir in (blocker / "x", tmp_path / ("a" * 300)):
         code, out, err = run_cli(
@@ -138,7 +139,7 @@ def test_run_rejects_an_out_dir_that_cannot_be_created(tmp_path, capsys):
 def test_run_keeps_exit_1_when_no_repetition_can_write(tmp_path, capsys):
     run_dir = tmp_path / "love_vs_anger" / "nsga2"
     run_dir.mkdir(parents=True)
-    (run_dir / "rep_0").write_text("")
+    (run_dir / "rep_0").write_text("", encoding="utf-8")
     code, out, _ = run_cli(
         capsys, "run", "--pair", "love:anger", "--out", str(tmp_path),
         "--reps", "1", "--gens", "1",
@@ -205,7 +206,7 @@ def live_generate_bodies(tmp_path, capsys, **fields):
         config["llm"]["base_url"] = server.url
         config["classifier"] = {"base_url": f"{server.url}/classify"}
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
+        path.write_text(json.dumps(config), encoding="utf-8")
         code, _, err = run_cli(capsys, "run", "--config", str(path), "--quiet")
     assert code == 0, err
     bodies = [body for path, _, body in server.seen if path == "/api/generate"]
@@ -240,7 +241,7 @@ def test_run_fails_when_the_model_server_refuses_every_request(tmp_path, capsys)
         config["llm"]["base_url"] = server.url
         config["classifier"] = {"base_url": f"{server.url}/classify"}
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
+        path.write_text(json.dumps(config), encoding="utf-8")
         code, out, _ = run_cli(capsys, "run", "--config", str(path), "--quiet")
     assert code == 1
     # each failed repetition names the server's reason, as the repr of its body
@@ -257,7 +258,7 @@ def test_run_requires_a_pair(capsys):
 
 def test_run_rejects_unknown_config_keys(tmp_path, capsys):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"pair": "joy:fear", "population_size": 10}))
+    path.write_text(json.dumps({"pair": "joy:fear", "population_size": 10}), encoding="utf-8")
     code, _, err = run_cli(capsys, "run", "--config", str(path))
     assert code == 2
     assert "unknown config keys: population_size" in err
@@ -265,7 +266,7 @@ def test_run_rejects_unknown_config_keys(tmp_path, capsys):
 
 def test_run_rejects_unknown_section_keys(tmp_path, capsys):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"pair": "joy:fear", "llm": {"modl": "llama2"}}))
+    path.write_text(json.dumps({"pair": "joy:fear", "llm": {"modl": "llama2"}}), encoding="utf-8")
     code, _, err = run_cli(capsys, "run", "--config", str(path))
     assert code == 2
     assert "unknown llm keys: modl" in err
@@ -273,7 +274,7 @@ def test_run_rejects_unknown_section_keys(tmp_path, capsys):
 
 def test_run_rejects_malformed_config(tmp_path, capsys):
     path = tmp_path / "config.json"
-    path.write_text("{not json")
+    path.write_text("{not json", encoding="utf-8")
     code, _, err = run_cli(capsys, "run", "--config", str(path))
     assert code == 2
     assert "not valid JSON" in err
@@ -282,7 +283,7 @@ def test_run_rejects_malformed_config(tmp_path, capsys):
 @pytest.mark.parametrize("section", ["llm", "classifier", "policy"])
 def test_run_rejects_non_object_sections(tmp_path, capsys, section):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"pair": "joy:fear", section: 5}))
+    path.write_text(json.dumps({"pair": "joy:fear", section: 5}), encoding="utf-8")
     code, _, err = run_cli(capsys, "run", "--config", str(path))
     assert code == 2
     assert f"{section} section must be a JSON object" in err
@@ -291,7 +292,8 @@ def test_run_rejects_non_object_sections(tmp_path, capsys, section):
 @pytest.mark.parametrize("seed_prompts", ["abcdefghijk", ["write a story", 7]])
 def test_run_rejects_seed_prompts_that_are_not_a_string_list(tmp_path, capsys, seed_prompts):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"pair": "joy:fear", "seed_prompts": seed_prompts}))
+    path.write_text(json.dumps({"pair": "joy:fear", "seed_prompts": seed_prompts}),
+                    encoding="utf-8")
     code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path))
     assert code == 2
     assert "seed_prompts must be a list of strings" in err
@@ -299,7 +301,7 @@ def test_run_rejects_seed_prompts_that_are_not_a_string_list(tmp_path, capsys, s
 
 def test_run_rejects_single_parent_with_offspring(tmp_path, capsys):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"pair": "joy:fear", "mu": 1}))
+    path.write_text(json.dumps({"pair": "joy:fear", "mu": 1}), encoding="utf-8")
     code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "runs"))
     assert code == 2
     assert "mu must be >= 2" in err
@@ -313,7 +315,7 @@ def test_run_rejects_single_parent_with_offspring(tmp_path, capsys):
 )
 def test_run_rejects_non_integer_fields(tmp_path, capsys, field, value):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"pair": "joy:fear", field: value}))
+    path.write_text(json.dumps({"pair": "joy:fear", field: value}), encoding="utf-8")
     code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "runs"))
     assert code == 2
     assert f"{field} must be an integer, got {value!r}" in err
@@ -322,7 +324,7 @@ def test_run_rejects_non_integer_fields(tmp_path, capsys, field, value):
 
 def test_run_rejects_bad_lexicon_file(tmp_path, capsys):
     lexicon = tmp_path / "lex.json"
-    lexicon.write_text(json.dumps({"joy": "delight"}))
+    lexicon.write_text(json.dumps({"joy": "delight"}), encoding="utf-8")
     # the file is read when the config loads, whatever the backend; nothing
     # listens on port 1, so a live run that started would fall back and exit 1
     closed = "http://127.0.0.1:1"
@@ -332,7 +334,7 @@ def test_run_rejects_bad_lexicon_file(tmp_path, capsys):
     for backend, lexicon_file in (({}, lexicon), ({}, tmp_path / "absent.json"),
                                   (live, lexicon), (live, tmp_path / "absent.json")):
         path.write_text(json.dumps({"pair": "joy:fear", "lexicon_file": str(lexicon_file),
-                                    **backend}))
+                                    **backend}), encoding="utf-8")
         code, out, err = run_cli(capsys, "run", "--config", str(path),
                                  "--out", str(tmp_path / "runs"))
         assert code == 2, (backend, lexicon_file, out)
@@ -412,9 +414,10 @@ MALFORMED_OPERATOR_FILES = {
 )
 def test_run_rejects_malformed_operators_file(tmp_path, capsys, content, message):
     operators = tmp_path / "ops.json"
-    operators.write_text(content)
+    operators.write_text(content, encoding="utf-8")
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"pair": "joy:fear", "operators_file": str(operators)}))
+    path.write_text(json.dumps({"pair": "joy:fear", "operators_file": str(operators)}),
+                    encoding="utf-8")
     code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "runs"))
     assert code == 2
     assert err == f"error: {message}\n"
@@ -423,7 +426,8 @@ def test_run_rejects_malformed_operators_file(tmp_path, capsys, content, message
 
 def test_run_rejects_unreadable_operators_file(tmp_path, capsys):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"pair": "joy:fear", "operators_file": str(tmp_path / "no.json")}))
+    path.write_text(json.dumps({"pair": "joy:fear", "operators_file": str(tmp_path / "no.json")}),
+                    encoding="utf-8")
     code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "runs"))
     assert code == 2
     assert "cannot read operators file" in err
@@ -432,7 +436,8 @@ def test_run_rejects_unreadable_operators_file(tmp_path, capsys):
 
 def test_load_config_reads_the_operators_file(tmp_path):
     operators = tmp_path / "ops.json"
-    operators.write_text(json.dumps({"mutation_instructions": [{"id": "only", "text": "Reword"}]}))
+    operators.write_text(json.dumps({"mutation_instructions": [{"id": "only", "text": "Reword"}]}),
+                         encoding="utf-8")
     config = load_config(None, {"pair": "joy:fear", "operators_file": str(operators)})
     assert [i.id for i in config.operators.mutation_instructions] == ["only"]
     assert load_config(None, {"pair": "joy:fear"}).operators == OperatorSuite()
@@ -441,7 +446,8 @@ def test_load_config_reads_the_operators_file(tmp_path):
 def test_load_config_reads_seed_prompts_from_the_file(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"pair": "joy:fear", "mu": 2,
-                                "seed_prompts": ["  write a story ", "tell a tale"]}))
+                                "seed_prompts": ["  write a story ", "tell a tale"]}),
+                    encoding="utf-8")
     assert load_config(str(path), {}).seed_prompts == (Prompt("write a story"),
                                                        Prompt("tell a tale"))
 
@@ -453,7 +459,7 @@ def test_run_rejects_non_string_fields(tmp_path, capsys, monkeypatch, field):
     section, _, key = field.rpartition(".")
     config = {"pair": "joy:fear", **({section: {key: 5}} if section else {key: 5})}
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(config), encoding="utf-8")
     code, _, err = run_cli(capsys, "run", "--config", str(path))
     assert code == 2
     assert f"{field} must be a string, got 5" in err
@@ -467,7 +473,7 @@ def test_run_rejects_non_string_fields(tmp_path, capsys, monkeypatch, field):
 )
 def test_run_rejects_bad_llm_settings(tmp_path, capsys, llm, message):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"pair": "joy:fear", "llm": llm}))
+    path.write_text(json.dumps({"pair": "joy:fear", "llm": llm}), encoding="utf-8")
     code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "runs"))
     assert code == 2
     assert message in err
@@ -484,7 +490,7 @@ def test_run_rejects_bad_llm_settings(tmp_path, capsys, llm, message):
 )
 def test_run_rejects_bad_policy_settings(tmp_path, capsys, policy, message):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"pair": "joy:fear", "policy": policy}))
+    path.write_text(json.dumps({"pair": "joy:fear", "policy": policy}), encoding="utf-8")
     code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "runs"))
     assert code == 2
     assert message in err
@@ -518,7 +524,7 @@ def test_run_rejects_unreachable_base_urls(tmp_path, capsys, monkeypatch, url, s
     else:
         config[source] = {"base_url": url}
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(config), encoding="utf-8")
     code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "runs"))
     assert code == 2
     assert f"{field} must be an http:// or https:// URL with a host, got {url!r}" in err
@@ -536,7 +542,7 @@ def test_run_rejects_a_token_that_cannot_be_a_header_value(tmp_path, capsys, mon
     else:
         monkeypatch.setenv(source, "a\rb")
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(config), encoding="utf-8")
     code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "runs"))
     assert code == 2
     assert "classifier.token must be printable ASCII" in err
@@ -581,7 +587,8 @@ def test_run_rejects_values_that_once_loaded_silently(tmp_path, capsys, monkeypa
     monkeypatch.chdir(tmp_path)  # where the default or an empty out_dir would write
     monkeypatch.setenv("EMO_LLM_URL", "http://127.0.0.1:1")
     monkeypatch.setenv("EMO_CLF_TOKEN", "from-the-environment")
-    (tmp_path / "config.json").write_text(json.dumps({"pair": "love:anger", **fields}))
+    (tmp_path / "config.json").write_text(json.dumps({"pair": "love:anger", **fields}),
+                                          encoding="utf-8")
     code, _, err = run_cli(capsys, "run", "--config", "config.json")
     assert code == 2
     assert f"error: {message}" in err
@@ -591,9 +598,10 @@ def test_run_rejects_values_that_once_loaded_silently(tmp_path, capsys, monkeypa
 
 def test_run_names_a_lexicon_file_that_is_not_json(tmp_path, capsys):
     lexicon = tmp_path / "lex.json"
-    lexicon.write_text("{joy: [delight]}")
+    lexicon.write_text("{joy: [delight]}", encoding="utf-8")
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"pair": "joy:fear", "lexicon_file": str(lexicon)}))
+    path.write_text(json.dumps({"pair": "joy:fear", "lexicon_file": str(lexicon)}),
+                    encoding="utf-8")
     code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "runs"))
     assert code == 2
     assert "error: lexicon file is not valid JSON: Expecting property name" in err
@@ -606,7 +614,7 @@ TOO_DEEP = "[" * 100_000 + "]" * 100_000
 
 def test_run_rejects_a_config_nested_too_deeply(tmp_path, capsys):
     path = tmp_path / "config.json"
-    path.write_text('{"pair": "joy:fear", "seed_prompts": ' + TOO_DEEP + "}")
+    path.write_text('{"pair": "joy:fear", "seed_prompts": ' + TOO_DEEP + "}", encoding="utf-8")
     code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "runs"))
     assert code == 2
     assert err == "error: config file is not valid JSON: nested too deeply\n"
@@ -625,10 +633,10 @@ def test_run_rejects_a_string_that_is_not_valid_unicode(tmp_path, capsys, kind, 
         config.update(content)
     else:
         other = tmp_path / f"{kind}.json"
-        other.write_text(json.dumps(content))
+        other.write_text(json.dumps(content), encoding="utf-8")
         config[f"{kind}_file"] = str(other)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(config), encoding="utf-8")
     code, _, err = run_cli(capsys, "run", "--config", str(path), "--out", str(tmp_path / "runs"))
     assert code == 2
     assert err.startswith(f"error: {kind} file holds a string that is not valid Unicode: ")
@@ -672,7 +680,7 @@ def config_objects(draw):
 def test_any_json_object_loads_or_is_a_config_error(raw):
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "config.json"
-        path.write_text(json.dumps(raw))
+        path.write_text(json.dumps(raw), encoding="utf-8")
         try:
             config = load_config(str(path), {})
         except ValueError:
@@ -733,7 +741,7 @@ def operator_files(draw):
 def test_any_operators_file_loads_or_exits_2(raw):
     with tempfile.TemporaryDirectory() as directory:
         operators = Path(directory) / "ops.json"
-        operators.write_text(json.dumps(raw))
+        operators.write_text(json.dumps(raw), encoding="utf-8")
         try:
             suite = load_operator_suite(operators)
         except ValueError:
@@ -742,7 +750,7 @@ def test_any_operators_file_loads_or_exits_2(raw):
         config.write_text(json.dumps({
             "pair": "love:anger", "mu": 2, "lambda": 2, "generations": 1, "repetitions": 1,
             "operators_file": str(operators), "out_dir": str(Path(directory) / "runs"),
-        }))
+        }), encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["--quiet", "run", "--config", str(config)])
@@ -788,7 +796,7 @@ def lexicon_files(draw):
 def test_any_lexicon_file_loads_or_exits_2(raw):
     with tempfile.TemporaryDirectory() as directory:
         lexicon = Path(directory) / "lexicon.json"
-        lexicon.write_text(json.dumps(raw))
+        lexicon.write_text(json.dumps(raw), encoding="utf-8")
         try:
             load_lexicons(lexicon)
             loads = True
@@ -798,7 +806,7 @@ def test_any_lexicon_file_loads_or_exits_2(raw):
         config.write_text(json.dumps({
             "pair": "love:anger", "mu": 2, "lambda": 2, "generations": 1, "repetitions": 1,
             "lexicon_file": str(lexicon), "out_dir": str(Path(directory) / "runs"),
-        }))
+        }), encoding="utf-8")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["--quiet", "run", "--config", str(config)])
@@ -811,15 +819,15 @@ def test_any_lexicon_file_loads_or_exits_2(raw):
 
 def test_hv_command_golden(tmp_path, capsys):
     path = tmp_path / "points.csv"
-    path.write_text(DIAGONAL_ROWS)
+    path.write_text(DIAGONAL_ROWS, encoding="utf-8")
     code, out, _ = run_cli(capsys, "hv", "--points", str(path))
     assert code == 0
     assert out == "hypervolume 0.444444444444\n"
     # blank rows between points are skipped
-    path.write_text(DIAGONAL_ROWS.replace("\n", "\n\n", 3))
+    path.write_text(DIAGONAL_ROWS.replace("\n", "\n\n", 3), encoding="utf-8")
     assert run_cli(capsys, "hv", "--points", str(path)) == (0, out, "")
     # the header may follow blank rows: the first non-blank row is the possible header
-    path.write_text("\nf1,f2\n0.5,0.5\n")
+    path.write_text("\nf1,f2\n0.5,0.5\n", encoding="utf-8")
     assert run_cli(capsys, "hv", "--points", str(path)) == (0, "hypervolume 0.250000000000\n", "")
 
 
@@ -831,7 +839,7 @@ def test_hv_command_golden(tmp_path, capsys):
 def test_verbosity_flags_set_the_log_level_before_or_after_the_command(tmp_path, monkeypatch,
                                                                        capsys, flags, level):
     path = tmp_path / "points.csv"
-    path.write_text(DIAGONAL_ROWS)
+    path.write_text(DIAGONAL_ROWS, encoding="utf-8")
     levels = []
     monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: levels.append(kwargs["level"]))
     assert run_cli(capsys, *flags, "hv", "--points", str(path))[0] == 0
@@ -849,7 +857,7 @@ def test_hv_ignores_a_byte_order_mark(tmp_path, capsys):
 
 def test_hv_subset_golden(tmp_path, capsys):
     path = tmp_path / "points.csv"
-    path.write_text("1.0,0.0\n0.5,0.5\n0.0,1.0\n0.4,0.4\n")
+    path.write_text("1.0,0.0\n0.5,0.5\n0.0,1.0\n0.4,0.4\n", encoding="utf-8")
     code, out, _ = run_cli(
         capsys, "hv", "--points", str(path), "--subset", "3", "--mode", "exact"
     )
@@ -864,7 +872,7 @@ def test_hv_subset_golden(tmp_path, capsys):
 def test_hv_rejects_a_subset_size_below_one(tmp_path, capsys, mode):
     # and one above the number of points; neither prints a result first
     path = tmp_path / "points.csv"
-    path.write_text(DIAGONAL_ROWS)
+    path.write_text(DIAGONAL_ROWS, encoding="utf-8")
     for subset, message in (("-1", "subset size must be at least 1, got -1"),
                             ("0", "subset size must be at least 1, got 0"),
                             ("11", "cannot select 11 of 10 points")):
@@ -882,33 +890,33 @@ def test_hv_missing_file(tmp_path, capsys):
 
 def test_hv_rejects_bad_rows(tmp_path, capsys):
     path = tmp_path / "points.csv"
-    path.write_text("0.5,0.5,0.5\n")
+    path.write_text("0.5,0.5,0.5\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "hv", "--points", str(path))
     assert code == 2
     assert "expected two columns" in err
-    path.write_text("0.5,1.5\n")
+    path.write_text("0.5,1.5\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "hv", "--points", str(path))
     assert code == 2
-    path.write_text("f1,f2\n")
+    path.write_text("f1,f2\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "hv", "--points", str(path))
     assert code == 2
     assert err == "error: no points in file\n"
-    path.write_text("0.5,0.5\n0.2,x\n")
+    path.write_text("0.5,0.5\n0.2,x\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "hv", "--points", str(path))
     assert code == 2
     assert err == "error: row 2: non-numeric value\n"
     # only the first non-blank row may be a header, and rows keep their physical numbers
-    path.write_text("f1,f2\n\nx,0.5\n")
+    path.write_text("f1,f2\n\nx,0.5\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "hv", "--points", str(path))
     assert code == 2
     assert err == "error: row 3: non-numeric value\n"
     # rows the csv module refuses once ended the command with a traceback
     limit = csv.field_size_limit()
-    path.write_text("0.5,0.5\n0.2," + "1" * (limit + 1) + "\n")
+    path.write_text("0.5,0.5\n0.2," + "1" * (limit + 1) + "\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "hv", "--points", str(path))
     assert code == 2
     assert err == f"error: row 2: field larger than field limit ({limit})\n"
-    path.write_text("0.5,0.5\n0.2,0.\x003\n")
+    path.write_text("0.5,0.5\n0.2,0.\x003\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "hv", "--points", str(path))
     assert code == 2
     assert err == "error: row 2: non-numeric value\n"
@@ -940,11 +948,11 @@ def test_report_prints_table_and_writes_csvs(finished_runs, capsys):
     assert ["joy_vs_fear", "nsga2", "final"] in metrics
     assert ["joy_vs_fear", "sms_emoa", "running_max"] in metrics
 
-    report_rows = (finished_runs / "report.csv").read_text().splitlines()
+    report_rows = (finished_runs / "report.csv").read_text(encoding="utf-8").splitlines()
     assert report_rows[0] == "problem,selector,metric,best,worst,mean,std_dev"
     assert len(report_rows) == 1 + 4  # two selectors times two metrics
 
-    curve_rows = (finished_runs / "curves.csv").read_text().splitlines()
+    curve_rows = (finished_runs / "curves.csv").read_text(encoding="utf-8").splitlines()
     assert curve_rows[0] == "problem,selector,repetition,generation,hypervolume"
     assert len(curve_rows) == 1 + 2 * 2 * 3  # selectors x reps x (gens + 1)
     for row in curve_rows[1:]:
@@ -960,7 +968,7 @@ def test_report_on_empty_directory(tmp_path, capsys):
 
 def test_report_lists_unreadable_files(finished_runs, capsys):
     target = finished_runs / "joy_vs_fear" / "nsga2" / "rep_0" / "gen_1.jsonl"
-    target.write_text("garbage\n")
+    target.write_text("garbage\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "report", "--run", str(finished_runs))
     assert code == 1
     assert "unreadable run data" in err
@@ -974,7 +982,7 @@ def test_report_lists_unreadable_files(finished_runs, capsys):
 ])
 def test_report_lists_wrong_shaped_files(finished_runs, capsys, name, content):
     target = finished_runs / "joy_vs_fear" / "nsga2" / name
-    target.write_text(content)
+    target.write_text(content, encoding="utf-8")
     code, _, err = run_cli(capsys, "report", "--run", str(finished_runs))
     assert code == 1
     assert "unreadable run data" in err
@@ -984,7 +992,7 @@ def test_report_lists_wrong_shaped_files(finished_runs, capsys, name, content):
 @pytest.mark.parametrize("name", ["summary.json", "rep_0/gen_1.jsonl"])
 def test_report_lists_a_file_nested_too_deeply(finished_runs, capsys, name):
     target = finished_runs / "joy_vs_fear" / "nsga2" / name
-    target.write_text(TOO_DEEP + "\n")
+    target.write_text(TOO_DEEP + "\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "report", "--run", str(finished_runs))
     assert code == 1
     assert "unreadable run data" in err
@@ -994,8 +1002,8 @@ def test_report_lists_a_file_nested_too_deeply(finished_runs, capsys, name):
 
 def test_report_lists_a_summary_with_a_wrong_typed_field(finished_runs, capsys):
     target = finished_runs / "joy_vs_fear" / "nsga2" / "summary.json"
-    summary = json.loads(target.read_text())
-    target.write_text(json.dumps({**summary, "selector": None}))
+    summary = json.loads(target.read_text(encoding="utf-8"))
+    target.write_text(json.dumps({**summary, "selector": None}), encoding="utf-8")
     code, _, err = run_cli(capsys, "report", "--run", str(finished_runs))
     assert code == 1
     assert "unreadable run data" in err
@@ -1007,8 +1015,8 @@ def test_report_lists_a_summary_with_a_wrong_typed_field(finished_runs, capsys):
 def test_report_lists_a_summary_string_that_is_not_valid_unicode(finished_runs, capsys, key):
     # JSON may escape a lone surrogate, which no printed table or CSV can hold
     target = finished_runs / "joy_vs_fear" / "nsga2" / "summary.json"
-    summary = json.loads(target.read_text())
-    target.write_text(json.dumps({**summary, key: "\ud800"}))
+    summary = json.loads(target.read_text(encoding="utf-8"))
+    target.write_text(json.dumps({**summary, key: "\ud800"}), encoding="utf-8")
     code, out, err = run_cli(capsys, "report", "--run", str(finished_runs))
     assert code == 1
     assert "unreadable run data" in err
@@ -1054,12 +1062,12 @@ README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encodi
 def test_readme_config_example_loads(tmp_path):
     example, operators_example = re.findall(r"```json\n(.*?)```", README, re.DOTALL)
     path = tmp_path / "config.json"
-    path.write_text(example)
+    path.write_text(example, encoding="utf-8")
     config = load_config(str(path), {})
     assert config.pair.slug == "love_vs_anger"
     assert config.selector == "sms_emoa"
     operators = tmp_path / "ops.json"
-    operators.write_text(operators_example)
+    operators.write_text(operators_example, encoding="utf-8")
     suite = load_operator_suite(operators)
     assert suite.mutation.few_shot_examples == (
         ("Change the following prompt: write a story", "Craft a story"),)

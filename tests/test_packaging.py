@@ -67,8 +67,8 @@ def run_python(*args: str, check: bool = False) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent),
                                                       env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, timeout=120, check=check)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          encoding="utf-8", timeout=120, check=check)
 
 
 def loaded_http_modules(script: str, *args: str) -> list[str]:
@@ -84,7 +84,7 @@ def loaded_http_modules(script: str, *args: str) -> list[str]:
 
 def test_python_m_moprompt_runs_the_command_line(tmp_path):
     points = tmp_path / "points.csv"
-    points.write_text("f1,f2\n0.5,0.5\n")
+    points.write_text("f1,f2\n0.5,0.5\n", encoding="utf-8")
     for module in ("moprompt", "moprompt.cli"):
         result = run_python("-m", module, "hv", "--points", str(points))
         assert (result.returncode, result.stdout, result.stderr) == (
@@ -116,7 +116,7 @@ def test_loading_a_live_config_loads_no_http_stack(tmp_path):
         "pair": "love:anger", "backend": "live",
         "llm": {"base_url": "http://127.0.0.1:1"},
         "classifier": {"base_url": "https://127.0.0.1:1/classify", "token": "tok"},
-    }))
+    }), encoding="utf-8")
     script = """
 import sys
 from moprompt.cli import load_config

@@ -68,7 +68,7 @@ def test_mock_tree_matches_recorded_fingerprint(tmp_path, selector):
     if selector == "nsga2":
         # boundary crowding is infinite and written as Infinity
         gen_1 = tmp_path / PAIR.slug / "nsga2" / "rep_0" / "gen_1.jsonl"
-        assert "Infinity" in gen_1.read_text()
+        assert "Infinity" in gen_1.read_text(encoding="utf-8")
     assert tree_sha256(tmp_path) == TREE_FINGERPRINTS[selector]
     check_tree(config.run_dir)
 

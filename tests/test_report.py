@@ -59,12 +59,14 @@ def copy_run(finished_run, dst):
     root, _, _ = finished_run
     src = root / "joy_vs_fear" / "nsga2"
     dst.mkdir()
-    (dst / "summary.json").write_text((src / "summary.json").read_text())
+    (dst / "summary.json").write_text((src / "summary.json").read_text(encoding="utf-8"),
+                                      encoding="utf-8")
     for rep in range(2):
         rep_dir = dst / f"rep_{rep}"
         rep_dir.mkdir()
         for path in (src / f"rep_{rep}").glob("gen_*.jsonl"):
-            rep_dir.joinpath(path.name).write_text(path.read_text())
+            rep_dir.joinpath(path.name).write_text(path.read_text(encoding="utf-8"),
+                                                   encoding="utf-8")
     return dst
 
 
@@ -83,7 +85,7 @@ def test_load_run_ignores_the_files_of_an_earlier_longer_run(tmp_path, capsys):
         run_experiment(config, build_backends(config))
     run_dir = tmp_path / "joy_vs_fear" / "nsga2"
     assert (run_dir / "rep_1" / "gen_4.jsonl").exists()
-    summary = json.loads((run_dir / "summary.json").read_text())
+    summary = json.loads((run_dir / "summary.json").read_text(encoding="utf-8"))
     report = load_run(run_dir)
     assert [len(c.hypervolumes) for c in report.curves] == [3, 3]
     assert report.final_stats == summary["final"]
@@ -99,14 +101,14 @@ def test_load_run_reads_only_the_generation_files_the_writer_names(finished_run,
     # the writer gives, so none may stand in for gen_1.jsonl or add a generation
     for rep in range(2):
         for name in ("gen_01.jsonl", "gen_\u0661.jsonl", "gen_1.jsonl\n", "gen_04.jsonl"):
-            (dst / f"rep_{rep}" / name).write_text("not json\n")
+            (dst / f"rep_{rep}" / name).write_text("not json\n", encoding="utf-8")
     assert load_run(dst).curves == expected
 
 
 def test_load_run_reports_corrupt_records(finished_run, tmp_path):
     dst = copy_run(finished_run, tmp_path / "corrupt")
     target = dst / "rep_0" / "gen_1.jsonl"
-    target.write_text("not json\n")
+    target.write_text("not json\n", encoding="utf-8")
     with pytest.raises(ReportError) as excinfo:
         load_run(dst)
     assert excinfo.value.bad_files == [str(target)]
@@ -118,7 +120,7 @@ def test_load_run_reports_corrupt_records(finished_run, tmp_path):
 def test_load_run_reports_wrong_shaped_records(finished_run, tmp_path, record):
     dst = copy_run(finished_run, tmp_path / "corrupt")
     target = dst / "rep_0" / "gen_1.jsonl"
-    target.write_text(json.dumps(record) + "\n")
+    target.write_text(json.dumps(record) + "\n", encoding="utf-8")
     with pytest.raises(ReportError) as excinfo:
         load_run(dst)
     assert excinfo.value.bad_files == [str(target)]
@@ -137,7 +139,7 @@ def summary_with(**fields):
 
 def test_load_run_reads_the_summary_the_corrupt_cases_start_from(finished_run, tmp_path):
     dst = copy_run(finished_run, tmp_path / "base")
-    (dst / "summary.json").write_text(json.dumps(summary_with()))
+    (dst / "summary.json").write_text(json.dumps(summary_with()), encoding="utf-8")
     assert [curve.repetition for curve in load_run(dst).curves] == [0]
 
 
@@ -165,7 +167,7 @@ def test_load_run_reads_the_summary_the_corrupt_cases_start_from(finished_run, t
 ])
 def test_load_run_reports_corrupt_summary(finished_run, tmp_path, summary):
     dst = copy_run(finished_run, tmp_path / "corrupt")
-    (dst / "summary.json").write_text(json.dumps(summary))
+    (dst / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
     with pytest.raises(ReportError, match="unreadable summary") as excinfo:
         load_run(dst)
     assert excinfo.value.bad_files == [str(dst / "summary.json")]
@@ -181,12 +183,12 @@ def test_load_run_skips_failed_repetitions(tmp_path):
             {"repetition": 1, "status": "ok"},
         ],
     }
-    (tmp_path / "summary.json").write_text(json.dumps(summary))
+    (tmp_path / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
     rep_dir = tmp_path / "rep_1"
     rep_dir.mkdir()
     row = {"fitness": [0.5, 0.5]}
     for gen in (0, 1):
-        (rep_dir / f"gen_{gen}.jsonl").write_text(json.dumps(row) + "\n")
+        (rep_dir / f"gen_{gen}.jsonl").write_text(json.dumps(row) + "\n", encoding="utf-8")
     report = load_run(tmp_path)
     assert [c.repetition for c in report.curves] == [1]
     assert report.curves[0].hypervolumes == (0.25, 0.25)
@@ -195,7 +197,7 @@ def test_load_run_skips_failed_repetitions(tmp_path):
 def test_load_run_with_no_ok_repetitions(tmp_path):
     summary = {"pair": "joy_vs_fear", "selector": "nsga2", "generations": 1,
                "results": [{"repetition": 0, "status": "failed"}]}
-    (tmp_path / "summary.json").write_text(json.dumps(summary))
+    (tmp_path / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
     with pytest.raises(ReportError, match="no successful repetitions"):
         load_run(tmp_path)
 
@@ -251,7 +253,7 @@ def test_load_run_matches_the_line_by_line_oracle(reps):
         run_dir = Path(tmp)
         summary = {"pair": "joy_vs_fear", "selector": "nsga2", "generations": len(reps[0]) - 1,
                    "results": [{"repetition": rep, "status": "ok"} for rep in range(len(reps))]}
-        (run_dir / "summary.json").write_text(json.dumps(summary))
+        (run_dir / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
         bad, curves = [], []
         for rep, contents in enumerate(reps):
             (run_dir / f"rep_{rep}").mkdir()
@@ -287,10 +289,11 @@ def test_load_run_reuses_a_point_only_for_an_equal_line(tmp_path, monkeypatch):
     files = [[a, b], [a_moved, " \t", b], [a, b]]
     (tmp_path / "summary.json").write_text(json.dumps(
         {"pair": "joy_vs_fear", "selector": "nsga2", "generations": 2,
-         "results": [{"repetition": 0, "status": "ok"}]}))
+         "results": [{"repetition": 0, "status": "ok"}]}), encoding="utf-8")
     (tmp_path / "rep_0").mkdir()
     for generation, lines in enumerate(files):
-        (tmp_path / "rep_0" / f"gen_{generation}.jsonl").write_text("\n".join(lines) + "\n")
+        (tmp_path / "rep_0" / f"gen_{generation}.jsonl").write_text("\n".join(lines) + "\n",
+                                                                    encoding="utf-8")
     parsed = []
 
     def loads(line):

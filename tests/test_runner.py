@@ -380,7 +380,7 @@ def test_run_experiment_writes_output_tree(tmp_path):
         assert (rep_dir / "hypervolume.csv").is_file()
         assert (rep_dir / "pareto_front.json").is_file()
 
-    payload = json.loads((run_dir / "summary.json").read_text())
+    payload = json.loads((run_dir / "summary.json").read_text(encoding="utf-8"))
     assert payload["pair"] == "love_vs_anger"
     assert payload["selector"] == "sms_emoa"
     assert payload["mu"] == 4 and payload["lambda"] == 6
@@ -428,14 +428,12 @@ def test_run_experiment_series_consistent_with_population_files(tmp_path):
     config = small_config(out_dir=str(tmp_path))
     run_experiment(config, build_backends(config))
     rep_dir = tmp_path / "love_vs_anger" / "nsga2" / "rep_0"
-    rows = rep_dir.joinpath("hypervolume.csv").read_text().splitlines()[1:]
+    rows = rep_dir.joinpath("hypervolume.csv").read_text(encoding="utf-8").splitlines()[1:]
     assert len(rows) == config.generations + 1
     for row in rows:
         gen, hv, _ = row.split(",")
-        individuals = [
-            individual_from_dict(json.loads(line))
-            for line in rep_dir.joinpath(f"gen_{gen}.jsonl").read_text().splitlines()
-        ]
+        lines = rep_dir.joinpath(f"gen_{gen}.jsonl").read_text(encoding="utf-8").splitlines()
+        individuals = [individual_from_dict(json.loads(line)) for line in lines]
         points = [ind.fitness for ind in individuals]
         assert float(hv) == hypervolume_2d(points)
 
@@ -446,7 +444,7 @@ def test_run_experiment_lineage_closure(tmp_path):
     rep_dir = tmp_path / "love_vs_anger" / "nsga2" / "rep_1"
     previous_ids = set()
     for gen in range(config.generations + 1):
-        lines = rep_dir.joinpath(f"gen_{gen}.jsonl").read_text().splitlines()
+        lines = rep_dir.joinpath(f"gen_{gen}.jsonl").read_text(encoding="utf-8").splitlines()
         records = [json.loads(line) for line in lines]
         assert len(records) == config.mu
         fresh_start = config.mu + (gen - 1) * config.lam
@@ -498,7 +496,7 @@ def test_run_experiment_records_failed_repetitions(tmp_path):
     assert all(r.status == "failed" for r in summary.results)
     assert summary.final_stats is None
     payload = json.loads(
-        (tmp_path / "love_vs_anger" / "nsga2" / "summary.json").read_text()
+        (tmp_path / "love_vs_anger" / "nsga2" / "summary.json").read_text(encoding="utf-8")
     )
     assert payload["final"] is None
     assert all(r["error"] for r in payload["results"])
@@ -538,7 +536,8 @@ def test_live_run_falls_back_on_stories_with_lone_surrogates(tmp_path):
     run_dir = tmp_path / "love_vs_anger" / "nsga2"
     assert len(load_run(run_dir).curves) == config.repetitions
     for rep in range(config.repetitions):
-        rows = (run_dir / f"rep_{rep}" / "hypervolume.csv").read_text().splitlines()[1:]
+        path = run_dir / f"rep_{rep}" / "hypervolume.csv"
+        rows = path.read_text(encoding="utf-8").splitlines()[1:]
         assert len(rows) == config.generations + 1
         # every offspring's story fell back to an empty text
         assert all(int(row.split(",")[2]) == config.lam for row in rows[1:])
@@ -662,8 +661,8 @@ def test_live_run_overlaps_generation_and_classification(tmp_path, seed, faults,
     for path in files:
         assert (live_dir / path.relative_to(mock_dir)).read_bytes() == path.read_bytes(), path
     # the summaries differ only in the backend they name
-    mock_summary = json.loads((mock_dir / "summary.json").read_text())
-    live_summary = json.loads((live_dir / "summary.json").read_text())
+    mock_summary = json.loads((mock_dir / "summary.json").read_text(encoding="utf-8"))
+    live_summary = json.loads((live_dir / "summary.json").read_text(encoding="utf-8"))
     assert (live_summary.pop("backend"), mock_summary.pop("backend")) == ("live", "mock")
     assert live_summary == mock_summary
 
@@ -681,7 +680,8 @@ def test_live_run_counts_a_malformed_reply_as_one_fallback(tmp_path):
     assert dict(served) == faults
     counts = {}
     for rep in range(live.repetitions):
-        lines = (live.run_dir / f"rep_{rep}" / "hypervolume.csv").read_text().splitlines()
+        path = live.run_dir / f"rep_{rep}" / "hypervolume.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
         for line in lines[1:]:
             generation, _, fallbacks = line.split(",")
             counts[rep, int(generation)] = int(fallbacks)

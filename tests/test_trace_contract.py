@@ -108,7 +108,7 @@ def test_the_benchmark_stub_answers_like_the_in_process_mocks():
     # the stub prints its port, serves until its stdin closes, then prints its counters
     command = [sys.executable, str(PERFBENCH / "stub_server.py"), "--seed", "3"]
     with subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                          text=True) as stub:
+                          text=True, encoding="utf-8") as stub:
         url = f"http://127.0.0.1:{json.loads(stub.stdout.readline())['port']}"
         request = GenerationRequest("write a 3 sentence story", system="Tell the story.")
         with Backends(generator=OllamaClient(url, seed=3),

@@ -319,7 +319,8 @@ def test_operators_let_a_refused_request_through(operator):
 
 def test_load_operator_suite_overrides_instructions(tmp_path):
     path = tmp_path / "ops.json"
-    path.write_text(json.dumps({"mutation_instructions": [{"id": "only", "text": "Reword it"}]}))
+    path.write_text(json.dumps({"mutation_instructions": [{"id": "only", "text": "Reword it"}]}),
+                    encoding="utf-8")
     suite = load_operator_suite(path)
     assert [i.id for i in suite.mutation_instructions] == ["only"]
     assert suite.crossover == DEFAULT_CROSSOVER_TEMPLATE
@@ -329,7 +330,7 @@ def test_load_operator_suite_overrides_template(tmp_path):
     path = tmp_path / "ops.json"
     path.write_text(
         json.dumps({"crossover": {"body_template": 'Mix "{parent_a}" with "{parent_b}".'}})
-    )
+    , encoding="utf-8")
     suite = load_operator_suite(path)
     assert suite.crossover.body_template == 'Mix "{parent_a}" with "{parent_b}".'
     assert suite.crossover.system_instruction == ""
@@ -338,17 +339,19 @@ def test_load_operator_suite_overrides_template(tmp_path):
 
 def test_load_operator_suite_rejects_unknown_keys(tmp_path):
     path = tmp_path / "ops.json"
-    path.write_text(json.dumps({"selection": {}}))
+    path.write_text(json.dumps({"selection": {}}), encoding="utf-8")
     with pytest.raises(ValueError, match="^unknown operators file keys: selection$"):
         load_operator_suite(path)
-    path.write_text(json.dumps({"mutation": {"body_template": "x", "notes": "y"}}))
+    path.write_text(json.dumps({"mutation": {"body_template": "x", "notes": "y"}}),
+                    encoding="utf-8")
     with pytest.raises(ValueError, match="^unknown mutation keys: notes$"):
         load_operator_suite(path)
 
 
 def test_load_operator_suite_checks_placeholders(tmp_path):
     path = tmp_path / "ops.json"
-    path.write_text(json.dumps({"generation": {"body_template": "no placeholder"}}))
+    path.write_text(json.dumps({"generation": {"body_template": "no placeholder"}}),
+                    encoding="utf-8")
     with pytest.raises(ValueError, match=r"^generation.body_template must use the plain "
                                          r"placeholders \['prompt'\] and no others, "
                                          r"got 'no placeholder'$"):
@@ -359,7 +362,7 @@ def test_load_operator_suite_reads_few_shot_examples(tmp_path):
     path = tmp_path / "ops.json"
     path.write_text(json.dumps({"generation": {
         "body_template": "{prompt}", "few_shot_examples": [["tell it", "Once, a river."]]
-    }}))
+    }}), encoding="utf-8")
     suite = load_operator_suite(path)
     assert suite.generation.few_shot_examples == (("tell it", "Once, a river."),)
 
@@ -371,6 +374,8 @@ def test_the_default_templates_load_back_from_json(tmp_path):
                 for slot in ("crossover", "mutation", "generation")}
     path = tmp_path / "ops.json"
     path.write_text(json.dumps({**sections, "mutation_instructions": [
-        dataclasses.asdict(instruction) for instruction in DEFAULT_MUTATION_INSTRUCTIONS]}))
+        dataclasses.asdict(instruction) for instruction in DEFAULT_MUTATION_INSTRUCTIONS]}),
+        encoding="utf-8")
     assert load_operator_suite(path) == OperatorSuite()
-    assert isinstance(json.loads(path.read_text())["mutation"]["few_shot_examples"][0], list)
+    written = json.loads(path.read_text(encoding="utf-8"))
+    assert isinstance(written["mutation"]["few_shot_examples"][0], list)
