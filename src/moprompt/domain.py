@@ -290,7 +290,7 @@ def _open_for_writing(path: Path):
     return open(path, "w", encoding="utf-8", newline="\n", buffering=_WRITE_BUFFER)
 
 
-def write_generation(rep_dir: Path, generation: int, population) -> None:
+def write_generation(rep_dir: Path, generation: int, population: tuple[Individual, ...]) -> None:
     """Write the generation's survivors, one record line each."""
     with _open_for_writing(rep_dir / GENERATION_FILE.format(generation)) as handle:
         for ind in population:
