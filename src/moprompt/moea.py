@@ -9,10 +9,10 @@ meets and the lowest-index leftovers as padding; greedy subset selection
 drops the lowest index among equal contributions, so of two copies of a
 point it keeps the higher-index one.
 
-Non-dominated sorting and domination counting are exact O(n log n) sweeps
-over the points in descending f1 order, so survivor selection scales as
-O(n log n) in the candidate count up to the subset selection that runs
-when the Pareto front alone overflows.
+Non-dominated sorting and domination counting are exact sweeps over the
+points in descending f1 order, in O(n log n) comparisons; the count's
+sorted-list insertions also shift O(n^2) slots in all, which costs more
+than the comparisons only past about 60,000 candidates.
 
 The hypervolume routines are exact 2-D algorithms. Both objectives are
 maximized and the reference point is the origin, which lies at or below
@@ -22,7 +22,7 @@ the axis-aligned rectangles spanned by the origin and each point.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -77,29 +77,21 @@ def nondominated_sort(points: list[FitnessPoint]) -> list[tuple[int, ...]]:
 
 
 def _domination_counts(points: list[FitnessPoint]) -> list[int]:
-    """How many points dominate each point, in O(n log n).
+    """How many points dominate each point.
 
-    One pass in nondominated_sort's visiting order over a Fenwick tree of
-    the distinct (f2, f1) keys, rank 1 the largest. By the same invariant,
-    a visited point dominates p exactly when its key is larger than p's,
-    and no later point can, so p's count is the prefix sum over the ranks
-    above its own, taken before p is inserted. Copies of p share its key
-    and are not counted.
+    One pass in nondominated_sort's visiting order keeps the visited (f2, f1)
+    keys in a sorted list. By the same invariant, a visited point dominates p
+    exactly when its key is larger, and no later point can, so p's count is
+    the number of visited keys above p's; bisect_right leaves out p's copies.
+    O(n log n) comparisons, but each insertion shifts the larger keys by one
+    slot, which costs more than the comparisons only past about 60,000 points.
     """
-    keys = sorted({(p.f2, p.f1) for p in points}, reverse=True)
-    key_rank = {key: r for r, key in enumerate(keys, 1)}
-    tree = [0] * (len(keys) + 1)
+    visited: list[tuple[float, float]] = []
     counts = [0] * len(points)
     for i in sorted(range(len(points)), key=lambda i: (-points[i].f1, -points[i].f2)):
-        r = key_rank[(points[i].f2, points[i].f1)]
-        larger, k = 0, r - 1
-        while k > 0:
-            larger += tree[k]
-            k -= k & -k
-        counts[i] = larger
-        while r < len(tree):
-            tree[r] += 1
-            r += r & -r
+        key = (points[i].f2, points[i].f1)
+        counts[i] = len(visited) - bisect_right(visited, key)
+        insort(visited, key)
     return counts
 
 

@@ -23,7 +23,7 @@ from moprompt.moea import (
 )
 from moprompt.report import load_run
 from moprompt.runner import BackendConfig, RunConfig, build_backends, run_experiment
-from oracles import hypervolume_oracle, sort_oracle
+from oracles import check_tree, hypervolume_oracle, sort_oracle
 from test_backends import SIX_SCORES, StubServer
 
 ORIGIN = (0.0, 0.0)
@@ -234,7 +234,8 @@ def test_criterion_11_live_smoke(tmp_path):
             out_dir=str(tmp_path),
             backend=BackendConfig(kind="live"),
         )
-        summary = run_experiment(config, build_backends(config))
+        with build_backends(config) as backends:
+            summary = run_experiment(config, backends)
         assert summary.successes == 1
         assert summary.results[0].final_hypervolume > 0.0
         rep_dir = tmp_path / "joy_vs_fear" / "sms_emoa" / "rep_0"
@@ -246,3 +247,4 @@ def test_criterion_11_live_smoke(tmp_path):
                 assert record["prompt"].strip()
                 f1, f2 = record["fitness"]
                 assert 0.0 <= f1 <= 1.0 and 0.0 <= f2 <= 1.0
+        check_tree(tmp_path / "joy_vs_fear" / "sms_emoa")
