@@ -247,4 +247,4 @@ def test_criterion_11_live_smoke(tmp_path):
                 assert record["prompt"].strip()
                 f1, f2 = record["fitness"]
                 assert 0.0 <= f1 <= 1.0 and 0.0 <= f2 <= 1.0
-        check_tree(tmp_path / "joy_vs_fear" / "sms_emoa")
+        check_tree(rep_dir.parent)
