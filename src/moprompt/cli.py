@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .backends import BackendPolicy, LlmSettings, load_lexicons
-from .domain import SUMMARY_FILE, FitnessPoint, ObjectivePair, Prompt
+from .domain import SUMMARY_FILE, FitnessPoint, ObjectivePair, Prompt, open_for_writing
 from .moea import hv_subset_select, hypervolume_2d
 from .report import ReportError, discover_runs, load_run
 from .rules import build, check, read_json_object, section, strings, text
@@ -194,7 +194,7 @@ def cmd_report(args) -> int:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with open_for_writing(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
         writer.writerows(rows)

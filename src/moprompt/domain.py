@@ -285,20 +285,20 @@ GENERATION_FILE = "gen_{}.jsonl"
 _WRITE_BUFFER = 1 << 16
 
 
-def _open_for_writing(path: Path):
-    """A text file for one of the tree's writers: UTF-8, LF line ends."""
+def open_for_writing(path: Path):
+    """A text file for any file the program writes: UTF-8, no newline translation."""
     return open(path, "w", encoding="utf-8", newline="\n", buffering=_WRITE_BUFFER)
 
 
 def write_generation(rep_dir: Path, generation: int, population: tuple[Individual, ...]) -> None:
     """Write the generation's survivors, one record line each."""
-    with _open_for_writing(rep_dir / GENERATION_FILE.format(generation)) as handle:
+    with open_for_writing(rep_dir / GENERATION_FILE.format(generation)) as handle:
         for ind in population:
             handle.write(ind.record_line())
 
 
 def write_hypervolume_series(rep_dir: Path, rows: list[tuple[int, float, int]]) -> None:
-    with _open_for_writing(rep_dir / "hypervolume.csv") as handle:
+    with open_for_writing(rep_dir / "hypervolume.csv") as handle:
         handle.write("generation,hypervolume,fallback_count\n")
         for generation, hypervolume, fallback_count in rows:
             handle.write(f"{generation},{hypervolume!r},{fallback_count}\n")
@@ -332,7 +332,7 @@ def write_summary(run_dir: Path, config, summary) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with _open_for_writing(path) as handle:
+    with open_for_writing(path) as handle:
         json.dump(payload, handle, ensure_ascii=False, indent=2)
         handle.write("\n")
 

@@ -1,8 +1,8 @@
 """Multi-objective selection machinery for two maximized objectives.
 
-Pure functions over lists of FitnessPoint. Everything is deterministic, so
-a selector called twice on the same input returns the same output. Each
-path breaks ties its own way: the crowding cut and the cut of a later
+Pure, deterministic functions over lists of FitnessPoint. A selector
+diagnoses (crowding or contribution) only the fronts it takes or cuts.
+Each path breaks ties its own way: the crowding cut and the cut of a later
 front keep the lower index among equal keys; exact subset selection keeps
 the lowest-index copy of a point, the first optimum its dynamic program
 meets and the lowest-index leftovers as padding; greedy subset selection
@@ -32,10 +32,10 @@ from .domain import FitnessPoint
 class SelectionOutcome:
     """Result of survivor selection over a candidate list.
 
-    selected holds candidate indices in selection order, ranks and
-    diagnostics are aligned with the full candidate list. The diagnostic is
-    crowding distance for NSGA-II and per-front hypervolume contribution for
-    the hypervolume-based selector.
+    selected holds candidate indices in selection order; ranks and
+    diagnostics align with the candidate list. The diagnostic is crowding
+    distance (NSGA-II) or per-front hypervolume contribution (SMS-EMOA), and
+    a candidate in a front below the cut keeps the placeholder 0.0.
     """
 
     selected: tuple[int, ...]
@@ -251,32 +251,27 @@ def _select_by_fronts(
 ) -> SelectionOutcome:
     """The survivor selection both selectors share.
 
-    Sorts the candidates into fronts, records each one's rank and its
-    diagnose() value within its front, then takes whole fronts in rank
-    order. From the front that does not fit, pick_overflow(rank, front,
-    need, diagnostics) chooses the need indices that fill mu.
+    One pass over the fronts in rank order (Deb et al. 2002) records every
+    rank. While survivors are needed it records a front's diagnose() values
+    and takes it whole, or lets pick_overflow(rank, front, need, diagnostics)
+    pick the need indices that fill mu; later fronts are not diagnosed.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
     if len(candidates) < mu:
         raise ValueError(f"need at least {mu} candidates, got {len(candidates)}")
-    fronts = nondominated_sort(candidates)
     ranks = [0] * len(candidates)
     diagnostics = [0.0] * len(candidates)
-    for rank, front in enumerate(fronts):
-        values = diagnose([candidates[i] for i in front])
-        for i, value in zip(front, values):
-            ranks[i] = rank
-            diagnostics[i] = value
     selected: list[int] = []
-    for rank, front in enumerate(fronts):
+    for rank, front in enumerate(nondominated_sort(candidates)):
         need = mu - len(selected)
-        if need == 0:
-            break
-        if len(front) > need:
-            selected.extend(pick_overflow(rank, front, need, diagnostics))
-            break
-        selected.extend(front)
+        if need:
+            for i, value in zip(front, diagnose([candidates[i] for i in front])):
+                diagnostics[i] = value
+            fits = len(front) <= need
+            selected.extend(front if fits else pick_overflow(rank, front, need, diagnostics))
+        for i in front:
+            ranks[i] = rank
     return SelectionOutcome(tuple(selected), tuple(ranks), tuple(diagnostics))
 
 

@@ -2,14 +2,19 @@
 
 Run with -s to see every line; a failing criterion also fails its test.
 The end-to-end criteria share one mock experiment via a module fixture.
+Criterion 11 runs against EMO_LLM_URL and EMO_CLF_URL when both are set,
+and otherwise against the benchmark's stub server.
 """
 
 import itertools
 import json
 import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +32,7 @@ from oracles import check_tree, hypervolume_oracle, sort_oracle
 from test_backends import SIX_SCORES, StubServer
 
 ORIGIN = (0.0, 0.0)
+STUB_SERVER = Path(__file__).resolve().parent.parent / "perfbench" / "stub_server.py"
 
 
 @contextmanager
@@ -216,11 +222,30 @@ def test_criterion_10_report_statistics_match_summaries(mock_run):
                 assert abs(recomputed[key] - kept[key]) <= 1e-12
 
 
-@pytest.mark.skipif(
-    not (os.environ.get("EMO_LLM_URL") and os.environ.get("EMO_CLF_URL")),
-    reason="live smoke needs EMO_LLM_URL and EMO_CLF_URL",
-)
-def test_criterion_11_live_smoke(tmp_path):
+@pytest.fixture
+def live_services(monkeypatch):
+    """The services criterion 11 calls: EMO_LLM_URL and EMO_CLF_URL when both
+    are set, else perfbench/stub_server.py, which serves the in-process mocks
+    with injected 503s. The stub is read, not edited: if it drops --seed for
+    ROADMAP item 6's slice B, this fixture must follow."""
+    if os.environ.get("EMO_LLM_URL") and os.environ.get("EMO_CLF_URL"):
+        yield
+        return
+    command = [sys.executable, str(STUB_SERVER), "--seed", "0"]
+    # the stub prints its port, serves until its stdin closes, then prints its counters
+    with subprocess.Popen(command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          text=True, encoding="utf-8") as stub:
+        url = f"http://127.0.0.1:{json.loads(stub.stdout.readline())['port']}"
+        monkeypatch.setenv("EMO_LLM_URL", url)
+        monkeypatch.setenv("EMO_CLF_URL", f"{url}/classify")
+        yield
+        counters, _ = stub.communicate(timeout=10)
+    assert stub.returncode == 0
+    counters = json.loads(counters)
+    assert counters["requests"]["generate"] > 0 and counters["faults"] > 0
+
+
+def test_criterion_11_live_smoke(tmp_path, live_services):
     with criterion(11, "live one-repetition run completes with positive hypervolume"):
         config = RunConfig(
             pair=ObjectivePair.parse("joy:fear"),

@@ -491,6 +491,26 @@ def test_sms_fronts_fit_then_domination_count_order():
     assert outcome.ranks == (0, 0, 1, 1, 1, 2)
 
 
+@pytest.mark.parametrize("select, diagnose", [
+    (nsga2_select, crowding_distance),
+    (lambda pts, mu: sms_emoa_select(pts, mu, "greedy"), hv_contributions),
+    (lambda pts, mu: sms_emoa_select(pts, mu, "exact"), hv_contributions),
+], ids=["nsga2", "sms_greedy", "sms_exact"])
+def test_selectors_diagnose_only_the_fronts_they_take_or_cut(select, diagnose):
+    # the fronts are {0, 1}, {2, 3, 4} and {5}; mu 4 cuts front 1, so front 2
+    # lies wholly below the cut: it keeps its rank but not its diagnostic,
+    # which alone in its front would be crowding inf or contribution 0.16
+    pts = points_of(
+        (0.9, 0.5), (0.5, 0.9),
+        (0.45, 0.45), (0.58, 0.38), (0.38, 0.58), (0.40, 0.40),
+    )
+    outcome = select(pts, 4)
+    assert outcome.ranks == (0, 0, 1, 1, 1, 2)
+    for front in ((0, 1), (2, 3, 4)):
+        assert [outcome.diagnostics[i] for i in front] == diagnose([pts[i] for i in front])
+    assert outcome.diagnostics[5] == 0.0
+
+
 def test_sms_keeps_front0_when_it_fits():
     rng = random.Random(71)
     for mode in ("greedy", "exact"):

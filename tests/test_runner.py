@@ -1,6 +1,7 @@
 """Generational loop: initialization, offspring, elitism, output tree."""
 
 import collections
+import dataclasses
 import json
 import tempfile
 import threading
@@ -650,21 +651,62 @@ def test_live_run_overlaps_generation_and_classification(tmp_path, seed, faults,
     assert set(server.path_max_inflight) == {"/api/generate", "/classify"}
     assert max(server.path_max_inflight.values()) == 1
     assert frozenset({"/api/generate", "/classify"}) in server.paths_together
+    assert_live_tree_is_the_mock_tree(live, tmp_path / "mock")
 
-    mock = small_config(seed=seed, out_dir=str(tmp_path / "mock"))
+
+def assert_live_tree_is_the_mock_tree(live, mock_root):
+    """The live run's tree passes check_tree and equals a mock run's with the
+    same config byte for byte, apart from the backend its summary names."""
+    mock = dataclasses.replace(live, backend=BackendConfig(), out_dir=str(mock_root))
     run_experiment(mock, build_backends(mock))
-    mock_dir = tmp_path / "mock" / "love_vs_anger" / "nsga2"
-    live_dir = tmp_path / "live" / "love_vs_anger" / "nsga2"
-    check_tree(live_dir)
-    files = sorted(mock_dir.glob("rep_*/*"))
+    check_tree(live.run_dir)
+    files = sorted(mock.run_dir.glob("rep_*/*"))
     assert len(files) == mock.repetitions * (mock.generations + 3)
     for path in files:
-        assert (live_dir / path.relative_to(mock_dir)).read_bytes() == path.read_bytes(), path
-    # the summaries differ only in the backend they name
-    mock_summary = json.loads((mock_dir / "summary.json").read_text(encoding="utf-8"))
-    live_summary = json.loads((live_dir / "summary.json").read_text(encoding="utf-8"))
+        live_path = live.run_dir / path.relative_to(mock.run_dir)
+        assert live_path.read_bytes() == path.read_bytes(), path
+    mock_summary = json.loads((mock.run_dir / "summary.json").read_text(encoding="utf-8"))
+    live_summary = json.loads((live.run_dir / "summary.json").read_text(encoding="utf-8"))
     assert (live_summary.pop("backend"), mock_summary.pop("backend")) == ("live", "mock")
     assert live_summary == mock_summary
+
+
+# a run of mu 4, lambda 6 and 2 generations sends a story request per founder
+# and a crossover, a mutation and a story request per offspring, and one
+# classify request per individual; retries only add to these counts
+BASE_REQUESTS = {"/api/generate": 4 + 3 * 6 * 2, "/classify": 4 + 6 * 2}
+RETRYABLE = [(503, INJECTED), (429, INJECTED), (None, None)]  # None: a TCP reset
+
+
+@st.composite
+def fault_schedules(draw):
+    """Up to four retryable faults at distinct (path, request number) slots
+    within the base counts, at most one of them a reply later than 0.25 s."""
+    slot = st.sampled_from(sorted(BASE_REQUESTS)).flatmap(
+        lambda path: st.tuples(st.just(path), st.integers(1, BASE_REQUESTS[path])))
+    slots = draw(st.lists(slot, max_size=4, unique=True))
+    late = draw(st.integers(-1, len(slots) - 1))  # the late one's position, if any
+    return {key: (200, INJECTED, 1.0) if n == late else draw(st.sampled_from(RETRYABLE))
+            for n, key in enumerate(slots)}
+
+
+@settings(max_examples=15, deadline=None)
+@given(fault_schedules(), st.sampled_from([(False, None), (True, None), (True, 0.005)]),
+       st.integers(0, 3))
+def test_live_run_writes_the_mock_tree_under_any_retryable_schedule(faults, transport, seed):
+    # the pool's two workers take the one generate slot in either order, so a
+    # request number does not name one request, and a retry may land on a
+    # later fault: a retry per scheduled fault covers every request
+    http11, idle_timeout = transport
+    reply, served = mock_service(faults)
+    with tempfile.TemporaryDirectory() as tmp:
+        with StubServer(reply, http11=http11, idle_timeout=idle_timeout) as server:
+            live = live_config(server, max_retries=len(faults), timeout=0.25, generations=2,
+                               repetitions=1, seed=seed, out_dir=f"{tmp}/live")
+            with build_backends(live) as backends:
+                assert run_experiment(live, backends).successes == 1
+        assert dict(served) == faults
+        assert_live_tree_is_the_mock_tree(live, f"{tmp}/mock")
 
 
 def test_live_run_counts_a_malformed_reply_as_one_fallback(tmp_path):
