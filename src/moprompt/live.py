@@ -6,11 +6,11 @@ Both are a `_Client`, the one class that holds what posting JSON to one URL
 takes: the route there, direct or through a proxy, the request headers, the
 idle kept-alive `http.client` connections, a semaphore of request slots, and
 the retry loop under the run's BackendPolicy. A call takes an idle
-connection, or opens one, inside its request slot and puts it back once
-`_post_json` has read the whole reply, so a client holds at most
-`max_concurrent_requests` connections. This module owns the whole HTTP
-stack; `runner.build_backends` imports it only when a run asks for live
-backends.
+connection object, or makes one, inside its request slot and always puts it
+back, so a client holds at most `max_concurrent_requests` of them for its
+whole life. A closed socket is not a lost object: `http.client` opens a new
+one on the next request. This module owns the whole HTTP stack;
+`runner.build_backends` imports it only when a run asks for live backends.
 """
 
 from __future__ import annotations
@@ -55,20 +55,21 @@ def _send(connection: http.client.HTTPConnection, target: str, body: bytes,
 def _post_json(client: _Client, body: bytes) -> bytes:
     """POST body, an encoded JSON document, and return the whole reply body.
 
-    The request goes over an idle connection when there is one. If the
-    server closed that connection before replying, the request is sent once
-    more on a new one; a failure on a new connection, or a timeout, is left
-    to the caller's retry policy. A connection goes back to the idle list
-    only after its whole reply has been read, and is closed after any
-    exception. A reply other than 2xx raises once its body is read: a 5xx or
-    429 raises HTTPException, which the retry policy retries, and any other
-    status BackendRejected. The message ends with the start of that body, so
-    the server's own reason reaches the log.
+    The connection object, idle or new, goes back to the idle list however
+    the call ends, so it lives as long as its client; its socket is closed
+    after any exception, and `http.client` opens a new one on the next
+    request. A request the server hung up on over a reused socket is sent
+    once more on a new one; any other failure is left to the retry policy.
+    A reply other than 2xx raises once its body is read: a 5xx or 429
+    HTTPException, which is retried, and any other status BackendRejected.
+    Either message ends with the start of that body, so the server's own
+    reason reaches the log.
     """
     try:
-        connection, reused = client._idle.pop(), True
+        connection = client._idle.pop()
     except IndexError:
-        connection, reused = client._open(), False
+        connection = client._open()
+    reused = connection.sock is not None
     try:
         try:
             response = _send(connection, client._target, body, client._headers)
@@ -76,15 +77,12 @@ def _post_json(client: _Client, body: bytes) -> bytes:
             if not reused:
                 raise
             connection.close()
-            connection = client._open()
             response = _send(connection, client._target, body, client._headers)
         data = response.read()
     except BaseException:
         connection.close()
         raise
-    if response.will_close:
-        connection.close()
-    else:
+    finally:
         client._idle.append(connection)
     if not 200 <= response.status < 300:
         # repr escapes control characters, so a body cannot forge log lines

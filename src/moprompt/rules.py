@@ -94,9 +94,9 @@ def _url_problem(url) -> str | None:
     return None if valid else f"must be an http:// or https:// URL with a host, got {url!r}"
 
 
-def _token_problem(token: str | None) -> str | None:
-    # bearer tokens are printable ASCII (RFC 6750); a token is never echoed
-    if token is None or all(" " <= ch <= "~" for ch in token):
+def _token_problem(token) -> str | None:
+    # bearer tokens are printable ASCII text (RFC 6750); a token is never echoed
+    if token is None or isinstance(token, str) and all(" " <= ch <= "~" for ch in token):
         return None
     return "must be printable ASCII, with no line breaks or other control characters"
 

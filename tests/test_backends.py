@@ -787,8 +787,9 @@ def answering_late():
 
 
 @contextlib.contextmanager
-def hanging_up():
-    """A server that reads each request and closes the connection unanswered."""
+def hanging_up(accepted=None):
+    """A server that reads each request and closes the connection unanswered.
+    It appends each connection it accepts to the list accepted, if given."""
     stop = threading.Event()
     with socket.create_server(("127.0.0.1", 0)) as listener:
         listener.settimeout(0.05)
@@ -799,6 +800,8 @@ def hanging_up():
                     conn, _ = listener.accept()
                 except TimeoutError:
                     continue
+                if accepted is not None:
+                    accepted.append(conn)
                 with conn:
                     conn.recv(65536)
 
@@ -824,7 +827,7 @@ CLIENT_CALLS = {
 @pytest.mark.parametrize("server", [closed_port, answering_late, hanging_up],
                          ids=["refused", "read-timeout", "closed-unanswered"])
 def test_transport_failures_are_retried_then_raise(monkeypatch, client, server):
-    sent = []
+    sent, accepted = [], []
     post = live._post_json
 
     def counting(opener, url, *args):
@@ -833,10 +836,13 @@ def test_transport_failures_are_retried_then_raise(monkeypatch, client, server):
 
     monkeypatch.setattr(live, "_post_json", counting)
     policy = BackendPolicy(timeout=0.2, max_retries=2, backoff=0.0)
-    with server() as url:
+    with hanging_up(accepted) if server is hanging_up else server() as url:
         with pytest.raises(BackendError, match="after 3 attempts"):
             CLIENT_CALLS[client](url, policy)
     assert len(sent) == policy.max_retries + 1
+    if server is hanging_up:
+        # a hang-up on a new connection is the retry policy's, not resent at once
+        assert len(accepted) == policy.max_retries + 1
 
 
 @pytest.mark.parametrize(
@@ -854,6 +860,12 @@ def test_classifier_rejects_a_token_that_cannot_be_a_header_value(token):
     with pytest.raises(ValueError, match="^classifier.token must be printable ASCII") as info:
         HttpEmotionClassifier("http://127.0.0.1:1", token=token)
     assert token not in str(info.value)  # a secret is not echoed
+
+
+def test_classifier_rejects_a_token_that_is_not_a_string():
+    with pytest.raises(ValueError, match="^classifier.token must be printable ASCII") as info:
+        HttpEmotionClassifier("http://127.0.0.1:1", token=123)
+    assert "123" not in str(info.value)
 
 
 def test_classifier_client_sends_token_and_truncates():
@@ -926,13 +938,15 @@ CLOSES_ITS_SOCKETS = pytest.mark.filterwarnings(
 
 
 @CLOSES_ITS_SOCKETS
-def test_sequential_calls_share_one_connection():
-    with StubServer(echo_prompt, http11=True) as server, contextlib.closing(
+@pytest.mark.parametrize("http11", [True, False])
+def test_sequential_calls_share_one_connection(http11):
+    # an HTTP/1.0 server ends each connection with its reply, so each call opens one
+    with StubServer(echo_prompt, http11=http11) as server, contextlib.closing(
         OllamaClient(server.url, BackendPolicy(max_retries=0))
     ) as client:
         replies = [client.complete(GenerationRequest(f"call {i}")) for i in range(10)]
     assert replies == [f"call {i}" for i in range(10)]
-    assert server.connections == 1
+    assert server.connections == (1 if http11 else 10)
 
 
 @CLOSES_ITS_SOCKETS
