@@ -7,9 +7,10 @@ branch, or by `pass` when it has none. The files the checkout would commit
 are copied once to a temporary directory, and only that copy is mutated.
 One pytest process at a time runs the given test files (all of tier-1 when
 none are given) against each mutant, and then full tier-1 against each
-mutant those files did not kill. A mutant that passes both is a survivor,
-printed with its line. A run that outlasts three times the unmutated run,
-plus a minute, counts as killed. The exit status is 1 if any mutant survived.
+mutant those files did not kill. It prints the line of each mutant that
+only full tier-1 killed, and of each survivor: a mutant that passes both. A
+run that outlasts three times the unmutated run, plus a minute, counts as
+killed. The exit status is 1 if any mutant survived.
 """
 
 from __future__ import annotations
@@ -125,7 +126,9 @@ def main() -> int:
               f"{' '.join(args.tests) or 'tier-1'}", flush=True)
         if alive and args.tests:
             after = survivors(alive, [])
-            print(f"{module}: tier-1 killed {len(alive) - len(after)} more", flush=True)
+            for line, mutated in alive:
+                if (line, mutated) not in after:
+                    print(f"{module}:{line}: killed only by tier-1", flush=True)
             alive = after
     for line, _ in alive:
         print(f"{module}:{line}: survived")
