@@ -4,13 +4,14 @@ emotion classification.
 
 Both are a `_Client`, the one class that holds what posting JSON to one URL
 takes: the route there, direct or through a proxy, the request headers, the
-idle kept-alive `http.client` connections, a semaphore of request slots, and
-the retry loop under the run's BackendPolicy. A call takes an idle
-connection object, or makes one, inside its request slot and always puts it
-back, so a client holds at most `max_concurrent_requests` of them for its
-whole life. A closed socket is not a lost object: `http.client` opens a new
-one on the next request. This module owns the whole HTTP stack;
-`runner.build_backends` imports it only when a run asks for live backends.
+idle kept-alive `http.client` connections, a semaphore of request slots, the
+retry loop under the run's BackendPolicy and a memo of replies by request
+body. A call takes an idle connection object, or makes one, inside its
+request slot and always puts it back, so a client holds at most
+`max_concurrent_requests` of them for its whole life. A closed socket is
+not a lost object: `http.client` opens a new one on the next request. This
+module owns the whole HTTP stack; `runner.build_backends` imports it only
+when a run asks for live backends.
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ def _post_json(client: _Client, body: bytes) -> bytes:
 class _Client:
     """What both clients share: the route and headers of their one URL, its
     idle kept-alive connections, request slots, and calls retried under the
-    policy.
+    policy. It sends each distinct request body once in its life and answers
+    a repeat from memory, which grows by about one body per distinct request.
 
     The proxy is read from the environment once, since the host is fixed:
     `http_proxy` or `https_proxy` for the URL's scheme, unless `no_proxy`
@@ -112,6 +114,7 @@ class _Client:
         self.policy = policy
         self._slots = threading.BoundedSemaphore(policy.max_concurrent_requests)
         self._idle: list[http.client.HTTPConnection] = []
+        self._replies: dict[bytes, object] = {}  # request body -> parsed reply
         self._headers = {"Content-Type": "application/json"}
         parts = urllib.parse.urlsplit(url)
         self._target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
@@ -148,13 +151,19 @@ class _Client:
 
     def _call(self, describe: str, body: bytes, parse):
         """POST body in a request slot and return parse(the reply's JSON value).
+        Only a parsed value is remembered, before the slot is released. body is
+        looked up before the slot and inside it, so a repeat queued behind its
+        twin is answered from memory; two that miss at once are both sent.
         Only what may pass on a retry is retried: transport failures, 5xx, 429."""
+        if body in self._replies:
+            return self._replies[body]
         delay = self.policy.backoff
         for attempt in range(self.policy.max_retries + 1):
             try:
                 with self._slots:
-                    raw = _post_json(self, body)
-                return parse(parse_json(raw, "reply"))
+                    if body not in self._replies:
+                        self._replies[body] = parse(parse_json(_post_json(self, body), "reply"))
+                    return self._replies[body]
             except BackendRejected as exc:
                 raise BackendRejected(f"{describe} failed: {exc}") from exc
             except (OSError, http.client.HTTPException) as exc:
@@ -181,7 +190,9 @@ class OllamaClient(_Client):
     them into a server-side model definition, so one running model serves
     every operator. Every request carries the model and decoding settings
     of llm, and seed as options.seed, so the same model on the same server
-    build answers the same request with the same text.
+    build answers the same request with the same text. So a repeated request
+    is answered from memory, where a server that ignored options.seed would
+    have sampled it afresh.
     """
 
     def __init__(self, base_url: str, policy: BackendPolicy = BackendPolicy(),

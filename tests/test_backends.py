@@ -5,6 +5,7 @@ import contextlib
 import http.server
 import json
 import math
+import os
 import random
 import socket
 import struct
@@ -899,15 +900,16 @@ def test_concurrency_cap_is_respected():
         client = OllamaClient(server.url, policy)
         results = []
 
-        def worker():
-            results.append(client.complete(GenerationRequest("hi")))
+        def worker(i):
+            results.append(client.complete(GenerationRequest(f"hi {i}")))
 
-        threads = [threading.Thread(target=worker) for _ in range(6)]
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join()
     assert results == ["ok"] * 6
+    assert len(server.seen) == 6
     assert server.max_inflight <= 2
 
 
@@ -1002,11 +1004,144 @@ def test_a_server_with_nagle_on_does_not_stall_a_kept_alive_connection():
         OllamaClient(server.url, BackendPolicy(max_retries=0))
     ) as client:
         start = time.perf_counter()
-        for _ in range(20):
-            client.complete(GenerationRequest("hi"))
+        for i in range(20):  # distinct bodies, so each is sent
+            client.complete(GenerationRequest(f"hi {i}"))
         elapsed = time.perf_counter() - start
     assert server.connections == 1
+    assert len(server.seen) == 20
     assert elapsed < 0.4
+
+
+# the reply memo
+
+
+def test_a_repeated_request_is_sent_once():
+    with StubServer(echo_prompt) as server:
+        client = OllamaClient(server.url)
+        replies = [client.complete(GenerationRequest("tell me", system="be kind"))
+                   for _ in range(2)]
+    assert replies == ["tell me", "tell me"]
+    assert len(server.seen) == 1
+
+
+def test_texts_that_truncate_to_one_input_are_classified_once():
+    text = " ".join(["word"] * 500)
+    with StubServer([(200, SIX_SCORES)]) as server:
+        client = HttpEmotionClassifier(server.url)
+        first = client.classify_emotions(GeneratedText(text))
+        second = client.classify_emotions(GeneratedText(text + " and more"))
+    assert first == second
+    assert len(server.seen) == 1
+
+
+@pytest.mark.parametrize("change", ["seed", "temperature", "system"])
+def test_a_body_that_differs_in_one_setting_is_sent_again(change):
+    request = GenerationRequest("tell me", system="be kind")
+    with StubServer(echo_prompt) as server:
+        client = OllamaClient(server.url)
+        client.complete(request)
+        if change == "seed":
+            client.seed = 1
+        elif change == "temperature":
+            client.llm = LlmSettings(temperature=0.2)
+        else:
+            request = GenerationRequest("tell me", system="be brief")
+        assert client.complete(request) == client.complete(request) == "tell me"
+    first, second = (body for _, _, body in server.seen)
+    assert first != second
+
+
+@pytest.mark.parametrize("failure, sent", [
+    ((200, {"unexpected": 1}), 1),
+    ((503, {}), 2),  # the one retry fails too
+    ((404, {"error": "model not found"}), 1),
+], ids=["malformed", "retried-out", "refused"])
+def test_a_failed_request_is_not_remembered(failure, sent):
+    with StubServer([failure] * sent + [(200, {"response": "ok"})]) as server:
+        client = OllamaClient(server.url, BackendPolicy(max_retries=1, backoff=0.0))
+        with pytest.raises(BackendError):
+            client.complete(GenerationRequest("hi"))
+        assert len(server.seen) == sent
+        # the next identical call reaches the server, and its success is remembered
+        assert client.complete(GenerationRequest("hi")) == "ok"
+        assert client.complete(GenerationRequest("hi")) == "ok"
+    assert len(server.seen) == sent + 1
+
+
+def test_a_remembered_reply_needs_no_request_slot():
+    with StubServer(echo_prompt) as server:
+        client = OllamaClient(server.url, BackendPolicy(max_concurrent_requests=1))
+        assert client.complete(GenerationRequest("hi")) == "hi"
+        replies = []
+        thread = threading.Thread(
+            target=lambda: replies.append(client.complete(GenerationRequest("hi"))))
+        with client._slots:  # as a call in flight holds the only slot
+            thread.start()
+            thread.join(timeout=5)
+            waited = thread.is_alive()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+    assert not waited
+    assert replies == ["hi"]
+    assert len(server.seen) == 1
+
+
+def test_a_repeat_queued_behind_its_twin_is_answered_from_memory():
+    with StubServer(echo_prompt, delay=0.3) as server:
+        client = OllamaClient(server.url, BackendPolicy(max_concurrent_requests=1))
+        replies = []
+
+        def call():
+            replies.append(client.complete(GenerationRequest("hi")))
+
+        threads = [threading.Thread(target=call) for _ in range(2)]
+        threads[0].start()
+        deadline = time.monotonic() + 5
+        while not server.inflight and time.monotonic() < deadline:
+            time.sleep(0.001)
+        threads[1].start()  # misses the memo, then waits for the slot
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+    assert replies == ["hi", "hi"]
+    assert len(server.seen) == 1
+
+
+@CLOSES_ITS_SOCKETS
+def test_threads_sharing_a_client_each_get_the_reply_to_their_own_body():
+    # more threads than cores switching as often as they can, through one
+    # slot: a reply stored under the wrong body, or a repeat sent again,
+    # shows as a wrong reply or a second request for one body
+    threads_n, rounds = (os.cpu_count() or 1) + 2, 20
+    wrong = []
+
+    def worker(i):
+        for n in range(rounds):
+            # each round's shared body is sent by every thread at about once
+            for prompt in (f"shared {n}", f"own {i} {n}"):
+                reply = client.complete(GenerationRequest(prompt))
+                if reply != prompt:
+                    wrong.append((prompt, reply))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with StubServer(echo_prompt, http11=True) as server, contextlib.closing(
+            OllamaClient(server.url, BackendPolicy(max_concurrent_requests=1, max_retries=0))
+        ) as client:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+    sent = collections.Counter(body["prompt"] for _, _, body in server.seen)
+    assert set(sent) == ({f"shared {n}" for n in range(rounds)}
+                         | {f"own {i} {n}" for i in range(threads_n) for n in range(rounds)})
+    assert set(sent.values()) == {1}
 
 
 # proxies and request targets

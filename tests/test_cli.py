@@ -193,15 +193,17 @@ def test_run_refuses_a_directory_that_holds_a_run(tmp_path, capsys):
     assert digests() == before
 
 
-def live_generate_bodies(tmp_path, capsys, **fields):
-    """The /api/generate bodies of a small live run of the config with fields added."""
+def live_generate_bodies(tmp_path, capsys, distinct, **fields):
+    """The /api/generate bodies of a small live run of the config with fields
+    added; the run must send distinct bodies, and each once."""
     def reply(path, body):
         return (200, {"response": "a story"}) if path == "/api/generate" else (200, SIX_SCORES)
 
     llm = {"model": "mistral", "temperature": 0.2, "context_window": 1024,
            "max_output_tokens": 64}
     config = {"pair": "love:anger", "backend": "live", "mu": 2, "lambda": 2, "generations": 1,
-              "repetitions": 1, "llm": llm, "out_dir": str(tmp_path / "runs"), **fields}
+              "repetitions": 1, "llm": llm, "policy": {"max_concurrent_requests": 1},
+              "out_dir": str(tmp_path / "runs"), **fields}
     with StubServer(reply) as server:
         config["llm"]["base_url"] = server.url
         config["classifier"] = {"base_url": f"{server.url}/classify"}
@@ -210,21 +212,28 @@ def live_generate_bodies(tmp_path, capsys, **fields):
         code, _, err = run_cli(capsys, "run", "--config", str(path), "--quiet")
     assert code == 0, err
     bodies = [body for path, _, body in server.seen if path == "/api/generate"]
-    # two founders' stories, then crossover, mutation and story for two offspring
-    assert len(bodies) == 2 + 3 * 2
+    # two founders' stories, then crossover, mutation and story for two
+    # offspring: 8 requests. The stub answers each "a story", and at seeds 0
+    # and 7 both offspring breed from founders 0 and 1, so their crossover
+    # and story bodies are one body each, and their mutations are one body at
+    # seed 0, where both draw the same instruction. With one request slot a
+    # repeat waits behind its twin and is answered from memory, so the server
+    # sees each distinct body exactly once, and a dropped request or a
+    # needless repeat changes the count
+    assert len({json.dumps(body, sort_keys=True) for body in bodies}) == len(bodies) == distinct
     return bodies
 
 
 def test_live_run_sends_the_configured_llm_settings(tmp_path, capsys):
-    for body in live_generate_bodies(tmp_path, capsys):
+    for body in live_generate_bodies(tmp_path, capsys, distinct=5):
         assert body["model"] == "mistral"
         assert body["options"] == {"temperature": 0.2, "num_ctx": 1024, "num_predict": 64,
                                    "seed": 0}
 
 
 def test_live_run_sends_the_config_seed_with_every_generate_request(tmp_path, capsys):
-    assert [body["options"]["seed"] for body in live_generate_bodies(tmp_path, capsys, seed=7)] \
-        == [7] * (2 + 3 * 2)
+    bodies = live_generate_bodies(tmp_path, capsys, distinct=6, seed=7)
+    assert [body["options"]["seed"] for body in bodies] == [7] * 6
 
 
 def test_run_fails_when_the_model_server_refuses_every_request(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import functools
 import json
 import tempfile
 import threading
@@ -20,6 +21,7 @@ from moprompt.backends import (
     GenerationRequest,
     MockEmotionClassifier,
     MockTextGenerator,
+    truncate_to_token_budget,
 )
 from moprompt.domain import (
     EmotionLabel,
@@ -671,32 +673,56 @@ def assert_live_tree_is_the_mock_tree(live, mock_root):
     assert live_summary == mock_summary
 
 
-# a run of mu 4, lambda 6 and 2 generations sends a story request per founder
-# and a crossover, a mutation and a story request per offspring, and one
-# classify request per individual; retries only add to these counts
-BASE_REQUESTS = {"/api/generate": 4 + 3 * 6 * 2, "/classify": 4 + 6 * 2}
 RETRYABLE = [(503, INJECTED), (429, INJECTED), (None, None)]  # None: a TCP reset
+
+
+@functools.cache
+def distinct_requests(seed):
+    """How many distinct bodies each path gets in the live run of
+    test_live_run_writes_the_mock_tree_under_any_retryable_schedule at seed,
+    counted on its mock run: through its one request slot a client sends
+    each distinct body exactly once, and retries only add to these counts."""
+    generator, classifier = MockTextGenerator(seed=seed), MockEmotionClassifier()
+    requests, texts = set(), set()
+
+    class Generator:
+        def complete(self, request):
+            requests.add(request)
+            return generator.complete(request)
+
+    class Classifier:
+        def classify_emotions(self, text):
+            texts.add(truncate_to_token_budget(text))
+            return classifier.classify_emotions(text)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        config = small_config(generations=2, repetitions=1, seed=seed, out_dir=tmp)
+        assert run_experiment(config, Backends(Generator(), Classifier())).successes == 1
+    return {"/api/generate": len(requests), "/classify": len(texts)}
 
 
 @st.composite
 def fault_schedules(draw):
-    """Up to four retryable faults at distinct (path, request number) slots
-    within the base counts, at most one of them a reply later than 0.25 s."""
-    slot = st.sampled_from(sorted(BASE_REQUESTS)).flatmap(
-        lambda path: st.tuples(st.just(path), st.integers(1, BASE_REQUESTS[path])))
+    """A seed, then up to four retryable faults at distinct (path, request
+    number) slots within that seed's distinct requests, at most one of them
+    a reply later than 0.25 s."""
+    seed = draw(st.integers(0, 3))
+    counts = distinct_requests(seed)
+    slot = st.sampled_from(sorted(counts)).flatmap(
+        lambda path: st.tuples(st.just(path), st.integers(1, counts[path])))
     slots = draw(st.lists(slot, max_size=4, unique=True))
     late = draw(st.integers(-1, len(slots) - 1))  # the late one's position, if any
-    return {key: (200, INJECTED, 1.0) if n == late else draw(st.sampled_from(RETRYABLE))
-            for n, key in enumerate(slots)}
+    return seed, {key: (200, INJECTED, 1.0) if n == late else draw(st.sampled_from(RETRYABLE))
+                  for n, key in enumerate(slots)}
 
 
 @settings(max_examples=15, deadline=None)
-@given(fault_schedules(), st.sampled_from([(False, None), (True, None), (True, 0.005)]),
-       st.integers(0, 3))
-def test_live_run_writes_the_mock_tree_under_any_retryable_schedule(faults, transport, seed):
+@given(fault_schedules(), st.sampled_from([(False, None), (True, None), (True, 0.005)]))
+def test_live_run_writes_the_mock_tree_under_any_retryable_schedule(schedule, transport):
     # the pool's two workers take the one generate slot in either order, so a
     # request number does not name one request, and a retry may land on a
     # later fault: a retry per scheduled fault covers every request
+    seed, faults = schedule
     http11, idle_timeout = transport
     reply, served = mock_service(faults)
     with tempfile.TemporaryDirectory() as tmp:
