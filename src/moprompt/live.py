@@ -5,19 +5,20 @@ emotion classification.
 Both are a `_Client`, the one class that holds what posting JSON to one URL
 takes: the route there, direct or through a proxy, the request headers, the
 idle kept-alive `http.client` connections, a semaphore of request slots, the
-retry loop under the run's BackendPolicy and a memo of replies by request
-body. A call takes an idle connection object, or makes one, inside its
-request slot and always puts it back, so a client holds at most
-`max_concurrent_requests` of them for its whole life. A closed socket is
-not a lost object: `http.client` opens a new one on the next request. This
-module owns the whole HTTP stack; `runner.build_backends` imports it only
-when a run asks for live backends.
+retry loop under the run's BackendPolicy and a memo of replies keyed by the
+SHA-256 digest of the request body, which is still what is sent. A call
+takes an idle connection object, or makes one, inside its request slot and
+always puts it back, so a client holds at most `max_concurrent_requests` of
+them for its whole life. A closed socket is not a lost object: `http.client`
+opens a new one on the next request. This module owns the whole HTTP stack;
+`runner.build_backends` imports it only when a run asks for live backends.
 """
 
 from __future__ import annotations
 
 import base64
 import contextlib
+import hashlib
 import http.client
 import json
 import logging
@@ -100,11 +101,13 @@ class _Client:
     """What both clients share: the route and headers of their one URL, its
     idle kept-alive connections, request slots, and calls retried under the
     policy. It sends each distinct request body once in its life and answers
-    a repeat from memory, which grows by about one body per distinct request.
+    a repeat from memory, which grows by a 32-byte digest of the body plus
+    the parsed reply per distinct request.
 
     The proxy is read from the environment once, since the host is fixed:
     `http_proxy` or `https_proxy` for the URL's scheme, unless `no_proxy`
-    names the host. Plain HTTP then goes to the proxy with the absolute URL
+    names the host; one with no host or a port that is not a number is a
+    ValueError. Plain HTTP then goes to the proxy with the absolute URL
     as its request target, and HTTPS through a CONNECT tunnel. Credentials
     in the proxy URL are sent as Proxy-Authorization: Basic. HTTPS uses the
     default verifying TLS context.
@@ -114,7 +117,7 @@ class _Client:
         self.policy = policy
         self._slots = threading.BoundedSemaphore(policy.max_concurrent_requests)
         self._idle: list[http.client.HTTPConnection] = []
-        self._replies: dict[bytes, object] = {}  # request body -> parsed reply
+        self._replies: dict[bytes, object] = {}  # SHA-256 of request body -> parsed reply
         self._headers = {"Content-Type": "application/json"}
         parts = urllib.parse.urlsplit(url)
         self._target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
@@ -123,7 +126,14 @@ class _Client:
         self._tunnel = None
         proxy = urllib.request.getproxies().get(parts.scheme)
         if proxy and not urllib.request.proxy_bypass(parts.netloc):
-            proxy_parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            try:  # urlsplit's messages would echo the value, which may hold credentials
+                proxy_parts = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+                self._address = (proxy_parts.hostname, proxy_parts.port)
+                if proxy_parts.hostname is None:
+                    raise ValueError
+            except ValueError:
+                raise ValueError(
+                    f"{parts.scheme}_proxy must name a host and a numeric port") from None
             auth = {}
             if proxy_parts.username and proxy_parts.password:
                 credentials = (f"{urllib.parse.unquote(proxy_parts.username)}:"
@@ -136,7 +146,6 @@ class _Client:
             else:
                 self._target = urllib.parse.urldefrag(url).url
                 self._headers.update(auth)
-            self._address = (proxy_parts.hostname, proxy_parts.port)
         self._headers.update(headers)
 
     def _open(self) -> http.client.HTTPConnection:
@@ -151,19 +160,21 @@ class _Client:
 
     def _call(self, describe: str, body: bytes, parse):
         """POST body in a request slot and return parse(the reply's JSON value).
-        Only a parsed value is remembered, before the slot is released. body is
-        looked up before the slot and inside it, so a repeat queued behind its
-        twin is answered from memory; two that miss at once are both sent.
+        Only a parsed value is remembered, under body's SHA-256 digest, before
+        the slot is released; body itself is what is sent. The digest is looked
+        up before the slot and inside it, so a repeat queued behind its twin is
+        answered from memory; two that miss at once are both sent.
         Only what may pass on a retry is retried: transport failures, 5xx, 429."""
-        if body in self._replies:
-            return self._replies[body]
+        key = hashlib.sha256(body).digest()
+        if key in self._replies:
+            return self._replies[key]
         delay = self.policy.backoff
         for attempt in range(self.policy.max_retries + 1):
             try:
                 with self._slots:
-                    if body not in self._replies:
-                        self._replies[body] = parse(parse_json(_post_json(self, body), "reply"))
-                    return self._replies[body]
+                    if key not in self._replies:
+                        self._replies[key] = parse(parse_json(_post_json(self, body), "reply"))
+                    return self._replies[key]
             except BackendRejected as exc:
                 raise BackendRejected(f"{describe} failed: {exc}") from exc
             except (OSError, http.client.HTTPException) as exc:

@@ -17,7 +17,8 @@ the classifier's token budget, the record schema (individual_to_dict), the
 mock generator's word lists and, for the bytes of hypervolume.csv,
 hypervolume_2d (itself checked against the grid oracle here).
 The token estimate and the dominance predicate live here because only the
-tests use them.
+tests use them. CountingFloat counts the comparisons and subtractions an
+algorithm makes, so a test can pin its cost without a timer.
 """
 
 import json
@@ -49,6 +50,37 @@ from moprompt.domain import (
     individual_to_dict,
 )
 from moprompt.moea import hypervolume_2d
+
+
+def _counted(name: str):
+    method = getattr(float, name)
+
+    def counted(self, other):
+        CountingFloat.ops += 1
+        return method(self, other)
+
+    return counted
+
+
+class CountingFloat(float):
+    """A float that adds one to the class-wide ops for each <, <=, >, >= and
+    subtraction it takes part in; FitnessPoint accepts it on its slow path.
+    Equality is not counted, so a tuple comparison, which tests its items
+    for equality before it orders the first pair that differs, counts once.
+    Negations, sums and products give plain floats, and the slot shifts of
+    list insertions such as insort's are not counted either. Not
+    thread-safe."""
+
+    ops = 0
+    __lt__, __le__, __gt__, __ge__, __sub__, __rsub__ = map(
+        _counted, ["__lt__", "__le__", "__gt__", "__ge__", "__sub__", "__rsub__"])
+
+
+def counted_ops(function, *args) -> int:
+    """How many CountingFloat operations function(*args) makes."""
+    CountingFloat.ops = 0
+    function(*args)
+    return CountingFloat.ops
 
 
 def dominates(a: FitnessPoint, b: FitnessPoint) -> bool:

@@ -558,6 +558,20 @@ def test_run_rejects_a_token_that_cannot_be_a_header_value(tmp_path, capsys, mon
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("proxy", ["http://", "http://:3128"])
+def test_run_rejects_a_proxy_without_a_host(tmp_path, capsys, monkeypatch, proxy):
+    # it once ended the run with a traceback, or failed every request
+    monkeypatch.setenv("EMO_LLM_URL", "http://127.0.0.1:1")
+    monkeypatch.setenv("EMO_CLF_URL", "http://127.0.0.1:1/classify")
+    monkeypatch.setenv("http_proxy", proxy)
+    monkeypatch.setenv("no_proxy", "")
+    code, out, err = run_cli(capsys, "run", "--pair", "joy:fear", "--backend", "live",
+                             "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert (out, err) == ("", "error: http_proxy must name a host and a numeric port\n")
+    assert not (tmp_path / "runs").exists()
+
+
 # values that once loaded silently: an empty path, URL, model or token, a URL
 # that is checked for every backend kind, numbers no float can hold
 SILENTLY_ACCEPTED = {
