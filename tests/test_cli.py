@@ -560,7 +560,7 @@ def test_run_rejects_a_token_that_cannot_be_a_header_value(tmp_path, capsys, mon
 
 @pytest.mark.parametrize("proxy", ["http://", "http://:3128"])
 def test_run_rejects_a_proxy_without_a_host(tmp_path, capsys, monkeypatch, proxy):
-    # it once ended the run with a traceback, or failed every request
+    # unchecked, it would end the run with a traceback or fail every request
     monkeypatch.setenv("EMO_LLM_URL", "http://127.0.0.1:1")
     monkeypatch.setenv("EMO_CLF_URL", "http://127.0.0.1:1/classify")
     monkeypatch.setenv("http_proxy", proxy)

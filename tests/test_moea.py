@@ -492,13 +492,18 @@ def test_sms_requires_enough_candidates():
 
 
 def test_sms_overflowing_front0_uses_subset_selection():
-    # five nondominated points, keep 3; the extremes plus the bulge win
-    pts = points_of((1.0, 0.0), (0.8, 0.55), (0.55, 0.8), (0.0, 1.0), (0.3, 0.9))
-    outcome = sms_emoa_select(pts, 3, "exact")
-    got = hypervolume_2d([pts[i] for i in outcome.selected])
-    want, _ = best_subset_oracle(pts, 3, ORIGIN)
-    assert got == pytest.approx(want, abs=1e-12)
-    assert len(outcome.selected) == 3
+    # five nondominated points, keep 3. In the first set the extremes plus
+    # the bulge win; in the second the three largest contributions (points
+    # 2, 3 and 4) cover less than points 0, 3 and 4, so the cut of a later
+    # front, by domination count and contribution, would lose here
+    for coords in (((1.0, 0.0), (0.8, 0.55), (0.55, 0.8), (0.0, 1.0), (0.3, 0.9)),
+                   ((0.31, 0.9), (0.37, 0.86), (0.69, 0.74), (0.85, 0.7), (0.88, 0.59))):
+        pts = points_of(*coords)
+        outcome = sms_emoa_select(pts, 3, "exact")
+        got = hypervolume_2d([pts[i] for i in outcome.selected])
+        want, _ = best_subset_oracle(pts, 3, ORIGIN)
+        assert got == pytest.approx(want, abs=1e-12)
+        assert len(outcome.selected) == 3
 
 
 def test_sms_fronts_fit_then_domination_count_order():
